@@ -41,7 +41,6 @@ from .rewriting import (
     RewriteSystem,
     Rule,
     make_rule,
-    normalize_s_word,
 )
 from .rota_baxter import (
     AxiomReport,
@@ -115,7 +114,6 @@ __all__ = [
     "ls_factorization",
     "make_rule",
     "multiply",
-    "normalize_s_word",
     "occurrences",
     "parse_poly",
     "parse_term",

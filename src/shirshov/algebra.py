@@ -30,11 +30,7 @@ from itertools import combinations
 
 from .words import (
     Alphabet,
-    ArgHole,
     Context,
-    Hole,
-    NaLeaf,
-    NaOp,
     NaPair,
     OpApp,
     Prime,
@@ -224,12 +220,6 @@ def leading(config: AlgebraConfig, p: Poly) -> tuple[Word, Fraction]:
     key = config.alphabet.key
     w = max(p.terms, key=key)
     return w, p.terms[w]
-
-
-def sorted_terms(config: AlgebraConfig, p: Poly):
-    """Terms sorted deg-lex descending."""
-    key = config.alphabet.key
-    return sorted(p.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
 
 def d_power_leading(config: AlgebraConfig, u: Word, i: int) -> tuple[Word, Fraction]:

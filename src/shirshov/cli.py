@@ -22,12 +22,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraConfig, Poly, leading
+from .algebra import AlgebraConfig
 from .lyndon import enumerate_alsw_by_degree, is_alsw, shirshov_bracket
 from .reference import oracle_quotient_dim
 from .rota_baxter import DrblSystem, drbl_nf, enumerate_basis, instantiate_rules
 from .syntax import TermSyntaxError, format_poly, format_term, parse_term, parse_word
-from .words import Alphabet, NaLeaf, NaPair, Prime, Word
+from .words import Alphabet, NaLeaf, NaPair
 
 
 def make_alphabet(gens: int, with_operator: bool = True) -> Alphabet:

@@ -37,7 +37,6 @@ from .algebra import (
 )
 from .words import (
     Alphabet,
-    ArgHole,
     Context,
     Hole,
     NaLeaf,

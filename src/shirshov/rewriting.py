@@ -1,12 +1,21 @@
 """Composition-Diamond machinery over differential operated words.
 
 A rule is a monic polynomial; its D-lifts give the lifted leading words
-that drive matching.  The leading word of a lifted rule is computed from
-the full lifted polynomial — not by lifting the rule's own leading word —
-because with nonzero weight a trailing monomial of higher breadth can
-overtake the nominal leading under enough D applications (its degree grows
-by breadth per lift).  All matching, ambiguity enumeration and reduction
-work from these true lifted leadings.
+that drive matching.  The leading word of a lifted rule is the true
+leading word of the lifted polynomial — not the lift of the rule's own
+leading word — because with nonzero weight a trailing monomial of higher
+breadth can overtake the nominal leading under enough D applications (its
+degree grows by breadth per lift).  It is found in closed form, without
+expanding the lift: the leading word of ``D^i(f)`` is the deg-lex greatest
+of the leading words ``d_power_leading(m, i)`` over the monomials ``m`` of
+``f``; its coefficient is that monomial's coefficient in ``f`` times the
+one ``d_power_leading`` gives.  No two terms can cancel there.  The top
+word of ``D^i(m)`` is an injective shift of ``m``, so two monomials never
+share it; and if the greatest top word equalled a lower word of another
+monomial's lift, that monomial's top word would be greater still.  The lifted polynomials themselves (cores)
+are expanded only when a reduction or composition uses them.  All
+matching, ambiguity enumeration and reduction work from these true lifted
+leadings.
 
 Ambiguities are the classical two kinds: intersections (proper two-sided
 overlap of two lifted leading words) and inclusions (one lifted leading
@@ -34,10 +43,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
-    ONE,
     AlgebraConfig,
     Poly,
     apply_D,
+    d_power_leading,
     leading,
     lie_expand,
     multiply,
@@ -80,15 +89,6 @@ def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> R
     if lc != 1:
         poly = poly.scale(1 / lc)
     return Rule(poly, origin)
-
-
-def normalize_s_word(ctx: Context, s: Poly | None = None):
-    """Absorb the D power over the hole into a lift of the substituted rule.
-
-    Returns (bare context, lift) with ctx filled by s equal to the bare
-    context filled by the lift-th derivative of s.
-    """
-    return ctx.bare(), ctx.hole_d_power
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,53 @@ class GsbReport:
         )
 
 
+def lift_leadings(config: AlgebraConfig, poly: Poly, max_degree: int):
+    """Yield (i, leading word, coefficient) of ``D^i(poly)`` for i = 0, 1, ...
+
+    Stops at the first lift whose leading word has degree above
+    ``max_degree``.  Nothing is expanded: the leading word of ``D^i(poly)``
+    is the greatest ``d_power_leading(m, i)`` over the monomials ``m``, and
+    no other term cancels it (see the module docstring).  That word has
+    degree ``deg m + i·breadth m`` (``deg m + i`` at weight 0), so only the
+    monomials that tie on the top degree compete.  Among them the greater
+    breadth wins.  At equal breadth they also share their own degree, and
+    the shift preserves their deg-lex order: it shifts the same positions
+    of both words, shifting a prime by D is strictly monotone in the prime
+    order, and deg-lex compares such words prime by prime.  So ranking the
+    monomials once by (breadth, deg-lex) and taking the first that reaches
+    the top degree gives the leading word without a key for any shifted
+    word.
+    """
+    key = config.alphabet.key
+    weighted = config.weight != 0
+    ranked = sorted(
+        (
+            (u.degree, u.breadth if weighted else 1, u, c)
+            for u, c in poly.terms.items()
+        ),
+        key=lambda t: (t[2].breadth, key(t[2])),
+        reverse=True,
+    )
+    lift = 0
+    while True:
+        # max keeps the first maximal monomial, the greatest by rank.
+        d, b, u, c = max(ranked, key=lambda t: t[0] + lift * t[1])
+        if d + lift * b > max_degree:
+            return
+        lead, lc = d_power_leading(config, u, lift)
+        yield lift, lead, c * lc
+        lift += 1
+
+
 class RewriteSystem:
     """A rule set instantiated and lift-bounded up to a fixed degree.
 
     Lifts i of each rule are enumerated while the true leading word of the
     lifted polynomial has degree at most ``max_degree``; the leading degree
-    strictly grows with each lift, so the enumeration terminates.
+    strictly grows with each lift, so the enumeration terminates.  Each
+    lift's leading term comes in closed form from the rule's monomials (see
+    ``lift_leadings``); the lifted polynomials are expanded on first use by
+    ``core``.
     """
 
     def __init__(self, config: AlgebraConfig, rules, max_degree: int):
@@ -197,29 +238,27 @@ class RewriteSystem:
         self.rules = tuple(normalized)
         self._cores: dict[tuple[int, int], Poly] = {}
         self._specials: dict[tuple[int, int, Context], Poly] = {}
+        self._ambiguities: tuple[Ambiguity, ...] | None = None
         self.lifted: list[LiftedRule] = []
         self.by_leading: dict[Word, list[LiftedRule]] = {}
         for idx, rule in enumerate(self.rules):
-            lift = 0
-            while True:
-                core = apply_D(config, rule.poly, lift)
-                lead, lc = leading(config, core)
-                if lead.degree > max_degree:
-                    break
-                self._cores[(idx, lift)] = core
+            for lift, lead, lc in lift_leadings(config, rule.poly, max_degree):
                 entry = LiftedRule(idx, lift, lead, lc)
                 self.lifted.append(entry)
                 self.by_leading.setdefault(lead, []).append(entry)
-                lift += 1
         for entries in self.by_leading.values():
             entries.sort(key=lambda e: (e.rule_index, e.lift))
 
     # -- matching ----------------------------------------------------------
 
     def core(self, rule_index: int, lift: int) -> Poly:
+        """``D^lift`` of a rule, expanded from the cached lift below it."""
         got = self._cores.get((rule_index, lift))
         if got is None:
-            got = apply_D(self.config, self.rules[rule_index].poly, lift)
+            if lift == 0:
+                got = self.rules[rule_index].poly
+            else:
+                got = apply_D(self.config, self.core(rule_index, lift - 1))
             self._cores[(rule_index, lift)] = got
         return got
 
@@ -399,8 +438,14 @@ class RewriteSystem:
         Intersections glue a proper suffix of one lifted leading to an equal
         proper prefix of another; inclusions are occurrences of one lifted
         leading inside another, skipping only the identity-context occurrence
-        of a lifted rule in itself.  Deterministically ordered.
+        of a lifted rule in itself.  Deterministically ordered.  The search
+        runs once per system; each call returns a fresh list.
         """
+        if self._ambiguities is None:
+            self._ambiguities = tuple(self._search_ambiguities())
+        return list(self._ambiguities)
+
+    def _search_ambiguities(self) -> list[Ambiguity]:
         out = []
         max_degree = self.max_degree
         for left in self.lifted:

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     AlgebraConfig,
@@ -73,7 +72,7 @@ from .lyndon import (
     special_expand,
 )
 from .rewriting import LieCombination, ReductionStep, RewriteSystem, Rule, make_rule
-from .words import NaLeaf, NaOp, NaPair, OpApp, Prime, Word, iter_subword_runs
+from .words import NaLeaf, NaPair, OpApp, Prime, Word, iter_subword_runs
 
 
 class DrblSystem:

@@ -37,7 +37,6 @@ from .words import (
     NaLeaf,
     NaOp,
     NaPair,
-    OpApp,
     Prime,
     Word,
 )

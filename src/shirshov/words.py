@@ -139,24 +139,9 @@ class Word:
         return format_word(self)
 
 
-def gen_word(name: str, d: int = 0) -> Word:
-    """The one-prime word ``D^d(name)``."""
-    return Word((Prime(d, name),))
-
-
-def op_word(name: str, *args: Word, d: int = 0) -> Word:
-    """The one-prime word ``D^d(name(args...))``."""
-    return Word((Prime(d, OpApp(name, args)),))
-
-
 def concat(*words: Word) -> Word:
     """Concatenation product of words."""
     return Word(tuple(p for w in words for p in w.primes))
-
-
-def weight_tuple(u: Word):
-    """The tuple (degree, breadth, primes...) that deg-lex compares."""
-    return (u.degree, u.breadth) + u.primes
 
 
 class Alphabet:
@@ -228,15 +213,6 @@ class Alphabet:
                 k = (p.degree, 0, self.key(inner))
             self._prime_keys[p] = k
         return k
-
-
-def deglex_cmp(u: Word, v: Word, alphabet: Alphabet) -> int:
-    """-1, 0 or 1 as ``u`` is below, equal to or above ``v`` in deg-lex."""
-    a = alphabet.key(u)
-    b = alphabet.key(v)
-    if a == b:
-        return 0
-    return 1 if a > b else -1
 
 
 def lex_cmp_primes(ps, qs, alphabet: Alphabet) -> int:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import shirshov.rewriting
 from shirshov import (
     AlgebraConfig,
     Alphabet,
+    DrblSystem,
     Poly,
     RewriteSystem,
     apply_D,
@@ -15,13 +17,13 @@ from shirshov import (
     leading,
     lie_expand,
     make_rule,
-    normalize_s_word,
     parse_poly,
     parse_word,
     shirshov_bracket,
 )
+from shirshov.cli import make_alphabet
 from shirshov.rewriting import reduce as reduce_once
-from shirshov.words import Context, Hole, enumerate_words
+from shirshov.words import enumerate_words
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -47,14 +49,6 @@ def test_make_rule_normalizes_to_monic():
     assert r.poly == parse_poly("x y - 2 y", A2)
     with pytest.raises(ValueError):
         make_rule(c, Poly.zero())
-
-
-def test_normalize_s_word_absorbs_hole_power():
-    ctx = Context((), Hole(3), (parse_word("y", A2).primes[0],))
-    bare, lift = normalize_s_word(ctx)
-    assert lift == 3
-    assert bare.hole_d_power == 0
-    assert bare.after == ctx.after
 
 
 def test_lifted_leadings_switch_at_high_lifts():
@@ -87,6 +81,64 @@ def test_lifted_leadings_switch_at_high_lifts():
         "D^4(P(x y))",
         "D^5(P(x y))",
     ]
+
+
+@pytest.mark.parametrize("gens", (1, 2))
+@pytest.mark.parametrize("weight", (0, 1, 2, -1, Fraction(1, 2)))
+def test_closed_form_lift_leadings_match_full_expansion(gens, weight):
+    # every listed lift leads as its full expansion does, and the first
+    # lift not listed leads above the bound
+    c = AlgebraConfig(make_alphabet(gens), Fraction(weight))
+    drbl = DrblSystem(c)
+    for n in range(3, 7):
+        for s1_only in (False, True):
+            sys_ = drbl.system(n, s1_only=s1_only)
+            lifts = {}
+            for e in sys_.lifted:
+                lifts.setdefault(e.rule_index, []).append(e)
+            for idx, rule in enumerate(sys_.rules):
+                entries = lifts.get(idx, [])
+                assert [e.lift for e in entries] == list(range(len(entries)))
+                for e in entries:
+                    full = apply_D(c, rule.poly, e.lift)
+                    assert (e.leading_word, e.leading_coeff) == leading(c, full)
+                beyond = apply_D(c, rule.poly, len(entries))
+                assert leading(c, beyond)[0].degree > n
+
+
+def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):
+    c = cfg(A2, 1)
+    rules = DrblSystem(c).system(5).rules
+    steps = []
+
+    def counting_apply_D(config, p, times=1):
+        steps.append(times)
+        return apply_D(config, p, times)
+
+    monkeypatch.setattr(shirshov.rewriting, "apply_D", counting_apply_D)
+    sys_ = RewriteSystem(c, rules, 5)
+    assert steps == []
+    top = max(sys_.lifted, key=lambda e: e.lift)
+    assert top.lift >= 2
+    assert sys_.core(top.rule_index, top.lift) == apply_D(
+        c, sys_.rules[top.rule_index].poly, top.lift
+    )
+    # one D step per lift, each from the cached lift below
+    assert steps == [1] * top.lift
+    for e in sys_.lifted:
+        assert sys_.core(e.rule_index, e.lift) == apply_D(
+            c, sys_.rules[e.rule_index].poly, e.lift
+        )
+
+
+def test_find_ambiguities_is_memoised_as_fresh_lists():
+    c = cfg(A1, 1)
+    sys_ = DrblSystem(c).system(5)
+    first = sys_.find_ambiguities()
+    second = sys_.find_ambiguities()
+    assert first and first == second and first is not second
+    first.clear()
+    assert sys_.find_ambiguities() == second
 
 
 def test_high_derivative_of_operator_word_is_irreducible_when_weighted():
