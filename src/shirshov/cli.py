@@ -51,6 +51,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1: %r" % text)
+    return value
+
+
 def _cmd_nf(args) -> int:
     alphabet = make_alphabet(_infer_gens(args.expr))
     config = AlgebraConfig(alphabet, args.weight)
@@ -184,20 +194,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="normal form of an expression")
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--mode", choices=("lie", "assoc"), default="lie")
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_positive_int, required=True)
     p.add_argument("expr")
     p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("basis", help="linear basis by degree")
     p.add_argument("--gens", type=int, required=True)
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_positive_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("lyndon", help="Lyndon-Shirshov words over generators")
     p.add_argument("--gens", type=int, required=True)
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_lyndon)
 
     p = sub.add_parser("bracket", help="standard bracketing of a word")
@@ -208,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=("drbl", "s1"), required=True)
     p.add_argument("--gens", type=int, default=2)
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_check_gsb)
 
     p = sub.add_parser("oracle-dim", help="exact quotient dimensions")
     p.add_argument("--gens", type=int, required=True)
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_oracle_dim)
 
     return parser

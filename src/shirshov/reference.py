@@ -3,8 +3,9 @@
 Each oracle recomputes a testable consequence by brute force, independent of
 the code path it validates: word counts by exhaustive rotation filtering,
 standard bracketings by trying every binary tree, the differential by the
-recursive two-factor rule, and quotient dimensions by exact-rational rank
-computation over explicitly generated spanning and ideal rows.
+recursive two-factor rule, ambiguities by comparing every pair of lifted
+leading words, and quotient dimensions by exact-rational rank computation
+over explicitly generated spanning and ideal rows.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import product
 
 from .algebra import AlgebraConfig, Poly, apply_D, leading, multiply
 from .lyndon import enumerate_alsw_by_degree, is_alsw, special_expand
+from .rewriting import Ambiguity
 from .words import (
     Alphabet,
     NaLeaf,
@@ -146,6 +148,67 @@ def oracle_all_bracketings(u: Word, alphabet: Alphabet):
             % (u, len(found))
         )
     return found[0]
+
+
+# ---------------------------------------------------------------------------
+# Ambiguities by an all-pairs scan.
+
+
+def oracle_ambiguities(system) -> list[Ambiguity]:
+    """``RewriteSystem.find_ambiguities`` by comparing every pair of lifts.
+
+    For each ordered pair of lifted leading words: every proper suffix of
+    the left one that equals a proper prefix of the right one, kept when
+    the glued word fits the bound, and every ``occurrences`` of the right
+    one inside the left one, skipping a lift in itself at the identity
+    context.  Sorted by the same total order as the engine.
+    """
+    out = []
+    max_degree = system.max_degree
+    for left in system.lifted:
+        vl = left.leading_word
+        lp = vl.primes
+        for right in system.lifted:
+            vr = right.leading_word
+            rp = vr.primes
+            for k in range(1, min(len(lp), len(rp))):
+                if lp[-k:] != rp[:k]:
+                    continue
+                w = Word(lp + rp[k:])
+                if w.degree <= max_degree:
+                    out.append(
+                        Ambiguity(
+                            "intersection", left, right, w,
+                            overlap=k, position=k,
+                        )
+                    )
+            if vr.degree <= vl.degree:
+                for pos, ctx in enumerate(occurrences(vl, vr)):
+                    if (
+                        ctx.is_identity
+                        and left.rule_index == right.rule_index
+                        and left.lift == right.lift
+                    ):
+                        continue
+                    out.append(
+                        Ambiguity(
+                            "inclusion", left, right, vl,
+                            context=ctx, position=pos,
+                        )
+                    )
+    key = system.config.alphabet.key
+    out.sort(
+        key=lambda a: (
+            key(a.word),
+            a.kind,
+            a.left.rule_index,
+            a.left.lift,
+            a.right.rule_index,
+            a.right.lift,
+            a.position,
+        )
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,13 @@ leadings.
 Ambiguities are the classical two kinds: intersections (proper two-sided
 overlap of two lifted leading words) and inclusions (one lifted leading
 word occurring inside another, at top level or nested in an operator
-argument).  Compositions subtract the two normalized rule multiples; in
-Lie mode each side is the isolating special bracketing, so the subtracted
-elements stay in the Lie subspace.
+argument).  They are found by lookup, not by comparing every pair of
+lifts: inclusions by looking up every subword run of a lifted leading word
+(top level and nested) in the table ``by_leading`` that matching uses, and
+intersections by looking up every proper suffix of a lifted leading word
+in a table of the proper prefixes of all of them.  Compositions subtract
+the two normalized rule multiples; in Lie mode each side is the isolating
+special bracketing, so the subtracted elements stay in the Lie subspace.
 
 Reduction in associative mode eliminates the deg-lex-greatest reducible
 monomial by subtracting the context multiple of the matched lifted rule.
@@ -65,7 +69,6 @@ from .words import (
     Word,
     enumerate_words,
     iter_subword_runs,
-    occurrences,
 )
 
 
@@ -436,10 +439,21 @@ class RewriteSystem:
         """All intersection and inclusion ambiguities within the bound.
 
         Intersections glue a proper suffix of one lifted leading to an equal
-        proper prefix of another; inclusions are occurrences of one lifted
-        leading inside another, skipping only the identity-context occurrence
-        of a lifted rule in itself.  Deterministically ordered.  The search
-        runs once per system; each call returns a fresh list.
+        proper prefix of another, when the glued word fits the bound; each
+        left lift looks its suffixes up in a table from every proper prefix
+        to the lifts that start with it.  Inclusions are occurrences of one
+        lifted leading inside another, skipping only the identity-context
+        occurrence of a lifted rule in itself; each left lift walks its
+        subword runs (``iter_subword_runs``) and looks each up in
+        ``by_leading``, building the context only on a hit.  ``position``
+        counts the occurrences of one leading word in walk order, which is
+        the order of ``words.occurrences``: top-level runs by start, then
+        nested runs by (prime, argument), outside in.  The result is sorted
+        by a total order on (word, kind, left, right, position), so it does
+        not depend on the order of discovery.  The search runs once per
+        system; each call returns a fresh list.  The test oracle
+        ``reference.oracle_ambiguities`` finds the same list by comparing
+        every pair of lifts.
         """
         if self._ambiguities is None:
             self._ambiguities = tuple(self._search_ambiguities())
@@ -448,16 +462,18 @@ class RewriteSystem:
     def _search_ambiguities(self) -> list[Ambiguity]:
         out = []
         max_degree = self.max_degree
+        by_leading = self.by_leading
+        by_prefix: dict[tuple, list[LiftedRule]] = {}
+        for right in self.lifted:
+            rp = right.leading_word.primes
+            for k in range(1, len(rp)):
+                by_prefix.setdefault(rp[:k], []).append(right)
         for left in self.lifted:
             vl = left.leading_word
             lp = vl.primes
-            for right in self.lifted:
-                vr = right.leading_word
-                rp = vr.primes
-                for k in range(1, min(len(lp), len(rp))):
-                    if lp[-k:] != rp[:k]:
-                        continue
-                    w = Word(lp + rp[k:])
+            for k in range(1, len(lp)):
+                for right in by_prefix.get(lp[-k:], ()):
+                    w = Word(lp + right.leading_word.primes[k:])
                     if w.degree <= max_degree:
                         out.append(
                             Ambiguity(
@@ -465,20 +481,25 @@ class RewriteSystem:
                                 overlap=k, position=k,
                             )
                         )
-                if vr.degree <= vl.degree:
-                    for pos, ctx in enumerate(occurrences(vl, vr)):
-                        if (
-                            ctx.is_identity
-                            and left.rule_index == right.rule_index
-                            and left.lift == right.lift
-                        ):
-                            continue
-                        out.append(
-                            Ambiguity(
-                                "inclusion", left, right, vl,
-                                context=ctx, position=pos,
-                            )
+            # Occurrences of one leading word inside vl, counted in walk order.
+            seen: dict[Word, int] = {}
+            for run, build in iter_subword_runs(vl):
+                vr = Word(run)
+                rights = by_leading.get(vr)
+                if rights is None:
+                    continue
+                pos = seen.get(vr, 0)
+                seen[vr] = pos + 1
+                ctx = build()
+                for right in rights:
+                    if ctx.is_identity and right is left:
+                        continue
+                    out.append(
+                        Ambiguity(
+                            "inclusion", left, right, vl,
+                            context=ctx, position=pos,
                         )
+                    )
         key = self.config.alphabet.key
         out.sort(
             key=lambda a: (

@@ -286,3 +286,18 @@ def test_cli_flag_validation(capsys):
     with pytest.raises(SystemExit):
         main(["check-gsb", "--system", "bogus", "--max-deg", "3"])
     capsys.readouterr()
+    # a degree bound below 1 is refused on every subcommand that takes one
+    for argv in (
+        ["check-gsb", "--system", "drbl", "--max-deg", "0"],
+        ["check-gsb", "--system", "drbl", "--max-deg", "-1"],
+        ["basis", "--gens", "2", "--max-deg", "-2"],
+        ["lyndon", "--gens", "2", "--max-deg", "0"],
+        ["nf", "--max-deg", "0", "x1"],
+        ["oracle-dim", "--gens", "1", "--max-deg", "0"],
+        ["lyndon", "--gens", "2", "--max-deg", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert out == "" and "error:" in err and "--max-deg" in err, argv

@@ -1,11 +1,14 @@
 """Rewrite engine: lifted rules, reduction traces, overlap certification."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import shirshov.rewriting
+import shirshov.words
 from shirshov import (
     AlgebraConfig,
     Alphabet,
@@ -22,6 +25,7 @@ from shirshov import (
     shirshov_bracket,
 )
 from shirshov.cli import make_alphabet
+from shirshov.reference import oracle_ambiguities
 from shirshov.rewriting import reduce as reduce_once
 from shirshov.words import enumerate_words
 
@@ -141,6 +145,78 @@ def test_find_ambiguities_is_memoised_as_fresh_lists():
     assert sys_.find_ambiguities() == second
 
 
+def assert_same_ambiguities(sys_):
+    got = sys_.find_ambiguities()
+    want = oracle_ambiguities(sys_)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("gens", (1, 2))
+@pytest.mark.parametrize("weight", (0, 1, 2, -1, Fraction(1, 2)))
+def test_indexed_ambiguity_search_matches_all_pairs_oracle(gens, weight):
+    c = AlgebraConfig(make_alphabet(gens), Fraction(weight))
+    drbl = DrblSystem(c)
+    # the all-pairs oracle takes seconds on the two-generator degree-7
+    # systems, so only the weights 0 and 1 run there
+    top = 7 if gens == 1 or weight in (0, 1) else 6
+    for n in range(4, top + 1):
+        for s1_only in (False, True):
+            assert_same_ambiguities(drbl.system(n, s1_only=s1_only))
+
+
+def test_inclusion_positions_follow_occurrence_order():
+    # P(y) occurs in P(P(y)) P(y) at top level after the nested occurrence;
+    # top-level occurrences are numbered first
+    c = cfg(A3)
+    rules = [
+        make_rule(c, parse_poly("P(y) - z", A3)),
+        make_rule(c, parse_poly("P(P(y)) P(y) - x", A3)),
+    ]
+    sys_ = RewriteSystem(c, rules, 6)
+    assert_same_ambiguities(sys_)
+    got = [
+        (a.left.lift, a.position, repr(a.context))
+        for a in sys_.find_ambiguities()
+        if a.left.rule_index == 1 and a.right.rule_index == 0
+    ]
+    assert got == [
+        (0, 0, "P(P(y)) * *"),
+        (0, 1, "P(*) * P(y)"),
+        (1, 0, "D(P(P(y))) * *"),
+        (1, 1, "D(P(*)) * P(y)"),
+    ]
+
+
+def test_find_ambiguities_calls_occurrences_zero_times(monkeypatch):
+    calls = []
+    original = shirshov.words.occurrences
+
+    def counting_occurrences(w, p):
+        calls.append(p)
+        return original(w, p)
+
+    # patch every module that holds the name, so a re-added import counts
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("shirshov") and hasattr(module, "occurrences"):
+            monkeypatch.setattr(module, "occurrences", counting_occurrences)
+    sys_ = DrblSystem(cfg(A2, 1)).system(6)
+    assert sys_.find_ambiguities()
+    assert calls == []
+    # the oracle goes through the patched name, so the counter is live
+    oracle_ambiguities(sys_)
+    assert calls
+
+
+def test_degree_nine_section_system_ambiguity_count():
+    sys_ = DrblSystem(AlgebraConfig(make_alphabet(2), 1)).system(9, s1_only=True)
+    ambs = sys_.find_ambiguities()
+    assert len(ambs) == 3764
+    kinds = Counter(a.kind for a in ambs)
+    assert kinds == {"inclusion": 3755, "intersection": 9}
+
+
 def test_high_derivative_of_operator_word_is_irreducible_when_weighted():
     w = parse_word("D^3(P(x y))", A2)
     c1 = cfg(A2, 1)
@@ -239,6 +315,7 @@ def test_broken_pair_fails_certification():
         make_rule(c, parse_poly("P(y) P(z) - x", A3)),
     ]
     sys_ = RewriteSystem(c, rules, 6)
+    assert_same_ambiguities(sys_)
     ambs = sys_.find_ambiguities()
     inter = [a for a in ambs if a.kind == "intersection"]
     assert len(inter) == 1
