@@ -235,20 +235,35 @@ def d_power_leading(config: AlgebraConfig, u: Word, i: int) -> tuple[Word, Fract
     return w, config.weight ** ((n - 1) * i)
 
 
-def lie_expand(config: AlgebraConfig, t) -> Poly:
+def lie_expand(config: AlgebraConfig, t, memo: dict | None = None) -> Poly:
     """Expand a bracketed word into the associative algebra.
 
     Bracket nodes become commutators; operator heads apply the operator to
     the expansions of their arguments; the D power on a leaf lifts through
-    the whole expansion via the weighted differential.
+    the whole expansion via the weighted differential.  With ``memo`` (a
+    dict from bracketed node to expansion, for one configuration) every
+    subtree is expanded at most once and the stored expansions are shared,
+    so callers must not mutate them.
     """
+    if memo is not None:
+        got = memo.get(t)
+        if got is not None:
+            return got
     if type(t) is NaPair:
-        return commutator(lie_expand(config, t.left), lie_expand(config, t.right))
-    head = t.head
-    if type(head) is str:
-        return Poly.word(Word((Prime(t.d_power, head),)))
-    inner = apply_operator(head.name, *(lie_expand(config, a) for a in head.args))
-    return apply_D(config, inner, t.d_power)
+        out = commutator(
+            lie_expand(config, t.left, memo), lie_expand(config, t.right, memo)
+        )
+    elif type(t.head) is str:
+        out = Poly.word(Word((Prime(t.d_power, t.head),)))
+    else:
+        head = t.head
+        inner = apply_operator(
+            head.name, *(lie_expand(config, a, memo) for a in head.args)
+        )
+        out = apply_D(config, inner, t.d_power)
+    if memo is not None:
+        memo[t] = out
+    return out
 
 
 def subst_poly(config: AlgebraConfig, ctx: Context, p: Poly) -> Poly:

@@ -26,7 +26,14 @@ from .algebra import AlgebraConfig
 from .lyndon import enumerate_alsw_by_degree, is_alsw, shirshov_bracket
 from .reference import oracle_quotient_dim
 from .rota_baxter import DrblSystem, drbl_nf, enumerate_basis, instantiate_rules
-from .syntax import TermSyntaxError, format_poly, format_term, parse_term, parse_word
+from .syntax import (
+    TermSyntaxError,
+    format_context,
+    format_poly,
+    format_term,
+    parse_term,
+    parse_word,
+)
 from .words import Alphabet, NaLeaf, NaPair
 
 
@@ -70,8 +77,10 @@ def _cmd_nf(args) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 2
     sys_ = DrblSystem(config)
+    log = [] if args.trace else None
     if args.mode == "lie":
-        nf = drbl_nf(value, sys_, max_degree=args.max_deg)
+        nf = drbl_nf(value, sys_, max_degree=args.max_deg, log=log)
+        _print_trace(log, lambda step: step.rule_index)
         print(format_term(nf, config))
         return 0
     if isinstance(value, (NaLeaf, NaPair)):
@@ -86,8 +95,27 @@ def _cmd_nf(args) -> int:
         )
         return 2
     engine = sys_.system(args.max_deg)
-    print(format_poly(engine.reduce(value, mode="assoc"), config))
+    nf = engine.reduce(value, mode="assoc", log=log)
+    _print_trace(log, lambda step: engine.rules[step.rule_index].origin)
+    print(format_poly(nf, config))
     return 0
+
+
+def _print_trace(log, tag_of) -> None:
+    """One stderr line per reduction step: rule, lift, context, coefficient."""
+    if log is None:
+        return
+    for n, step in enumerate(log, start=1):
+        name, *params = tag_of(step)
+        rule = "%s(%s)" % (
+            name,
+            ", ".join(p if type(p) is int else format_term(p) for p in params),
+        )
+        print(
+            "step %d: %s; lift %d; context %s; coefficient %s"
+            % (n, rule, step.lift, format_context(step.context), step.coefficient),
+            file=sys.stderr,
+        )
 
 
 def _cmd_basis(args) -> int:
@@ -195,18 +223,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--mode", choices=("lie", "assoc"), default="lie")
     p.add_argument("--max-deg", type=_positive_int, required=True)
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="print each reduction step to stderr",
+    )
     p.add_argument("expr")
     p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("basis", help="linear basis by degree")
-    p.add_argument("--gens", type=int, required=True)
+    p.add_argument("--gens", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("lyndon", help="Lyndon-Shirshov words over generators")
-    p.add_argument("--gens", type=int, required=True)
+    p.add_argument("--gens", type=_positive_int, required=True)
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_lyndon)
 
@@ -216,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-gsb", help="reduce all compositions")
     p.add_argument("--system", choices=("drbl", "s1"), required=True)
-    p.add_argument("--gens", type=int, default=2)
+    p.add_argument("--gens", type=_positive_int, default=2)
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_check_gsb)
 
     p = sub.add_parser("oracle-dim", help="exact quotient dimensions")
-    p.add_argument("--gens", type=int, required=True)
+    p.add_argument("--gens", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_oracle_dim)

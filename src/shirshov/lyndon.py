@@ -52,17 +52,9 @@ from .words import (
 )
 
 
-def _cache(alphabet: Alphabet, name: str) -> dict:
-    cache = getattr(alphabet, name, None)
-    if cache is None:
-        cache = {}
-        setattr(alphabet, name, cache)
-    return cache
-
-
 def is_alsw(u: Word, alphabet: Alphabet) -> bool:
     """True iff every proper split u = ab satisfies ab > ba in lex order."""
-    cache = _cache(alphabet, "_alsw_cache")
+    cache = alphabet._alsw_cache
     hit = cache.get(u)
     if hit is not None:
         return hit
@@ -105,7 +97,7 @@ def shirshov_bracket(u: Word, alphabet: Alphabet):
     Letters become leaves with their operator arguments bracketed in turn;
     longer words split off their longest proper ALSW suffix.
     """
-    cache = _cache(alphabet, "_bracket_cache")
+    cache = alphabet._bracket_cache
     hit = cache.get(u)
     if hit is not None:
         return hit

@@ -3,9 +3,10 @@
 Each oracle recomputes a testable consequence by brute force, independent of
 the code path it validates: word counts by exhaustive rotation filtering,
 standard bracketings by trying every binary tree, the differential by the
-recursive two-factor rule, ambiguities by comparing every pair of lifted
-leading words, and quotient dimensions by exact-rational rank computation
-over explicitly generated spanning and ideal rows.
+recursive two-factor rule, section rules by expanding each bracketing from
+scratch, ambiguities by comparing every pair of lifted leading words, and
+quotient dimensions by exact-rational rank computation over explicitly
+generated spanning and ideal rows.
 """
 
 from __future__ import annotations
@@ -13,8 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .algebra import AlgebraConfig, Poly, apply_D, leading, multiply
-from .lyndon import enumerate_alsw_by_degree, is_alsw, special_expand
+from .algebra import (
+    AlgebraConfig,
+    Poly,
+    apply_D,
+    apply_operator,
+    leading,
+    lie_expand,
+    multiply,
+)
+from .lyndon import (
+    enumerate_alsw_by_degree,
+    is_alsw,
+    shirshov_bracket,
+    special_expand,
+)
 from .rewriting import Ambiguity
 from .words import (
     Alphabet,
@@ -148,6 +162,16 @@ def oracle_all_bracketings(u: Word, alphabet: Alphabet):
             % (u, len(found))
         )
     return found[0]
+
+
+# ---------------------------------------------------------------------------
+# Section rules without shared expansions.
+
+
+def oracle_section_rule(config: AlgebraConfig, operator: str, u: Word) -> Poly:
+    """g(u) = D(P([u])) − [u], expanding [u] afresh and applying P, then D."""
+    bu = lie_expand(config, shirshov_bracket(u, config.alphabet))
+    return apply_D(config, apply_operator(operator, bu)) - bu
 
 
 # ---------------------------------------------------------------------------

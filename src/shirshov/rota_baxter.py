@@ -40,7 +40,18 @@ g(P(x)·x·x) leads with D^2(x)·D^2(x)·P(x)); building that h raises, so
 full systems and normal forms that need it are refused, not guessed.
 
 Rules are built lazily per parameter; the same cache backs the fast path
-and the eagerly instantiated systems handed to the generic engine.
+and the eagerly instantiated systems handed to the generic engine.  The
+standard bracketing [u] is made of the bracketings of u's sub-parameters
+(its standard factors and the arguments of its P-letters), and
+``shirshov_bracket`` shares those nodes, so each ``DrblSystem`` owns one
+memo from bracketed node to expansion: every subtree is expanded once, a
+pair as the commutator of its children's expansions and a leaf as P of its
+argument's expansion followed by D^k.  Section and Rota-Baxter rules read
+[u] through it, and completion rules through the section rules.  g(u) is then built in one pass: each term
+c·m of [u] gives c·D(P(m)), and after all of those come the terms −c·m.
+Nothing cancels, since the first kind has degree deg(u)+2 and the second
+degree deg(u), and D(P(m)) only raises the D-power of the single prime
+P(m).
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -79,9 +90,9 @@ class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
     Holds the algebra configuration (one unary operator) plus lazy caches:
-    rules keyed by their Lyndon-Shirshov parameters, lifted rule
-    polynomials, bracketed multiples keyed by context, and fully
-    instantiated engine systems keyed by degree bound.
+    rules keyed by their Lyndon-Shirshov parameters, expansions keyed by
+    bracketed node, lifted rule polynomials, bracketed multiples keyed by
+    context, and fully instantiated engine systems keyed by degree bound.
     """
 
     def __init__(self, config: AlgebraConfig):
@@ -95,6 +106,7 @@ class DrblSystem:
         self._section: dict[Word, Rule] = {}
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
+        self._expansions: dict[NaLeaf | NaPair, Poly] = {}
         self._cores: dict[tuple, Poly] = {}
         self._specials: dict[tuple, Poly] = {}
         self._engines: dict[tuple[int, bool], RewriteSystem] = {}
@@ -102,17 +114,23 @@ class DrblSystem:
     # -- rule families -------------------------------------------------------
 
     def _bracketed(self, u: Word) -> Poly:
-        if not is_alsw_hereditary(u, self.config.alphabet):
+        """The expansion of [u], shared: callers must not mutate it."""
+        alphabet = self.config.alphabet
+        if not is_alsw_hereditary(u, alphabet):
             raise ValueError("parameter %r is not a Lyndon-Shirshov word" % (u,))
-        return lie_expand(self.config, shirshov_bracket(u, self.config.alphabet))
+        return lie_expand(
+            self.config, shirshov_bracket(u, alphabet), self._expansions
+        )
 
     def section_rule(self, u: Word) -> Rule:
         """g(u): applying D undoes P, modulo lower terms."""
         got = self._section.get(u)
         if got is None:
-            bu = self._bracketed(u)
-            poly = apply_D(self.config, apply_operator(self.operator, bu)) - bu
-            got = make_rule(self.config, poly, ("section", u))
+            bu = self._bracketed(u).terms
+            op = self.operator
+            terms = {Word((Prime(1, OpApp(op, (m,))),)): c for m, c in bu.items()}
+            terms.update((m, -c) for m, c in bu.items())
+            got = make_rule(self.config, Poly(terms), ("section", u))
             self._section[u] = got
         return got
 

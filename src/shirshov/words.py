@@ -169,6 +169,9 @@ class Alphabet:
         self._arity = {n: a for n, a in self.operators}
         self._word_keys: dict[Word, tuple] = {}
         self._prime_keys: dict[Prime, tuple] = {}
+        # Filled by ``lyndon``: ALSW tests and standard bracketings per word.
+        self._alsw_cache: dict[Word, bool] = {}
+        self._bracket_cache: dict[Word, object] = {}
 
     def arity(self, name: str) -> int:
         return self._arity[name]

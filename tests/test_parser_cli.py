@@ -1,16 +1,22 @@
 """Expression syntax and the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from shirshov import (
     AlgebraConfig,
+    DrblSystem,
     NaPair,
     Poly,
     TermSyntaxError,
+    drbl_nf,
     format_poly,
     format_term,
     parse_poly,
@@ -301,3 +307,61 @@ def test_cli_flag_validation(capsys):
         out, err = capsys.readouterr()
         assert exc.value.code == 2, argv
         assert out == "" and "error:" in err and "--max-deg" in err, argv
+    # so is a generator count below 1 or not an integer, as a usage error
+    for command in (
+        ["basis", "--max-deg", "2"],
+        ["lyndon", "--max-deg", "2"],
+        ["check-gsb", "--system", "drbl", "--max-deg", "3"],
+        ["oracle-dim", "--max-deg", "2"],
+    ):
+        for gens in ("0", "-1", "x"):
+            argv = command + ["--gens", gens]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2, argv
+            assert out == "" and "error:" in err and "--gens" in err, argv
+    # ``python -m shirshov`` is the same command line
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["lyndon", "--gens", "2", "--max-deg", "3"]
+    run = subprocess.run(
+        [sys.executable, "-m", "shirshov"] + argv,
+        capture_output=True, text=True, env=env,
+    )
+    assert main(argv) == 0
+    assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
+    run = subprocess.run(
+        [sys.executable, "-m", "shirshov", "basis", "--gens", "0", "--max-deg", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert "error:" in run.stderr and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("mode", ["lie", "assoc"])
+def test_nf_trace_prints_the_reduction_log_to_stderr(capsys, mode):
+    expr = "[D(P([x1 x2])) x1] + [P(x1) P(x2)] + D^2(P(x1))"
+    argv = ["nf", "--lambda", "1", "--mode", mode, "--max-deg", "5", expr]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv[:-1] + ["--trace", expr]) == 0
+    traced = capsys.readouterr()
+    assert plain.err == "" and traced.out == plain.out
+    lines = traced.err.splitlines()
+    if mode == "assoc":
+        assert lines == [
+            "step 1: section(x1 * x2); lift 0; context * * x1; coefficient 1",
+            "step 2: section(x1 * x2); lift 0; context x1 * *; coefficient -1",
+            "step 3: rota-baxter(x1, x2); lift 0; context *; coefficient 1",
+            "step 4: section(x1); lift 1; context *; coefficient 1",
+        ]
+        return
+    log = []
+    drbl_nf(parse_term(expr, X2), DrblSystem(AlgebraConfig(X2, 1)), log=log)
+    assert len(lines) == len(log)
+    assert lines == [
+        "step 1: section(x1 * x2); lift 0; context * * x1; coefficient 1",
+        "step 2: rota-baxter(x1, x2); lift 0; context *; coefficient 1",
+        "step 3: section(x1); lift 1; context *; coefficient 1",
+    ]

@@ -1,6 +1,7 @@
 """Weighted differential Lie systems with a Rota-Baxter operator."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,14 @@ from shirshov import (
     instantiate_rules,
     leading,
     lie_expand,
+    make_rule,
     parse_poly,
     parse_word,
     s1_rules,
     shirshov_bracket,
     verify_axioms,
 )
+from shirshov.reference import oracle_section_rule
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -432,3 +435,82 @@ def test_fast_path_agrees_with_generic_engine_at_degree_seven():
             p = lie_expand(sys_.config, shirshov_bracket(u, A1))
             fast = drbl_nf(p, sys_).as_poly(sys_.config)
             assert fast == engine.reduce(p, mode="lie")
+
+
+class _UnsharedSystem(DrblSystem):
+    """The rule families built from fresh expansions and the old g(u)."""
+
+    def _bracketed(self, u):
+        return lie_expand(self.config, shirshov_bracket(u, self.config.alphabet))
+
+    def section_rule(self, u):
+        got = self._section.get(u)
+        if got is None:
+            poly = oracle_section_rule(self.config, self.operator, u)
+            got = self._section[u] = make_rule(self.config, poly, ("section", u))
+        return got
+
+
+@pytest.mark.parametrize("weight", [0, 1, 2, -1, Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("alphabet", [A1, A2], ids=["1gen", "2gens"])
+def test_rules_from_shared_expansions_equal_the_unshared_formula(alphabet, weight):
+    config = AlgebraConfig(alphabet, Fraction(weight))
+    rules = instantiate_rules(DrblSystem(config), 7)
+    expect = instantiate_rules(_UnsharedSystem(config), 7)
+    s1 = s1_rules(DrblSystem(config), 7)
+    assert s1 == rules[: len(s1)]
+    assert [r.origin for r in rules] == [r.origin for r in expect]
+    families = Counter(r.origin[0] for r in rules)
+    assert families["section"] and families["rota-baxter"]
+    assert bool(families["completion"]) == (weight != 0)
+    for got, want in zip(rules, expect):
+        assert got == want, got.origin
+        # term order too, so every later pass sees the same iteration order
+        assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+
+
+def _subtrees(t, out):
+    if t in out:
+        return
+    out.add(t)
+    if type(t) is NaPair:
+        _subtrees(t.left, out)
+        _subtrees(t.right, out)
+    elif type(t.head) is NaOp:
+        for a in t.head.args:
+            _subtrees(a, out)
+
+
+def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
+    import shirshov.algebra as algebra
+
+    calls = Counter()
+    for name in ("commutator", "apply_operator"):
+
+        def counted(*args, _name=name, _original=getattr(algebra, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    for alphabet, weight, s1_only in ((A2, 1, True), (A2, 0, False), (A1, 2, True)):
+        sys_ = make_sys(alphabet, weight)
+        calls.clear()
+        if s1_only:
+            s1_rules(sys_, 7)
+        else:
+            instantiate_rules(sys_, 7)
+        params = enumerate_alsw(sys_.config, 5)
+        nodes = set()
+        for u in params:
+            _subtrees(shirshov_bracket(u, alphabet), nodes)
+        pairs = sum(type(t) is NaPair for t in nodes)
+        ops = sum(type(t) is NaLeaf and type(t.head) is NaOp for t in nodes)
+        assert calls == {"commutator": pairs, "apply_operator": ops}
+        assert set(sys_._expansions) == nodes
+        # later rules find every expansion in the memo
+        calls.clear()
+        for u in params:
+            sys_._bracketed(u)
+        if not s1_only:
+            sys_.rota_baxter_rule(params[-1], params[0])
+        assert not calls
