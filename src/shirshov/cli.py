@@ -109,7 +109,7 @@ def _print_trace(log, tag_of) -> None:
         name, *params = tag_of(step)
         rule = "%s(%s)" % (
             name,
-            ", ".join(p if type(p) is int else format_term(p) for p in params),
+            ", ".join(str(p) if type(p) is int else format_term(p) for p in params),
         )
         print(
             "step %d: %s; lift %d; context %s; coefficient %s"

@@ -30,10 +30,11 @@ special bracketing, so the subtracted elements stay in the Lie subspace.
 
 Reduction in associative mode eliminates the deg-lex-greatest reducible
 monomial by subtracting the context multiple of the matched lifted rule.
-Lie-mode reduction works on the associative expansion: while the leading
-word is reducible, subtract the special-bracketed multiple; once it is
-irreducible, move its standard-bracketed expansion to the output and
-continue.  The output is a combination of bracketed irreducible words.
+Lie-mode reduction (``lie_reduce``, shared with ``rota_baxter.drbl_nf``)
+works on the associative expansion: while the leading word is reducible,
+subtract the special-bracketed multiple; once it is irreducible, move its
+standard-bracketed expansion to the output and continue.  The output is a
+combination of bracketed irreducible words.
 
 A basis check reduces every composition and reports nonzero residues.
 Reduction to zero certifies triviality; a nonzero residue means the
@@ -125,7 +126,11 @@ class Ambiguity:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One elimination: which lifted rule, where, and the full multiple."""
+    """One elimination: which lifted rule, where, and the full multiple.
+
+    ``rule_index`` is the engine's rule index, or the ``DrblSystem`` rule
+    tag such as ``("section", u)`` when the step comes from ``drbl_nf``.
+    """
 
     rule_index: int
     lift: int
@@ -217,6 +222,73 @@ def lift_leadings(config: AlgebraConfig, poly: Poly, max_degree: int):
         lift += 1
 
 
+class LiftCache:
+    """Lifted rule polynomials (cores) and special multiples by rule key.
+
+    ``rule_poly(key)`` gives a rule's polynomial.  A core is expanded on
+    first use, one D step from the cached lift below it; a special multiple
+    is cached with the leading coefficient of its core.
+    """
+
+    def __init__(self, config: AlgebraConfig, rule_poly):
+        self.config = config
+        self.rule_poly = rule_poly
+        self._cores: dict[tuple, Poly] = {}
+        self._specials: dict[tuple, tuple[Poly, Fraction]] = {}
+
+    def core(self, key, lift: int) -> Poly:
+        """``D^lift`` of the rule under ``key``."""
+        got = self._cores.get((key, lift))
+        if got is None:
+            if lift == 0:
+                got = self.rule_poly(key)
+            else:
+                got = apply_D(self.config, self.core(key, lift - 1))
+            self._cores[(key, lift)] = got
+        return got
+
+    def special(self, key, lift: int, ctx: Context) -> tuple[Poly, Fraction]:
+        """(isolating-bracketed multiple in ``ctx``, leading coeff of core)."""
+        got = self._specials.get((key, lift, ctx))
+        if got is None:
+            core = self.core(key, lift)
+            v, lc = leading(self.config, core)
+            got = special_expand(self.config, ctx, v, core), lc
+            self._specials[(key, lift, ctx)] = got
+        return got
+
+
+def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombination:
+    """Bracketed normal form of the Lie element ``p``, steps appended to ``log``.
+
+    ``match(u)`` gives ``(key, lift, context)`` of a lifted rule reducing
+    the word ``u``, or None; ``lifts`` holds the rules by key.
+    """
+    alphabet = config.alphabet
+    working = p
+    out = []
+    while working:
+        u, c = leading(config, working)
+        if not is_alsw_hereditary(u, alphabet):
+            raise ValueError(
+                "not a Lie element: leading word %r is not Lyndon-Shirshov" % (u,)
+            )
+        m = match(u)
+        if m is None:
+            nb = shirshov_bracket(u, alphabet)
+            out.append((c, nb))
+            working = working - lie_expand(config, nb).scale(c)
+            continue
+        key, lift, ctx = m
+        special, lc = lifts.special(key, lift, ctx)
+        factor = c / lc
+        multiple = special.scale(factor)
+        working = working - multiple
+        if log is not None:
+            log.append(ReductionStep(key, lift, ctx, factor, multiple))
+    return LieCombination(tuple(out))
+
+
 class RewriteSystem:
     """A rule set instantiated and lift-bounded up to a fixed degree.
 
@@ -225,22 +297,17 @@ class RewriteSystem:
     strictly grows with each lift, so the enumeration terminates.  Each
     lift's leading term comes in closed form from the rule's monomials (see
     ``lift_leadings``); the lifted polynomials are expanded on first use by
-    ``core``.
+    ``core``.  Given ``Rule``s are kept as they are, bare polynomials made
+    monic; every use divides by the lift's own leading coefficient.
     """
 
     def __init__(self, config: AlgebraConfig, rules, max_degree: int):
         self.config = config
         self.max_degree = max_degree
-        normalized = []
-        for r in rules:
-            if isinstance(r, Rule):
-                r = make_rule(config, r.poly, r.origin)
-            else:
-                r = make_rule(config, r)
-            normalized.append(r)
-        self.rules = tuple(normalized)
-        self._cores: dict[tuple[int, int], Poly] = {}
-        self._specials: dict[tuple[int, int, Context], Poly] = {}
+        self.rules = tuple(
+            r if isinstance(r, Rule) else make_rule(config, r) for r in rules
+        )
+        self._lifts = LiftCache(config, lambda i: self.rules[i].poly)
         self._ambiguities: tuple[Ambiguity, ...] | None = None
         self.lifted: list[LiftedRule] = []
         self.by_leading: dict[Word, list[LiftedRule]] = {}
@@ -256,14 +323,7 @@ class RewriteSystem:
 
     def core(self, rule_index: int, lift: int) -> Poly:
         """``D^lift`` of a rule, expanded from the cached lift below it."""
-        got = self._cores.get((rule_index, lift))
-        if got is None:
-            if lift == 0:
-                got = self.rules[rule_index].poly
-            else:
-                got = apply_D(self.config, self.core(rule_index, lift - 1))
-            self._cores[(rule_index, lift)] = got
-        return got
+        return self._lifts.core(rule_index, lift)
 
     def match(self, u: Word):
         """First match in a monomial: min (rule index, lift, scan order).
@@ -295,14 +355,7 @@ class RewriteSystem:
 
     def special_multiple(self, rule_index: int, lift: int, ctx: Context) -> Poly:
         """Isolating-bracketed multiple of a lifted rule, leading certified."""
-        key = (rule_index, lift, ctx)
-        got = self._specials.get(key)
-        if got is None:
-            core = self.core(rule_index, lift)
-            v, _ = leading(self.config, core)
-            got = special_expand(self.config, ctx, v, core)
-            self._specials[key] = got
-        return got
+        return self._lifts.special(rule_index, lift, ctx)[0]
 
     # -- reduction ----------------------------------------------------------
 
@@ -327,11 +380,13 @@ class RewriteSystem:
         Associative mode eliminates reducible monomials greatest-first (or
         at a seeded-random reducible monomial under strategy="random");
         the result contains no lifted leading word.  Lie mode requires a
-        Lie element and returns the expansion of its bracketed normal form.
+        Lie element and strategy="leading", and returns the expansion of
+        its bracketed normal form.
         """
         if mode == "lie":
-            _, out = self._reduce_lie(p, log)
-            return out
+            if strategy != "leading":
+                raise ValueError("Lie mode supports only strategy='leading'")
+            return self.lie_normal_form(p, log).as_poly(self.config)
         if mode != "assoc":
             raise ValueError("mode must be 'assoc' or 'lie'")
         self._guard_degree(p)
@@ -391,47 +446,14 @@ class RewriteSystem:
             entry, ctx = self.match(u)
             self._eliminate(working, u, c, entry, ctx, log)
 
-    def _reduce_lie(self, p: Poly, log=None):
-        """Shared loop: returns (bracketed combination, its expansion)."""
-        self._guard_degree(p)
-        config = self.config
-        alphabet = config.alphabet
-        working = p
-        out_terms = []
-        out_poly = Poly.zero()
-        while working:
-            u, c = leading(config, working)
-            if not is_alsw_hereditary(u, alphabet):
-                raise ValueError(
-                    "not a Lie element: leading word %r is not Lyndon-Shirshov"
-                    % (u,)
-                )
-            m = self.match(u)
-            if m is not None:
-                entry, ctx = m
-                factor = c / entry.leading_coeff
-                multiple = self.special_multiple(
-                    entry.rule_index, entry.lift, ctx
-                ).scale(factor)
-                working = working - multiple
-                if log is not None:
-                    log.append(
-                        ReductionStep(
-                            entry.rule_index, entry.lift, ctx, factor, multiple
-                        )
-                    )
-            else:
-                nb = shirshov_bracket(u, alphabet)
-                exp = lie_expand(config, nb).scale(c)
-                out_terms.append((c, nb))
-                out_poly = out_poly + exp
-                working = working - exp
-        return LieCombination(tuple(out_terms)), out_poly
-
     def lie_normal_form(self, p: Poly, log: list | None = None) -> LieCombination:
         """Normal form of a Lie element as bracketed basis words."""
-        comb, _ = self._reduce_lie(p, log)
-        return comb
+        self._guard_degree(p)
+        return lie_reduce(self.config, p, self._lie_match, self._lifts, log)
+
+    def _lie_match(self, u: Word):
+        m = self.match(u)
+        return None if m is None else (m[0].rule_index, m[0].lift, m[1])
 
     # -- compositions --------------------------------------------------------
 

@@ -41,17 +41,19 @@ full systems and normal forms that need it are refused, not guessed.
 
 Rules are built lazily per parameter; the same cache backs the fast path
 and the eagerly instantiated systems handed to the generic engine.  The
+fast path ``drbl_nf`` is the engine's Lie loop ``rewriting.lie_reduce``
+with ``_find_match`` as matcher and lifts cached by rule tag.  The
 standard bracketing [u] is made of the bracketings of u's sub-parameters
 (its standard factors and the arguments of its P-letters), and
 ``shirshov_bracket`` shares those nodes, so each ``DrblSystem`` owns one
 memo from bracketed node to expansion: every subtree is expanded once, a
 pair as the commutator of its children's expansions and a leaf as P of its
 argument's expansion followed by D^k.  Section and Rota-Baxter rules read
-[u] through it, and completion rules through the section rules.  g(u) is then built in one pass: each term
-c·m of [u] gives c·D(P(m)), and after all of those come the terms −c·m.
-Nothing cancels, since the first kind has degree deg(u)+2 and the second
-degree deg(u), and D(P(m)) only raises the D-power of the single prime
-P(m).
+[u] through it, and completion rules through the section rules.  g(u) is
+then built in one pass: each term c·m of [u] gives c·D(P(m)), and after
+all of those come the terms −c·m.  Nothing cancels, since the first kind
+has degree deg(u)+2 and the second degree deg(u), and D(P(m)) only raises
+the D-power of the single prime P(m).
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -80,9 +82,15 @@ from .lyndon import (
     enumerate_alsw_by_degree,
     is_alsw_hereditary,
     shirshov_bracket,
-    special_expand,
 )
-from .rewriting import LieCombination, ReductionStep, RewriteSystem, Rule, make_rule
+from .rewriting import (
+    LieCombination,
+    LiftCache,
+    RewriteSystem,
+    Rule,
+    lie_reduce,
+    make_rule,
+)
 from .words import NaLeaf, NaPair, OpApp, Prime, Word, iter_subword_runs
 
 
@@ -91,8 +99,9 @@ class DrblSystem:
 
     Holds the algebra configuration (one unary operator) plus lazy caches:
     rules keyed by their Lyndon-Shirshov parameters, expansions keyed by
-    bracketed node, lifted rule polynomials, bracketed multiples keyed by
-    context, and fully instantiated engine systems keyed by degree bound.
+    bracketed node, a ``LiftCache`` of lifted rules and their bracketed
+    multiples keyed by tag (``("section", u)``, ``("rota-baxter", u, v)``,
+    ``("completion", u, i)``), and engine systems keyed by degree bound.
     """
 
     def __init__(self, config: AlgebraConfig):
@@ -107,8 +116,7 @@ class DrblSystem:
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
         self._expansions: dict[NaLeaf | NaPair, Poly] = {}
-        self._cores: dict[tuple, Poly] = {}
-        self._specials: dict[tuple, Poly] = {}
+        self._lifts = LiftCache(config, self._rule_poly)
         self._engines: dict[tuple[int, bool], RewriteSystem] = {}
 
     # -- rule families -------------------------------------------------------
@@ -190,7 +198,7 @@ class DrblSystem:
             return None
         self._completion[key] = None
         try:
-            poly = drbl_nf(self._core(tag, lift), self).as_poly(self.config)
+            poly = drbl_nf(self._lifts.core(tag, lift), self).as_poly(self.config)
         finally:
             del self._completion[key]
         top = Word((Prime(lift + 1, OpApp(self.operator, (u,))),))
@@ -204,31 +212,12 @@ class DrblSystem:
         self._completion[key] = got
         return got
 
-    # -- lifted cores and bracketed multiples ---------------------------------
-
-    def _core(self, tag: tuple, lift: int) -> Poly:
-        key = tag + (lift,)
-        got = self._cores.get(key)
-        if got is None:
-            if tag[0] == "section":
-                rule = self.section_rule(tag[1])
-            elif tag[0] == "completion":
-                rule = self.completion_rule(tag[1], tag[2])
-            else:
-                rule = self.rota_baxter_rule(tag[1], tag[2])
-            got = apply_D(self.config, rule.poly, lift)
-            self._cores[key] = got
-        return got
-
-    def _special_multiple(self, tag: tuple, lift: int, ctx) -> Poly:
-        key = tag + (lift, ctx)
-        got = self._specials.get(key)
-        if got is None:
-            core = self._core(tag, lift)
-            v, _ = leading(self.config, core)
-            got = special_expand(self.config, ctx, v, core)
-            self._specials[key] = got
-        return got
+    def _rule_poly(self, tag: tuple) -> Poly:
+        if tag[0] == "section":
+            return self.section_rule(tag[1]).poly
+        if tag[0] == "completion":
+            return self.completion_rule(tag[1], tag[2]).poly
+        return self.rota_baxter_rule(tag[1], tag[2]).poly
 
     # -- instantiated engines --------------------------------------------------
 
@@ -372,41 +361,19 @@ def drbl_nf(
 ) -> LieCombination:
     """Normal form of a Lie element in the free weighted system.
 
-    Accepts a polynomial, a bracketed word, or a prior normal form.  While
-    the leading word is reducible, subtracts the bracketed rule multiple
-    isolating it; once irreducible, peels it off as a standard-bracketed
-    basis word.  The result is the unique basis combination equal to ``p``.
+    Accepts a polynomial, a bracketed word, or a prior normal form, and
+    reduces it by ``rewriting.lie_reduce`` with the matcher ``_find_match``.
+    The result is the unique basis combination equal to ``p``.
     """
-    config = sys.config
-    alphabet = config.alphabet
-    working = _as_poly(config, p)
+    working = _as_poly(sys.config, p)
     if max_degree is not None and working.max_degree() > max_degree:
         raise ValueError(
             "degree %d exceeds the requested bound %d"
             % (working.max_degree(), max_degree)
         )
-    out = []
-    while working:
-        u, c = leading(config, working)
-        if not is_alsw_hereditary(u, alphabet):
-            raise ValueError(
-                "not a Lie element: leading word %r is not Lyndon-Shirshov" % (u,)
-            )
-        m = _find_match(sys, u)
-        if m is not None:
-            tag, lift, ctx = m
-            core = sys._core(tag, lift)
-            _, lc = leading(config, core)
-            factor = c / lc
-            multiple = sys._special_multiple(tag, lift, ctx).scale(factor)
-            working = working - multiple
-            if log is not None:
-                log.append(ReductionStep(tag, lift, ctx, factor, multiple))
-        else:
-            nb = shirshov_bracket(u, alphabet)
-            out.append((c, nb))
-            working = working - lie_expand(config, nb).scale(c)
-    return LieCombination(tuple(out))
+    return lie_reduce(
+        sys.config, working, lambda u: _find_match(sys, u), sys._lifts, log
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -365,3 +365,40 @@ def test_nf_trace_prints_the_reduction_log_to_stderr(capsys, mode):
         "step 2: rota-baxter(x1, x2); lift 0; context *; coefficient 1",
         "step 3: section(x1); lift 1; context *; coefficient 1",
     ]
+
+
+def test_nf_trace_names_completion_rules(capsys):
+    # at nonzero weight a completion tag carries its lift as an integer
+    expr = "[D^2(x1) D^2(x2)] + D^3(P([P(x1) x1]))"
+    for mode in ("lie", "assoc"):
+        argv = ["nf", "--lambda", "1", "--mode", mode, "--max-deg", "7"]
+        assert main(argv + ["--trace", expr]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == (
+            "step 1: completion(P(x1) * x1, 2); lift 0; context *; coefficient 1"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--lambda", "1", "--max-deg", "7", "--trace",
+         "[D^2(x1) D^2(x2)] + D^3(P([P(x1) x1])) + [D^2(P(x1)) P(x2)]"],
+        ["nf", "--lambda", "1", "--mode", "assoc", "--max-deg", "7", "--trace",
+         "[D^2(x1) D^2(x2)] + D^3(P([P(x1) x1])) + [D^2(P(x1)) P(x2)]"],
+        ["check-gsb", "--system", "s1", "--lambda", "1", "--max-deg", "7"],
+    ],
+    ids=["nf-lie", "nf-assoc", "check-gsb-s1"],
+)
+def test_cli_output_does_not_depend_on_the_hash_seed(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "shirshov"] + argv,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1")
+    ]
+    assert runs[0].stdout
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)

@@ -17,6 +17,7 @@ from shirshov import (
     RewriteSystem,
     apply_D,
     apply_operator,
+    drbl_nf,
     leading,
     lie_expand,
     make_rule,
@@ -133,6 +134,15 @@ def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):
         assert sys_.core(e.rule_index, e.lift) == apply_D(
             c, sys_.rules[e.rule_index].poly, e.lift
         )
+    # drbl_nf shares the cache: D^3(P(x)) reduces by the 2-lift of g(x)
+    steps.clear()
+    log = []
+    nf = drbl_nf(parse_poly("D^3(P(x))", A1), DrblSystem(cfg(A1, 1)), log=log)
+    assert [(s.rule_index, s.lift) for s in log] == [
+        (("section", parse_word("x", A1)), 2)
+    ]
+    assert repr(nf) == "D^2(x)"
+    assert steps == [1, 1]
 
 
 def test_find_ambiguities_is_memoised_as_fresh_lists():
@@ -266,13 +276,23 @@ def test_reduction_trace_accounts_for_the_input():
             assert all(not sys_.is_reducible(w) for w in got.terms)
 
 
-def test_lie_trace_accounts_for_the_input():
+def _engine_lie_nf(c, p, log):
+    sys_ = RewriteSystem(c, [section_rule(c, parse_word("x", A1))], 5)
+    return sys_.lie_normal_form(p, log=log)
+
+
+def _drbl_lie_nf(c, p, log):
+    return drbl_nf(p, DrblSystem(c), log=log)
+
+
+@pytest.mark.parametrize(
+    "normal_form", [_engine_lie_nf, _drbl_lie_nf], ids=["engine", "drbl_nf"]
+)
+def test_lie_trace_accounts_for_the_input(normal_form):
     c = cfg(A1, 1)
-    rules = [section_rule(c, parse_word("x", A1))]
-    sys_ = RewriteSystem(c, rules, 5)
     p = lie_expand(c, shirshov_bracket(parse_word("D(P(x)) P(x)", A1), A1))
     log = []
-    comb = sys_.lie_normal_form(p, log=log)
+    comb = normal_form(c, p, log)
     total = comb.as_poly(c)
     for step in log:
         total = total + step.multiple
@@ -285,6 +305,16 @@ def test_lie_mode_rejects_non_lie_input():
     sys_ = RewriteSystem(c, [section_rule(c, parse_word("x", A2))], 4)
     with pytest.raises(ValueError):
         sys_.reduce(parse_poly("y x", A2), mode="lie")
+
+
+def test_lie_mode_rejects_other_strategies():
+    c = cfg(A2, 1)
+    sys_ = RewriteSystem(c, [section_rule(c, parse_word("x", A2))], 4)
+    p = lie_expand(c, shirshov_bracket(parse_word("x y", A2), A2))
+    assert sys_.reduce(p, mode="lie", strategy="leading") == p
+    for strategy in ("random", "bogus"):
+        with pytest.raises(ValueError):
+            sys_.reduce(p, mode="lie", strategy=strategy, rng=random.Random(0))
 
 
 def test_section_rules_certify_up_to_degree_five():
