@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -266,7 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed pipe shows up here when the output fits the buffer
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed early", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -1,12 +1,19 @@
-"""Deliberately naive reference computations, used only by the test suite.
+"""Naive reference computations, and the exact quotient-dimension oracle.
 
-Each oracle recomputes a testable consequence by brute force, independent of
-the code path it validates: word counts by exhaustive rotation filtering,
-standard bracketings by trying every binary tree, the differential by the
-recursive two-factor rule, section rules by expanding each bracketing from
-scratch, ambiguities by comparing every pair of lifted leading words, and
-quotient dimensions by exact-rational rank computation over explicitly
-generated spanning and ideal rows.
+Most of this module is used only by the test suite.  Each oracle recomputes
+a testable consequence by brute force, independent of the code path it
+validates: word counts by exhaustive rotation filtering, standard
+bracketings by trying every binary tree, the differential by the recursive
+two-factor rule, section rules by expanding each bracketing from scratch,
+and ambiguities by comparing every pair of lifted leading words.
+
+``oracle_quotient_dim`` (behind the ``oracle-dim`` command) computes
+quotient dimensions by exact-rational rank over explicitly generated
+spanning and ideal rows.  It finds ideal rows by an index: each ALSW word's
+subword runs are walked once and looked up among the rule lifts' leading
+words, which it expands itself with ``apply_D`` and ``leading``, not through
+the rewriting engine it checks.  ``naive_ideal_rows`` keeps the old scan,
+one ``occurrences`` call per ALSW word and lift, as the tests' cross-check.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .words import (
     NaOp,
     NaPair,
     Word,
+    iter_subword_runs,
     occurrences,
     underlying_word,
 )
@@ -246,16 +254,23 @@ def oracle_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=Non
 
     One row per rule, D-lift whose leading fits the bound, and occurrence
     of that leading inside an ALSW word: the isolating bracketing filled
-    with the lifted rule.  ``letters`` is as for ``oracle_quotient_dim``.
+    with the lifted rule.  Rows come lift by lift (rules in order, lifts
+    upward), then by ALSW word, then by occurrence in ``occurrences``
+    order.  ``letters`` is as for ``oracle_quotient_dim``.
     """
-    by_deg = enumerate_alsw_by_degree(config.alphabet, max_degree, letters)
-    alsws = [w for d in range(1, max_degree + 1) for w in by_deg.get(d, ())]
+    alsws = _alsws(config, max_degree, letters)
     return list(_ideal_rows(config, rules, max_degree, alsws))
 
 
-def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
+def naive_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=None):
+    """``oracle_ideal_rows`` by one ``occurrences`` scan per ALSW word and lift.
+
+    Each lift is expanded from the rule afresh.  Kept as the test suite's
+    cross-check of the indexed search.
+    """
     alphabet = config.alphabet
-    monomials = 0
+    alsws = _alsws(config, max_degree, letters)
+    out = []
     for rule in rules:
         poly = getattr(rule, "poly", rule)
         lift = 0
@@ -272,15 +287,58 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
                 if w.degree < v.degree:
                     continue
                 for ctx in occurrences(w, v):
-                    row = special_expand(config, ctx, v, core)
-                    monomials += len(row.terms)
-                    if monomials > _MONOMIAL_CAP:
-                        raise RuntimeError(
-                            "oracle instance too large: more than %d monomials"
-                            % _MONOMIAL_CAP
-                        )
-                    yield row
+                    out.append(special_expand(config, ctx, v, core))
             lift += 1
+    return out
+
+
+def _alsws(config: AlgebraConfig, max_degree: int, letters):
+    by_deg = enumerate_alsw_by_degree(config.alphabet, max_degree, letters)
+    return [w for d in range(1, max_degree + 1) for w in by_deg.get(d, ())]
+
+
+def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
+    """Walk each ALSW word's subword runs once, look each run up among the
+    lift leadings, and build a context only on a hit.  Hits are held back
+    so rows go out lift by lift, then by ALSW word and walk order (for one
+    leading word, the order of ``occurrences``), as the naive scan gives
+    them."""
+    alphabet = config.alphabet
+    lifts = []  # (leading word, lifted rule), rule by rule, lift by lift
+    by_leading: dict[tuple, list[int]] = {}
+    for rule in rules:
+        core = getattr(rule, "poly", rule)
+        while True:
+            v, _ = leading(config, core)
+            if v.degree > max_degree:
+                break
+            if not is_alsw(v, alphabet):
+                raise AssertionError(
+                    "lifted rule leading %r is not Lyndon-Shirshov" % (v,)
+                )
+            by_leading.setdefault(v.primes, []).append(len(lifts))
+            lifts.append((v, core))
+            core = apply_D(config, core)  # the next lift, one D step on
+    hits: list[list] = [[] for _ in lifts]
+    for w in alsws:
+        for run, build in iter_subword_runs(w):
+            found = by_leading.get(run)
+            if found is None:
+                continue
+            ctx = build()
+            for n in found:
+                hits[n].append(ctx)
+    monomials = 0
+    for (v, core), contexts in zip(lifts, hits):
+        for ctx in contexts:
+            row = special_expand(config, ctx, v, core)
+            monomials += len(row.terms)
+            if monomials > _MONOMIAL_CAP:
+                raise RuntimeError(
+                    "oracle instance too large: more than %d monomials"
+                    % _MONOMIAL_CAP
+                )
+            yield row
 
 
 def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=None):
@@ -299,8 +357,7 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
     of dimensions for degrees 1..max_degree.
     """
     alphabet = config.alphabet
-    by_deg = enumerate_alsw_by_degree(alphabet, max_degree, letters)
-    alsws = [w for d in range(1, max_degree + 1) for w in by_deg.get(d, ())]
+    alsws = _alsws(config, max_degree, letters)
     alsw_count = {d: 0 for d in range(1, max_degree + 1)}
     for w in alsws:
         alsw_count[w.degree] += 1

@@ -1,8 +1,11 @@
 """Reference oracles, cross-checked against an independent construction."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+
+import shirshov
 
 from shirshov import (
     AlgebraConfig,
@@ -18,9 +21,12 @@ from shirshov import (
     lie_expand,
     shirshov_bracket,
 )
+from shirshov.cli import main, make_alphabet
 from shirshov.words import Prime
 from shirshov.reference import (
+    naive_ideal_rows,
     oracle_all_bracketings,
+    oracle_ideal_rows,
     oracle_lyndon_count,
     oracle_quotient_dim,
 )
@@ -181,3 +187,90 @@ def test_quotient_dim_size_guard():
             oracle_quotient_dim(config, instantiate_rules(sys_, 4), 4)
     finally:
         reference._MONOMIAL_CAP = saved
+
+
+def test_quotient_dim_size_guard_on_the_command_line(monkeypatch, capsys):
+    import shirshov.reference as reference
+
+    monkeypatch.setattr(reference, "_MONOMIAL_CAP", 10)
+    argv = ["oracle-dim", "--gens", "2", "--lambda", "1", "--max-deg", "4"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: oracle instance too large")
+    assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# The indexed ideal-row search against the naive occurrences scan.
+
+
+def assert_same_rows(got, want):
+    assert got == want
+    assert [list(r.terms.items()) for r in got] == [
+        list(r.terms.items()) for r in want
+    ]
+
+
+ROW_GRID = [
+    (gens, weight, bound)
+    for gens in (1, 2)
+    for weight in ("0", "1", "2", "-1", "1/2")
+    for bound in (4, 5, 6)
+] + [(1, "0", 7), (1, "1", 7)]
+
+
+@pytest.mark.parametrize("gens,weight,bound", ROW_GRID)
+def test_indexed_rows_equal_the_naive_scan(gens, weight, bound):
+    config = AlgebraConfig(make_alphabet(gens), Fraction(weight))
+    rules = instantiate_rules(DrblSystem(config), bound)
+    rows = oracle_ideal_rows(config, rules, bound)
+    assert rows
+    assert_same_rows(rows, naive_ideal_rows(config, rules, bound))
+
+
+def test_every_lift_sharing_a_leading_word_gets_its_rows():
+    config = AlgebraConfig(A2, Fraction(1))
+    rules = instantiate_rules(DrblSystem(config), 5)
+    polys = [r.poly for r in rules]
+    # same leading words, different coefficients: each lift must keep its rows
+    twice = polys + [p.scale(2) for p in polys]
+    rows = oracle_ideal_rows(config, twice, 5)
+    assert_same_rows(rows, naive_ideal_rows(config, twice, 5))
+    single = oracle_ideal_rows(config, polys, 5)
+    assert rows == single + [r.scale(2) for r in single]
+
+
+def test_ideal_rows_refuse_a_rule_not_led_by_a_lyndon_shirshov_word():
+    from shirshov import parse_poly
+
+    config = AlgebraConfig(PURE2)
+    hook = generators_only(PURE2)
+    # "y x" occurs in no ALSW word of degree 2, so only the check can see it
+    r = parse_poly("y x", PURE2)
+    with pytest.raises(AssertionError):
+        oracle_quotient_dim(config, [r], 2, letters=hook)
+    with pytest.raises(AssertionError):
+        naive_ideal_rows(config, [r], 2, letters=hook)
+
+
+def test_quotient_dim_calls_occurrences_zero_times(monkeypatch):
+    calls = []
+    original = shirshov.words.occurrences
+
+    def counting_occurrences(w, p):
+        calls.append(p)
+        return original(w, p)
+
+    # patch every module that holds the name, so a re-added import counts
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("shirshov") and hasattr(module, "occurrences"):
+            monkeypatch.setattr(module, "occurrences", counting_occurrences)
+    config = AlgebraConfig(A2, Fraction(1))
+    rules = instantiate_rules(DrblSystem(config), 5)
+    assert oracle_quotient_dim(config, rules, 5) == (2, 5, 17, 57, 211)
+    assert calls == []
+    # the naive scan goes through the patched name, so the counter is live
+    naive_ideal_rows(config, rules, 5)
+    assert calls

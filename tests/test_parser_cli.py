@@ -339,6 +339,27 @@ def test_cli_flag_validation(capsys):
     assert "error:" in run.stderr and "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("max_deg", ["3", "9"], ids=["at-exit", "in-print"])
+def test_cli_closed_stdout_exits_2_without_a_traceback(max_deg):
+    # 174 bytes fit the stdout buffer, so the pipe breaks on the final flush;
+    # over 100 kB overflow it, so the pipe breaks inside a print
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "shirshov",
+             "lyndon", "--gens", "2", "--max-deg", max_deg],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+
+
 @pytest.mark.parametrize("mode", ["lie", "assoc"])
 def test_nf_trace_prints_the_reduction_log_to_stderr(capsys, mode):
     expr = "[D(P([x1 x2])) x1] + [P(x1) P(x2)] + D^2(P(x1))"
