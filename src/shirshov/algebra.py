@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .words import (
     Alphabet,
     Context,
+    NaLeaf,
+    NaOp,
     NaPair,
     OpApp,
     Prime,
@@ -235,34 +237,93 @@ def d_power_leading(config: AlgebraConfig, u: Word, i: int) -> tuple[Word, Fract
     return w, config.weight ** ((n - 1) * i)
 
 
-def lie_expand(config: AlgebraConfig, t, memo: dict | None = None) -> Poly:
+def lie_expand(config: AlgebraConfig, t) -> Poly:
     """Expand a bracketed word into the associative algebra.
 
     Bracket nodes become commutators; operator heads apply the operator to
-    the expansions of their arguments; the D power on a leaf lifts through
-    the whole expansion via the weighted differential.  With ``memo`` (a
-    dict from bracketed node to expansion, for one configuration) every
-    subtree is expanded at most once and the stored expansions are shared,
-    so callers must not mutate them.
+    the expansions of their arguments; the D power on a leaf shifts the
+    one-prime words that result.  The expansion does not depend on the
+    weight (D only ever meets one-prime words here), so each node is
+    expanded once per alphabet: ``Alphabet`` keeps the memo from bracketed
+    node to integer-coefficient expansion.  Integers, not ``Fraction``s,
+    keep the memo small.  The result is a fresh ``Poly`` with ``Fraction``
+    coefficients over the memo's own ``Word`` keys, so a caller may mutate
+    it freely.
     """
-    if memo is not None:
-        got = memo.get(t)
-        if got is not None:
-            return got
-    if type(t) is NaPair:
-        out = commutator(
-            lie_expand(config, t.left, memo), lie_expand(config, t.right, memo)
-        )
-    elif type(t.head) is str:
-        out = Poly.word(Word((Prime(t.d_power, t.head),)))
-    else:
-        head = t.head
-        inner = apply_operator(
-            head.name, *(lie_expand(config, a, memo) for a in head.args)
-        )
-        out = apply_D(config, inner, t.d_power)
-    if memo is not None:
-        memo[t] = out
+    return Poly({w: Fraction(c) for w, c in expansion(config.alphabet, t).items()})
+
+
+def expansion(alphabet: Alphabet, t) -> dict[Word, int]:
+    """The memoised integer expansion of ``t``; callers must not mutate it."""
+    return _memo_entry(alphabet._expansions, t)[1]
+
+
+def _memo_entry(memo: dict, t) -> tuple:
+    """(stored node, expansion) of ``t``, filling the memo on a miss.
+
+    A node is stored with its children replaced by their stored nodes, so
+    the memo holds each bracketing once however many equal trees callers
+    pass (every parsed expression is a new tree).
+    """
+    got = memo.get(t)
+    if got is None:
+        if type(t) is NaPair:
+            left, lp = _memo_entry(memo, t.left)
+            right, rp = _memo_entry(memo, t.right)
+            if left is not t.left or right is not t.right:
+                t = NaPair(left, right)
+            got = (t, _int_commutator(lp, rp))
+        elif type(t.head) is str:
+            got = (t, {Word((Prime(t.d_power, t.head),)): 1})
+        else:
+            head = t.head
+            args = [_memo_entry(memo, a) for a in head.args]
+            nodes = tuple(a for a, _ in args)
+            if any(a is not b for a, b in zip(nodes, head.args)):
+                t = NaLeaf(t.d_power, NaOp(head.name, nodes))
+            got = (t, _int_operator(head.name, [e for _, e in args], t.d_power))
+        memo[t] = got
+    return got
+
+
+def _int_commutator(p: dict, q: dict) -> dict:
+    """``commutator`` over integer dicts, with the same term order."""
+    out = _int_multiply(p, q)
+    for w, c in _int_multiply(q, p).items():
+        nc = out.get(w, 0) - c
+        if nc:
+            out[w] = nc
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _int_multiply(p: dict, q: dict) -> dict:
+    out: dict[Word, int] = {}
+    for u, a in p.items():
+        up = u.primes
+        for v, b in q.items():
+            w = Word(up + v.primes)
+            nc = out.get(w, 0) + a * b
+            if nc:
+                out[w] = nc
+            else:
+                del out[w]
+    return out
+
+
+def _int_operator(name: str, args: list, d_power: int) -> dict:
+    """``D^d_power`` of ``apply_operator`` over integer dicts, same order.
+
+    Distinct argument tuples give distinct one-prime words, so nothing
+    accumulates and D only shifts each word.
+    """
+    out: dict[Word, int] = {}
+    for chosen in product(*(a.items() for a in args)):
+        c = 1
+        for _, k in chosen:
+            c *= k
+        out[Word((Prime(d_power, OpApp(name, tuple(w for w, _ in chosen))),))] = c
     return out
 
 

@@ -4,8 +4,9 @@ Most of this module is used only by the test suite.  Each oracle recomputes
 a testable consequence by brute force, independent of the code path it
 validates: word counts by exhaustive rotation filtering, standard
 bracketings by trying every binary tree, the differential by the recursive
-two-factor rule, section rules by expanding each bracketing from scratch,
-and ambiguities by comparing every pair of lifted leading words.
+two-factor rule, bracket expansions over ``Fraction`` polynomials without
+a memo, section rules by expanding each bracketing from scratch, and
+ambiguities by comparing every pair of lifted leading words.
 
 ``oracle_quotient_dim`` (behind the ``oracle-dim`` command) computes
 quotient dimensions by exact-rational rank over explicitly generated
@@ -26,8 +27,8 @@ from .algebra import (
     Poly,
     apply_D,
     apply_operator,
+    commutator,
     leading,
-    lie_expand,
     multiply,
 )
 from .lyndon import (
@@ -42,6 +43,7 @@ from .words import (
     NaLeaf,
     NaOp,
     NaPair,
+    Prime,
     Word,
     iter_subword_runs,
     occurrences,
@@ -173,12 +175,32 @@ def oracle_all_bracketings(u: Word, alphabet: Alphabet):
 
 
 # ---------------------------------------------------------------------------
-# Section rules without shared expansions.
+# Bracket expansions and section rules without shared expansions.
+
+
+def oracle_lie_expand(config: AlgebraConfig, t) -> Poly:
+    """``algebra.lie_expand`` from scratch, over ``Fraction`` polynomials.
+
+    Bracket nodes become commutators; operator heads apply the operator to
+    the expansions of their arguments; the D power on a leaf lifts through
+    the whole expansion via the weighted differential.  Nothing is memoised.
+    """
+    if type(t) is NaPair:
+        return commutator(
+            oracle_lie_expand(config, t.left), oracle_lie_expand(config, t.right)
+        )
+    if type(t.head) is str:
+        return Poly.word(Word((Prime(t.d_power, t.head),)))
+    head = t.head
+    inner = apply_operator(
+        head.name, *(oracle_lie_expand(config, a) for a in head.args)
+    )
+    return apply_D(config, inner, t.d_power)
 
 
 def oracle_section_rule(config: AlgebraConfig, operator: str, u: Word) -> Poly:
     """g(u) = D(P([u])) − [u], expanding [u] afresh and applying P, then D."""
-    bu = lie_expand(config, shirshov_bracket(u, config.alphabet))
+    bu = oracle_lie_expand(config, shirshov_bracket(u, config.alphabet))
     return apply_D(config, apply_operator(operator, bu)) - bu
 
 

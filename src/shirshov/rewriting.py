@@ -48,12 +48,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    ZERO,
     AlgebraConfig,
     Poly,
     apply_D,
     d_power_leading,
+    expansion,
     leading,
-    lie_expand,
     multiply,
     subst_poly,
 )
@@ -149,10 +150,12 @@ class LieCombination:
         return not self.terms
 
     def as_poly(self, config: AlgebraConfig) -> Poly:
-        out = Poly.zero()
+        alphabet = config.alphabet
+        out: dict[Word, Fraction] = {}
         for c, t in self.terms:
-            out = out + lie_expand(config, t).scale(c)
-        return out
+            neg = -Fraction(c)  # out += c·[t], as out -= (−c)·[t]
+            _subtract(out, ((w, neg * k) for w, k in expansion(alphabet, t).items()))
+        return Poly(out)
 
     def __repr__(self):
         from .syntax import format_combination
@@ -265,10 +268,10 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
     the word ``u``, or None; ``lifts`` holds the rules by key.
     """
     alphabet = config.alphabet
-    working = p
+    working = dict(p.terms)
     out = []
     while working:
-        u, c = leading(config, working)
+        u, c = leading(config, Poly(working))
         if not is_alsw_hereditary(u, alphabet):
             raise ValueError(
                 "not a Lie element: leading word %r is not Lyndon-Shirshov" % (u,)
@@ -277,16 +280,26 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
         if m is None:
             nb = shirshov_bracket(u, alphabet)
             out.append((c, nb))
-            working = working - lie_expand(config, nb).scale(c)
+            _subtract(working, ((w, c * k) for w, k in expansion(alphabet, nb).items()))
             continue
         key, lift, ctx = m
         special, lc = lifts.special(key, lift, ctx)
         factor = c / lc
         multiple = special.scale(factor)
-        working = working - multiple
+        _subtract(working, multiple.terms.items())
         if log is not None:
             log.append(ReductionStep(key, lift, ctx, factor, multiple))
     return LieCombination(tuple(out))
+
+
+def _subtract(terms: dict, items) -> None:
+    """Subtract (word, coefficient) pairs in place, as ``Poly.__sub__`` would."""
+    for w, c in items:
+        nc = terms.get(w, ZERO) - c
+        if nc:
+            terms[w] = nc
+        else:
+            terms.pop(w, None)
 
 
 class RewriteSystem:

@@ -45,11 +45,12 @@ fast path ``drbl_nf`` is the engine's Lie loop ``rewriting.lie_reduce``
 with ``_find_match`` as matcher and lifts cached by rule tag.  The
 standard bracketing [u] is made of the bracketings of u's sub-parameters
 (its standard factors and the arguments of its P-letters), and
-``shirshov_bracket`` shares those nodes, so each ``DrblSystem`` owns one
-memo from bracketed node to expansion: every subtree is expanded once, a
-pair as the commutator of its children's expansions and a leaf as P of its
-argument's expansion followed by D^k.  Section and Rota-Baxter rules read
-[u] through it, and completion rules through the section rules.  g(u) is
+``shirshov_bracket`` shares those nodes, so the alphabet's memo of
+bracket expansions (``algebra.lie_expand``, shared with the parser and
+with ``drbl_nf``'s peel) expands every subtree once, a pair as the
+commutator of its children's expansions and a leaf as P of its argument's
+expansion followed by D^k.  Section and Rota-Baxter rules read [u]
+through it, and completion rules through the section rules.  g(u) is
 then built in one pass: each term c·m of [u] gives c·D(P(m)), and after
 all of those come the terms −c·m.  Nothing cancels, since the first kind
 has degree deg(u)+2 and the second degree deg(u), and D(P(m)) only raises
@@ -98,10 +99,11 @@ class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
     Holds the algebra configuration (one unary operator) plus lazy caches:
-    rules keyed by their Lyndon-Shirshov parameters, expansions keyed by
-    bracketed node, a ``LiftCache`` of lifted rules and their bracketed
-    multiples keyed by tag (``("section", u)``, ``("rota-baxter", u, v)``,
-    ``("completion", u, i)``), and engine systems keyed by degree bound.
+    rules keyed by their Lyndon-Shirshov parameters, a ``LiftCache`` of
+    lifted rules and their bracketed multiples keyed by tag
+    (``("section", u)``, ``("rota-baxter", u, v)``, ``("completion", u, i)``),
+    and engine systems keyed by degree bound.  Bracket expansions live on
+    the alphabet, not here.
     """
 
     def __init__(self, config: AlgebraConfig):
@@ -115,20 +117,17 @@ class DrblSystem:
         self._section: dict[Word, Rule] = {}
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
-        self._expansions: dict[NaLeaf | NaPair, Poly] = {}
         self._lifts = LiftCache(config, self._rule_poly)
         self._engines: dict[tuple[int, bool], RewriteSystem] = {}
 
     # -- rule families -------------------------------------------------------
 
     def _bracketed(self, u: Word) -> Poly:
-        """The expansion of [u], shared: callers must not mutate it."""
+        """The expansion of [u], read from the alphabet's memo."""
         alphabet = self.config.alphabet
         if not is_alsw_hereditary(u, alphabet):
             raise ValueError("parameter %r is not a Lyndon-Shirshov word" % (u,))
-        return lie_expand(
-            self.config, shirshov_bracket(u, alphabet), self._expansions
-        )
+        return lie_expand(self.config, shirshov_bracket(u, alphabet))
 
     def section_rule(self, u: Word) -> Rule:
         """g(u): applying D undoes P, modulo lower terms."""

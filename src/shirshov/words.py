@@ -172,6 +172,9 @@ class Alphabet:
         # Filled by ``lyndon``: ALSW tests and standard bracketings per word.
         self._alsw_cache: dict[Word, bool] = {}
         self._bracket_cache: dict[Word, object] = {}
+        # Filled by ``algebra.expansion``: per bracketed node, the stored
+        # node and its integer expansion.
+        self._expansions: dict[object, tuple] = {}
 
     def arity(self, name: str) -> int:
         return self._arity[name]

@@ -16,15 +16,18 @@ from shirshov import (
     apply_operator,
     commutator,
     d_power_leading,
+    enumerate_alsw,
     leading,
     lie_expand,
     multiply,
     parse_poly,
+    parse_term,
     parse_word,
+    shirshov_bracket,
     subst_poly,
 )
 from shirshov.words import Context, Hole, enumerate_words
-from shirshov.reference import derivation_recursive
+from shirshov.reference import derivation_recursive, oracle_lie_expand
 
 
 A2 = Alphabet(("x", "y"), (("P", 1),))
@@ -188,6 +191,99 @@ def test_lie_expand_commutators():
     )
     # the parser's bracket syntax agrees with explicit trees
     assert parse_poly("[x [x y]]", A2) == got
+
+
+def _same_expansion(got, want):
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("gens", [("x",), ("x", "y")], ids=["1gen", "2gens"])
+def test_lie_expand_equals_the_unmemoised_oracle(gens):
+    # one alphabet for every weight: the memo is filled at the first weight
+    # and read back at the others, since the expansion is weight-free
+    alphabet = Alphabet(gens, (("P", 1),))
+    trees = [
+        shirshov_bracket(u, alphabet)
+        for u in enumerate_alsw(AlgebraConfig(alphabet), 7)
+    ]
+    for weight in (0, 1, Fraction(1, 2)):
+        c = AlgebraConfig(alphabet, Fraction(weight))
+        for t in trees:
+            _same_expansion(lie_expand(c, t), oracle_lie_expand(c, t))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[x P(y)]",
+        "[P(x) x]",
+        "[[x y] x]",
+        "[D^2(P([x y])) x]",
+        "D^3(P([y P(x)]))",
+        "[D(x) D^2(P(P([x P(y)])))]",
+        "P([P([y x]) D(P(x))])",
+        "[x Q([x y], P([D(x) y]))]",
+        "D(Q(P(x), [y x]))",
+    ],
+)
+def test_lie_expand_equals_the_oracle_on_parsed_shapes(text):
+    alphabet = Alphabet(("x", "y"), (("P", 1), ("Q", 2)))
+    t = parse_term(text, alphabet)
+    assert isinstance(t, (NaLeaf, NaPair))
+    for weight in (0, 1, Fraction(1, 2)):
+        c = AlgebraConfig(alphabet, Fraction(weight))
+        _same_expansion(lie_expand(c, t), oracle_lie_expand(c, t))
+
+
+def test_lie_expand_results_do_not_alias_the_memo():
+    alphabet = Alphabet(("x", "y"), (("P", 1),))
+    c = AlgebraConfig(alphabet)
+    t = parse_term("[x [P(y) x]]", alphabet)
+    want = oracle_lie_expand(c, t)
+    first = lie_expand(c, t)
+    first.terms.clear()
+    second = lie_expand(c, t)
+    _same_expansion(second, want)
+    for w in second.terms:
+        second.terms[w] = Fraction(7)
+    second.terms[parse_word("y", alphabet)] = Fraction(1)
+    _same_expansion(lie_expand(c, t), want)
+    # nor does mutating a parsed polynomial, which holds the memo's words
+    p = parse_poly("[x [P(y) x]] + 2 x", alphabet)
+    p.terms.clear()
+    _same_expansion(lie_expand(c, t), want)
+
+
+def test_the_memo_holds_each_bracketing_once():
+    alphabet = Alphabet(("x", "y"), (("P", 1),))
+    c = AlgebraConfig(alphabet)
+    inner = parse_term("[x [P(y) x]]", alphabet)
+    lie_expand(c, inner)
+    outer = parse_term("[y P([x [P(y) x]])]", alphabet)
+    lie_expand(c, outer)
+    stored = {n: n for n in alphabet._expansions}
+    # equal subtrees of a later tree are not kept: its stored node is built
+    # on the nodes stored first
+    assert stored[outer] is not outer
+    assert stored[outer].right.head.args[0] is stored[inner]
+    assert stored[outer].left is inner.right.left.head.args[0]
+    # ``inner`` repeats the leaf x, so it is stored rebuilt on its first x
+    assert stored[inner].right.right is inner.left
+
+
+def test_alphabets_do_not_share_expansions():
+    a = Alphabet(("x", "y"), (("P", 1),))
+    b = Alphabet(("x", "y"), (("P", 1),))
+    t = parse_term("[x P([x y])]", a)
+    lie_expand(AlgebraConfig(a), t)
+    assert t in a._expansions
+    assert not b._expansions
+    got = lie_expand(AlgebraConfig(b), t)
+    assert got == lie_expand(AlgebraConfig(a), t)
+    assert a._expansions.keys() == b._expansions.keys()
+    for n, (_, terms) in a._expansions.items():
+        assert b._expansions[n][1] is not terms
 
 
 def test_subst_poly_linear_and_d_wrapped():

@@ -30,7 +30,7 @@ from shirshov import (
     shirshov_bracket,
     verify_axioms,
 )
-from shirshov.reference import oracle_section_rule
+from shirshov.reference import oracle_lie_expand, oracle_section_rule
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -441,7 +441,9 @@ class _UnsharedSystem(DrblSystem):
     """The rule families built from fresh expansions and the old g(u)."""
 
     def _bracketed(self, u):
-        return lie_expand(self.config, shirshov_bracket(u, self.config.alphabet))
+        return oracle_lie_expand(
+            self.config, shirshov_bracket(u, self.config.alphabet)
+        )
 
     def section_rule(self, u):
         got = self._section.get(u)
@@ -485,14 +487,16 @@ def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
     import shirshov.algebra as algebra
 
     calls = Counter()
-    for name in ("commutator", "apply_operator"):
+    for name in ("_int_commutator", "_int_operator"):
 
         def counted(*args, _name=name, _original=getattr(algebra, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(algebra, name, counted)
-    for alphabet, weight, s1_only in ((A2, 1, True), (A2, 0, False), (A1, 2, True)):
+    for shape, weight, s1_only in ((A2, 1, True), (A2, 0, False), (A1, 2, True)):
+        # a fresh alphabet per case, so its memo starts empty
+        alphabet = Alphabet(shape.generators, shape.operators)
         sys_ = make_sys(alphabet, weight)
         calls.clear()
         if s1_only:
@@ -505,8 +509,8 @@ def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
             _subtrees(shirshov_bracket(u, alphabet), nodes)
         pairs = sum(type(t) is NaPair for t in nodes)
         ops = sum(type(t) is NaLeaf and type(t.head) is NaOp for t in nodes)
-        assert calls == {"commutator": pairs, "apply_operator": ops}
-        assert set(sys_._expansions) == nodes
+        assert calls == {"_int_commutator": pairs, "_int_operator": ops}
+        assert set(alphabet._expansions) == nodes
         # later rules find every expansion in the memo
         calls.clear()
         for u in params:
