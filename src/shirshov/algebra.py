@@ -128,9 +128,9 @@ class Poly:
         return max((w.degree for w in self.terms), default=-1)
 
     def __repr__(self):
-        from .syntax import format_poly_plain
+        from .syntax import format_poly
 
-        return format_poly_plain(self)
+        return format_poly(self)
 
 
 def multiply(p: Poly, q: Poly) -> Poly:

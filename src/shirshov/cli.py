@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import AlgebraConfig
-from .lyndon import enumerate_alsw_by_degree, is_alsw, shirshov_bracket
+from .lyndon import enumerate_alsw_by_degree, shirshov_bracket
 from .reference import oracle_quotient_dim
 from .rota_baxter import DrblSystem, drbl_nf, enumerate_basis, instantiate_rules
 from .syntax import (
@@ -162,10 +162,13 @@ def _cmd_bracket(args) -> int:
     except TermSyntaxError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    if not is_alsw(w, alphabet):
-        print("error: not a Lyndon-Shirshov word: %s" % format_term(w), file=sys.stderr)
+    try:
+        t = shirshov_bracket(w, alphabet)
+    except ValueError as e:
+        # the input, or an operator argument, is not Lyndon-Shirshov
+        print("error: %s" % e, file=sys.stderr)
         return 1
-    print(format_term(shirshov_bracket(w, alphabet)))
+    print(format_term(t))
     return 0
 
 

@@ -4,18 +4,22 @@ canonical printers.
 Grammar (whitespace between factors is an implicit product)::
 
     poly   := ["+"|"-"] mono (("+" | "-") mono)*
-    mono   := [rat] factor ("*" factor)*
+    mono   := [rat] factor (["*"] factor)* | rat
     factor := prime | "[" naword naword "]"
-    prime  := ["D" "^" nat "("] head [")"] | "D" "(" head ")" | head
-    head   := ident | opname "(" poly ("," poly)* ")"
-    naword := prime | "[" naword naword "]"
+    prime  := "D" ["^" nat] "(" prime ")" | ident
+            | opname "(" poly ("," poly)* ")"
+    naword := naleaf | "[" naword naword "]"
+    naleaf := "D" ["^" nat] "(" naleaf ")" | ident
+            | opname "(" naword ("," naword)* ")"
     rat    := int ["/" nat]
 
-``D^0`` wrappers are stripped; nested wrappers such as ``D(D(x1))``
-accumulate into a single power.  An input that is exactly one bracketed
-word (operator arguments each a single bracketed word) parses to the
-bracketed-word value itself; everything else parses to a polynomial with
-brackets expanded to commutators.
+A bare ``rat`` must be zero.  ``D^0`` wrappers are stripped; nested
+wrappers such as ``D(D(x1))`` accumulate into a single power.  The input is
+read in one pass, and each production yields the bracketed word itself
+when its text is exactly one (no sign, coefficient or product, operator
+arguments each a single bracketed word), else a polynomial.  A bracketed
+word is expanded to commutators, through the alphabet's memo, only when it
+is combined into a polynomial.
 
 Printing conventions: top-level prime factors are joined with `` * ``,
 words inside operator arguments with single spaces, rationals as ``p/q``
@@ -81,6 +85,7 @@ class _Parser:
     def __init__(self, tokens, alphabet: Alphabet, length: int):
         self.tokens = tokens
         self.alphabet = alphabet
+        self.config = AlgebraConfig(alphabet)
         self.i = 0
         self.length = length
 
@@ -118,27 +123,29 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "sym" and value == text
 
-    # -- polynomial grammar -------------------------------------------------
+    def _poly(self, t) -> Poly:
+        """``t`` as a polynomial, expanding a bracketed word via the memo."""
+        return t if type(t) is Poly else lie_expand(self.config, t)
 
-    def parse_poly(self) -> Poly:
-        total = Poly.zero()
-        sign = ONE
+    # -- grammar -------------------------------------------------------------
+    # Each production returns the bracketed word itself when its text is
+    # exactly one, else a Poly.
+
+    def parse_poly(self):
+        sign = None
         if self.at_sym("+") or self.at_sym("-"):
-            if self.advance()[1] == "-":
-                sign = -ONE
-        total = total + self.parse_mono(sign)
+            sign = -ONE if self.advance()[1] == "-" else ONE
+        total = self.parse_mono(sign)
         while self.at_sym("+") or self.at_sym("-"):
             sign = ONE if self.advance()[1] == "+" else -ONE
-            total = total + self.parse_mono(sign)
+            total = self._poly(total) + self._poly(self.parse_mono(sign))
         return total
 
-    def parse_mono(self, sign: Fraction) -> Poly:
-        coeff = sign
-        kind, value, pos = self.peek()
-        had_rat = False
-        if kind == "number":
+    def parse_mono(self, sign: Fraction | None):
+        coeff = ONE if sign is None else sign
+        had_rat = self.peek()[0] == "number"
+        if had_rat:
             coeff = coeff * self.parse_rat()
-            had_rat = True
         if not self._at_factor():
             if had_rat and coeff == 0:
                 return Poly.zero()
@@ -146,7 +153,7 @@ class _Parser:
             raise TermSyntaxError(
                 "expected a factor, found %r" % (value or "end of input"), pos
             )
-        poly = self.parse_factor()
+        t = self.parse_factor()
         while True:
             if self.at_sym("*"):
                 self.advance()
@@ -157,12 +164,12 @@ class _Parser:
                         % (value or "end of input"),
                         pos,
                     )
-                poly = poly * self.parse_factor()
-            elif self._at_factor():
-                poly = poly * self.parse_factor()
-            else:
+            elif not self._at_factor():
                 break
-        return poly.scale(coeff)
+            t = self._poly(t) * self._poly(self.parse_factor())
+        if sign is None and not had_rat and type(t) is not Poly:
+            return t
+        return self._poly(t).scale(coeff)
 
     def parse_rat(self) -> Fraction:
         kind, value, pos = self.peek()
@@ -186,65 +193,10 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "ident" or (kind == "sym" and value == "[")
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self):
         if self.at_sym("["):
-            t = self.parse_naword()
-            return lie_expand(AlgebraConfig(self.alphabet), t)
-        return self.parse_prime()
-
-    def parse_prime(self) -> Poly:
-        """A (possibly D-wrapped) head, as a sum of one-prime words."""
-        kind, value, pos = self.peek()
-        if kind != "ident":
-            raise TermSyntaxError(
-                "expected a symbol, found %r" % (value or "end of input"), pos
-            )
-        if value == "D":
-            k2, v2, _ = self.peek2()
-            if k2 == "sym" and v2 in ("^", "("):
-                self.advance()
-                power = 1
-                if self.at_sym("^"):
-                    self.advance()
-                    nk, nv, npos = self.peek()
-                    if nk != "number":
-                        raise TermSyntaxError("expected a power", npos)
-                    self.advance()
-                    power = int(nv)
-                self.expect_sym("(")
-                inner = self.parse_prime()
-                self.expect_sym(")")
-                return _shift_primes(inner, power, pos)
-        return self.parse_head()
-
-    def parse_head(self) -> Poly:
-        kind, value, pos = self.advance()
-        if kind != "ident":
-            raise TermSyntaxError(
-                "expected a symbol, found %r" % (value or "end of input"), pos
-            )
-        alphabet = self.alphabet
-        if alphabet.is_generator(value):
-            return Poly.word(Word((Prime(0, value),)))
-        try:
-            arity = alphabet.arity(value)
-        except KeyError:
-            raise TermSyntaxError("unknown symbol %r" % value, pos) from None
-        self.expect_sym("(")
-        args = [self.parse_poly()]
-        while self.at_sym(","):
-            self.advance()
-            args.append(self.parse_poly())
-        self.expect_sym(")")
-        if len(args) != arity:
-            raise TermSyntaxError(
-                "operator %r expects %d argument(s), got %d"
-                % (value, arity, len(args)),
-                pos,
-            )
-        return apply_operator(value, *args)
-
-    # -- bracketed-word grammar ----------------------------------------------
+            return self.parse_naword()
+        return self.parse_prime(self.parse_poly)
 
     def parse_naword(self):
         if self.at_sym("["):
@@ -253,9 +205,14 @@ class _Parser:
             right = self.parse_naword()
             self.expect_sym("]")
             return NaPair(left, right)
-        return self.parse_naleaf()
+        return self.parse_prime(self.parse_naword)
 
-    def parse_naleaf(self) -> NaLeaf:
+    def parse_prime(self, parse_arg):
+        """A (possibly D-wrapped) generator or operator application.
+
+        ``parse_arg`` reads the operator arguments: ``parse_naword`` inside
+        brackets, ``parse_poly`` outside.
+        """
         kind, value, pos = self.peek()
         if kind != "ident":
             raise TermSyntaxError(
@@ -274,9 +231,17 @@ class _Parser:
                     self.advance()
                     power = int(nv)
                 self.expect_sym("(")
-                inner = self.parse_naleaf()
+                inner = self.parse_prime(parse_arg)
                 self.expect_sym(")")
-                return NaLeaf(inner.d_power + power, inner.head)
+                if type(inner) is not Poly:
+                    return NaLeaf(inner.d_power + power, inner.head)
+                # an operator application is a sum of one-prime words
+                return Poly(
+                    {
+                        Word((w.primes[0].shifted(power),)): c
+                        for w, c in inner.terms.items()
+                    }
+                )
         self.advance()
         alphabet = self.alphabet
         if alphabet.is_generator(value):
@@ -286,10 +251,10 @@ class _Parser:
         except KeyError:
             raise TermSyntaxError("unknown symbol %r" % value, pos) from None
         self.expect_sym("(")
-        args = [self.parse_naword()]
+        args = [parse_arg()]
         while self.at_sym(","):
             self.advance()
-            args.append(self.parse_naword())
+            args.append(parse_arg())
         self.expect_sym(")")
         if len(args) != arity:
             raise TermSyntaxError(
@@ -297,34 +262,17 @@ class _Parser:
                 % (value, arity, len(args)),
                 pos,
             )
+        if any(type(a) is Poly for a in args):
+            return apply_operator(value, *map(self._poly, args))
         return NaLeaf(0, NaOp(value, tuple(args)))
-
-
-def _shift_primes(p: Poly, power: int, pos: int) -> Poly:
-    if power == 0:
-        return p
-    terms = {}
-    for w, c in p.terms.items():
-        if w.breadth != 1:
-            raise TermSyntaxError("D applies to a single factor", pos)
-        terms[Word((w.primes[0].shifted(power),))] = c
-    return Poly(terms)
 
 
 def parse_term(s: str, alphabet: Alphabet):
     """Parse ``s`` to a bracketed word when it is exactly one, else a Poly."""
-    tokens = tokenize(s)
-    try:
-        parser = _Parser(tokens, alphabet, len(s))
-        t = parser.parse_naword()
-        parser.expect_end()
-        return t
-    except TermSyntaxError:
-        pass
-    parser = _Parser(tokens, alphabet, len(s))
-    poly = parser.parse_poly()
+    parser = _Parser(tokenize(s), alphabet, len(s))
+    t = parser.parse_poly()
     parser.expect_end()
-    return poly
+    return t
 
 
 def parse_poly(s: str, alphabet: Alphabet) -> Poly:
@@ -356,20 +304,19 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+def _d_wrap(k: int, text: str) -> str:
+    if k == 0:
+        return text
+    if k == 1:
+        return "D(%s)" % text
+    return "D^%d(%s)" % (k, text)
+
+
 def format_prime(p: Prime) -> str:
     head = p.head
-    if type(head) is str:
-        text = head
-    else:
-        text = "%s(%s)" % (
-            head.name,
-            ", ".join(_format_arg_word(a) for a in head.args),
-        )
-    if p.d_power == 0:
-        return text
-    if p.d_power == 1:
-        return "D(%s)" % text
-    return "D^%d(%s)" % (p.d_power, text)
+    if type(head) is not str:
+        head = "%s(%s)" % (head.name, ", ".join(map(_format_arg_word, head.args)))
+    return _d_wrap(p.d_power, head)
 
 
 def _format_arg_word(w: Word) -> str:
@@ -384,18 +331,9 @@ def format_naword(t) -> str:
     if type(t) is NaPair:
         return "[%s %s]" % (format_naword(t.left), format_naword(t.right))
     head = t.head
-    if type(head) is str:
-        text = head
-    else:
-        text = "%s(%s)" % (
-            head.name,
-            ", ".join(format_naword(a) for a in head.args),
-        )
-    if t.d_power == 0:
-        return text
-    if t.d_power == 1:
-        return "D(%s)" % text
-    return "D^%d(%s)" % (t.d_power, text)
+    if type(head) is not str:
+        head = "%s(%s)" % (head.name, ", ".join(map(format_naword, head.args)))
+    return _d_wrap(t.d_power, head)
 
 
 def format_context(ctx: Context) -> str:
@@ -406,10 +344,7 @@ def _context_pieces(ctx: Context):
     pieces = [format_prime(p) for p in ctx.before]
     core = ctx.core
     if type(core) is Hole:
-        hole = "*" if core.d_power == 0 else "D^%d(*)" % core.d_power
-        if core.d_power == 1:
-            hole = "D(*)"
-        pieces.append(hole)
+        pieces.append(_d_wrap(core.d_power, "*"))
     else:
         pieces.append(_format_arghole(core))
     pieces.extend(format_prime(p) for p in ctx.after)
@@ -420,12 +355,7 @@ def _format_arghole(core: ArgHole) -> str:
     args = [_format_arg_word(a) for a in core.args_before]
     args.append(" ".join(_context_pieces(core.inner)))
     args.extend(_format_arg_word(a) for a in core.args_after)
-    text = "%s(%s)" % (core.name, ", ".join(args))
-    if core.d_power == 0:
-        return text
-    if core.d_power == 1:
-        return "D(%s)" % text
-    return "D^%d(%s)" % (core.d_power, text)
+    return _d_wrap(core.d_power, "%s(%s)" % (core.name, ", ".join(args)))
 
 
 def _structural_gen_rank(name: str):
@@ -486,10 +416,6 @@ def format_poly(p: Poly, config: AlgebraConfig | None = None) -> str:
         pieces.append(_coeff_prefix(c, idx == 0))
         pieces.append(format_word(w))
     return "".join(pieces)
-
-
-def format_poly_plain(p: Poly) -> str:
-    return format_poly(p)
 
 
 def format_combination(terms, config: AlgebraConfig | None = None) -> str:

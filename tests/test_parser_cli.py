@@ -12,18 +12,27 @@ import pytest
 
 from shirshov import (
     AlgebraConfig,
+    Alphabet,
     DrblSystem,
+    NaLeaf,
     NaPair,
     Poly,
     TermSyntaxError,
+    apply_D,
+    apply_operator,
+    commutator,
     drbl_nf,
+    enumerate_alsw,
     format_poly,
     format_term,
+    multiply,
     parse_poly,
     parse_term,
     parse_word,
+    shirshov_bracket,
 )
 from shirshov.cli import main, make_alphabet
+from shirshov.reference import oracle_lie_expand
 from shirshov.words import enumerate_words
 
 
@@ -100,6 +109,133 @@ def test_parse_errors_carry_positions():
         parse_word("x1 + x2", X2)
     with pytest.raises(TermSyntaxError):
         parse_word("2 x1", X1)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # inside brackets operator arguments are single bracketed words
+        ("[P(x1 x2) x1]", "expected ')', found 'x2'", 6),
+        ("[x1 P(+x1)]", "expected a symbol, found '+'", 6),
+        ("[D(x1 x2) x1]", "expected ')', found 'x2'", 6),
+        ("[x1 x2", "expected ']', found 'end of input'", 6),
+        ("[x1 x2 x1]", "expected ']', found 'x1'", 7),
+        ("[x1 q]", "unknown symbol 'q'", 4),
+        ("[P(x1, x2) x1]", "operator 'P' expects 1 argument(s), got 2", 1),
+        ("[x1]", "expected a symbol, found ']'", 3),
+        ("[D([x1 x2]) x1]", "expected a symbol, found '['", 3),
+        # outside brackets they are polynomials
+        ("P(x1 +)", "expected a factor, found ')'", 6),
+        ("P(x1,)", "expected a factor, found ')'", 5),
+        ("P(x1 * )", "expected a factor after '*', found ')'", 7),
+        ("P(q)", "unknown symbol 'q'", 2),
+        ("P()", "expected a factor, found ')'", 2),
+        ("P([x1 x2)", "expected ']', found ')'", 8),
+        ("P([x1 x2] x1", "expected ')', found 'end of input'", 12),
+        ("P(1/0 x1)", "zero denominator", 4),
+        # D wraps one generator or operator application
+        ("D([x1 x2])", "expected a symbol, found '['", 2),
+        ("D(x1 x2)", "expected ')', found 'x2'", 5),
+        ("D^(x1)", "expected a power", 2),
+        ("D^2 x1", "expected '(', found 'x1'", 4),
+        ("[D^2 x1 x2]", "expected '(', found 'x1'", 5),
+        ("D(q)", "unknown symbol 'q'", 2),
+        ("D()", "expected a symbol, found ')'", 2),
+        ("D^2(P(x1 +))", "expected a factor, found ')'", 10),
+        ("D(P([x1 P(x1 x2)]))", "expected ')', found 'x2'", 13),
+    ],
+)
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(TermSyntaxError) as e:
+        parse_term(text, X2)
+    assert str(e.value) == "%s (at position %d)" % (message, position)
+    assert e.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, node",
+    [
+        ("x1", "x1"),
+        ("D^0(x1)", "x1"),
+        ("D(D^2(x1))", "D^3(x1)"),
+        ("P(P(x1))", "P(P(x1))"),
+        ("D(P([x1 x2]))", "D(P([x1 x2]))"),
+        ("[x1 x2]", "[x1 x2]"),
+        ("[P(x1) D(x2)]", "[P(x1) D(x2)]"),
+        ("+x1", None),
+        ("-x1", None),
+        ("+[x1 x2]", None),
+        ("1 x1", None),
+        ("P(-x1)", None),
+        ("P(1 x1)", None),
+        ("P(x1 x2)", None),
+        ("D(P(x1 x2))", None),
+        ("x1 x2", None),
+        ("[x1 x2] x1", None),
+        ("x1 + x2", None),
+    ],
+)
+def test_exactly_one_bracketed_word_parses_to_a_node(text, node):
+    t = parse_term(text, X2)
+    if node is None:
+        assert type(t) is Poly
+    else:
+        assert type(t) in (NaLeaf, NaPair)
+        assert format_term(t) == node
+
+
+def test_one_polynomial_argument_makes_the_application_a_polynomial():
+    alphabet = Alphabet(("x", "y"), (("P", 1), ("Q", 2)))
+    config = AlgebraConfig(alphabet)
+    t = parse_term("Q(x, [x y])", alphabet)
+    assert type(t) is NaLeaf and format_term(t) == "Q(x, [x y])"
+    xy = oracle_lie_expand(config, parse_term("[x y]", alphabet))
+    got = parse_term("Q(x x, [x y])", alphabet)
+    want = apply_operator("Q", parse_poly("x x", alphabet), xy)
+    assert type(got) is Poly and got.terms == want.terms
+    got = parse_term("D(Q([x y], -y))", alphabet)
+    want = apply_D(config, apply_operator("Q", xy, parse_poly("-y", alphabet)))
+    assert type(got) is Poly and got.terms == want.terms
+
+
+def test_identity_shapes_parse_to_the_oracle_expansion():
+    # the nf-corpus shapes: P and D applied to bracketed words inside sums
+    config = AlgebraConfig(X2, Fraction(1))
+    brackets = [
+        shirshov_bracket(u, X2) for u in enumerate_alsw(config, 3) if u.breadth > 1
+    ]
+    brackets.append(NaLeaf(0, "x1"))
+    assert len(brackets) >= 4
+
+    def P(p):
+        return apply_operator("P", p)
+
+    for a in brackets:
+        A = oracle_lie_expand(config, a)
+        ta = format_term(a)
+        got = parse_poly("D(P(%s)) - %s" % (ta, ta), X2)
+        assert got.terms == (apply_D(config, P(A)) - A).terms
+        got = parse_poly("D^2(P(%s)) + 3/2 P(%s) x2" % (ta, ta), X2)
+        want = apply_D(config, P(A), 2) + multiply(P(A), parse_poly("x2", X2)).scale(
+            Fraction(3, 2)
+        )
+        assert got.terms == want.terms
+        for b in brackets:
+            B = oracle_lie_expand(config, b)
+            tb = format_term(b)
+            text = "[P(%s) P(%s)] - P([%s P(%s)]) - P([P(%s) %s]) - P([%s %s])" % (
+                ta, tb, ta, tb, ta, tb, ta, tb,
+            )
+            want = (
+                commutator(P(A), P(B))
+                - P(commutator(A, P(B)))
+                - P(commutator(P(A), B))
+                - P(commutator(A, B))
+            )
+            got = parse_term(text, X2)
+            assert type(got) is Poly
+            assert got.terms == want.terms
+            assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_whitespace_is_insignificant():
@@ -214,9 +350,12 @@ def test_cli_bracket(capsys):
     rc, out, err = run_cli(capsys, "bracket", "x1 x1 x2")
     assert rc == 0 and err == ""
     assert out == "[x1 [x1 x2]]\n"
-    rc, out, err = run_cli(capsys, "bracket", "x2 x1")
-    assert rc == 1 and out == ""
-    assert "not a Lyndon-Shirshov word" in err
+    # a word, or an operator argument at any depth, that is not
+    # Lyndon-Shirshov is refused with status 1 and named
+    for word in ("x2 x1", "P(x2 x1)", "P(x2 x1) x1"):
+        rc, out, err = run_cli(capsys, "bracket", word)
+        assert rc == 1 and out == ""
+        assert err == "error: not a Lyndon-Shirshov word: x2 * x1\n"
 
 
 def test_cli_check_gsb_sections_pass(capsys):
