@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .words import (
@@ -42,6 +43,10 @@ from .words import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# ``Fraction(c)``, one shared object per value.  Expansion coefficients
+# take few distinct values, so polynomials built from the memo share them.
+as_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 @dataclass(frozen=True)
@@ -250,7 +255,7 @@ def lie_expand(config: AlgebraConfig, t) -> Poly:
     coefficients over the memo's own ``Word`` keys, so a caller may mutate
     it freely.
     """
-    return Poly({w: Fraction(c) for w, c in expansion(config.alphabet, t).items()})
+    return Poly({w: as_fraction(c) for w, c in expansion(config.alphabet, t).items()})
 
 
 def expansion(alphabet: Alphabet, t) -> dict[Word, int]:

@@ -49,7 +49,8 @@ def make_alphabet(gens: int, with_operator: bool = True) -> Alphabet:
 def _infer_gens(text: str) -> int:
     """Number of generators mentioned in an expression (at least 1)."""
     indices = [int(m) for m in re.findall(r"\bx(\d+)\b", text)]
-    return max(indices) if indices else 1
+    # x0 names no generator; the parser reports it as an unknown symbol
+    return max(indices + [1])
 
 
 def _fraction(text: str) -> Fraction:

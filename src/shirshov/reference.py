@@ -5,8 +5,8 @@ a testable consequence by brute force, independent of the code path it
 validates: word counts by exhaustive rotation filtering, standard
 bracketings by trying every binary tree, the differential by the recursive
 two-factor rule, bracket expansions over ``Fraction`` polynomials without
-a memo, section rules by expanding each bracketing from scratch, and
-ambiguities by comparing every pair of lifted leading words.
+a memo, section and Rota-Baxter rules by expanding each bracketing from
+scratch, and ambiguities by comparing every pair of lifted leading words.
 
 ``oracle_quotient_dim`` (behind the ``oracle-dim`` command) computes
 quotient dimensions by exact-rational rank over explicitly generated
@@ -202,6 +202,26 @@ def oracle_section_rule(config: AlgebraConfig, operator: str, u: Word) -> Poly:
     """g(u) = D(P([u])) − [u], expanding [u] afresh and applying P, then D."""
     bu = oracle_lie_expand(config, shirshov_bracket(u, config.alphabet))
     return apply_D(config, apply_operator(operator, bu)) - bu
+
+
+def oracle_rota_baxter_rule(
+    config: AlgebraConfig, operator: str, u: Word, v: Word
+) -> Poly:
+    """f(u,v) = [P[u], P[v]] − P([u, P[v]]) − P([P[u], v]) − λP([u, v]).
+
+    [u] and [v] are expanded afresh, and every operator and commutator is
+    applied to ``Fraction`` polynomials.
+    """
+    bu = oracle_lie_expand(config, shirshov_bracket(u, config.alphabet))
+    bv = oracle_lie_expand(config, shirshov_bracket(v, config.alphabet))
+    pu = apply_operator(operator, bu)
+    pv = apply_operator(operator, bv)
+    return (
+        commutator(pu, pv)
+        - apply_operator(operator, commutator(bu, pv))
+        - apply_operator(operator, commutator(pu, bv))
+        - apply_operator(operator, commutator(bu, bv)).scale(config.weight)
+    )
 
 
 # ---------------------------------------------------------------------------

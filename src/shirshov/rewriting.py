@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
-    ZERO,
     AlgebraConfig,
     Poly,
     apply_D,
@@ -76,10 +75,16 @@ from .words import (
 
 @dataclass(frozen=True)
 class Rule:
-    """A monic rewriting rule with a provenance tag for its family."""
+    """A monic rewriting rule with a provenance tag for its family.
+
+    ``lead`` is the rule's deg-lex leading word when its builder knows it
+    (``make_rule`` and the ``rota_baxter`` families do), else None.  It is
+    not compared: it only saves ``lift_leadings`` one ranking.
+    """
 
     poly: Poly
     origin: tuple = ("rule",)
+    lead: Word | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.poly:
@@ -90,10 +95,10 @@ def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> R
     """Normalize a polynomial to a monic rule."""
     if not poly:
         raise ValueError("rules must be nonzero")
-    _, lc = leading(config, poly)
+    lead, lc = leading(config, poly)
     if lc != 1:
         poly = poly.scale(1 / lc)
-    return Rule(poly, origin)
+    return Rule(poly, origin, lead)
 
 
 @dataclass(frozen=True)
@@ -187,41 +192,49 @@ class GsbReport:
         )
 
 
-def lift_leadings(config: AlgebraConfig, poly: Poly, max_degree: int):
-    """Yield (i, leading word, coefficient) of ``D^i(poly)`` for i = 0, 1, ...
+def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
+    """Yield (i, leading word, coefficient) of ``D^i(rule.poly)`` for i = 0, 1, ...
 
     Stops at the first lift whose leading word has degree above
     ``max_degree``.  Nothing is expanded: the leading word of ``D^i(poly)``
     is the greatest ``d_power_leading(m, i)`` over the monomials ``m``, and
     no other term cancels it (see the module docstring).  That word has
-    degree ``deg m + i·breadth m`` (``deg m + i`` at weight 0), so only the
-    monomials that tie on the top degree compete.  Among them the greater
-    breadth wins.  At equal breadth they also share their own degree, and
-    the shift preserves their deg-lex order: it shifts the same positions
-    of both words, shifting a prime by D is strictly monotone in the prime
-    order, and deg-lex compares such words prime by prime.  So ranking the
-    monomials once by (breadth, deg-lex) and taking the first that reaches
-    the top degree gives the leading word without a key for any shifted
-    word.
+    degree ``d + i·b`` and breadth ``b`` for a monomial of degree ``d`` and
+    breadth ``b`` at nonzero weight, and ``d + i`` and ``b`` at weight 0.
+    So the monomials fall into groups by (degree, breadth), and deg-lex
+    first picks the group with the greatest (shifted degree, breadth).
+    Inside one group the shift preserves the deg-lex order: it shifts the
+    same positions of words of one degree and breadth, shifting a prime by
+    D is strictly monotone in the prime order, and deg-lex compares such
+    words prime by prime.  So the leading word is the shift of the
+    deg-lex greatest monomial of the winning group, and only a group that
+    wins is ranked.  The group of ``rule.lead`` needs no ranking at all:
+    the greatest word of the polynomial is the greatest of its group.
     """
     key = config.alphabet.key
     weighted = config.weight != 0
-    ranked = sorted(
-        (
-            (u.degree, u.breadth if weighted else 1, u, c)
-            for u, c in poly.terms.items()
-        ),
-        key=lambda t: (t[2].breadth, key(t[2])),
-        reverse=True,
-    )
+    terms = rule.poly.terms
+    groups: dict[tuple[int, int], list[Word]] = {}
+    for u in terms:
+        groups.setdefault((u.degree, len(u.primes)), []).append(u)
+    tops = {}
+    if rule.lead is not None:
+        tops[rule.lead.degree, len(rule.lead.primes)] = rule.lead
+
+    def shifted_degree(group):
+        d, b = group
+        return d + lift * (b if weighted else 1)
+
     lift = 0
     while True:
-        # max keeps the first maximal monomial, the greatest by rank.
-        d, b, u, c = max(ranked, key=lambda t: t[0] + lift * t[1])
-        if d + lift * b > max_degree:
+        top = max(groups, key=lambda g: (shifted_degree(g), g[1]))
+        if shifted_degree(top) > max_degree:
             return
+        u = tops.get(top)
+        if u is None:
+            u = tops[top] = max(groups[top], key=key)
         lead, lc = d_power_leading(config, u, lift)
-        yield lift, lead, c * lc
+        yield lift, lead, terms[u] * lc
         lift += 1
 
 
@@ -293,9 +306,12 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
 
 
 def _subtract(terms: dict, items) -> None:
-    """Subtract (word, coefficient) pairs in place, as ``Poly.__sub__`` would."""
+    """Subtract (word, coefficient) pairs in place, as ``Poly.__sub__`` would.
+
+    Integer coefficients stay integers, ``Fraction``s stay ``Fraction``s.
+    """
     for w, c in items:
-        nc = terms.get(w, ZERO) - c
+        nc = terms.get(w, 0) - c
         if nc:
             terms[w] = nc
         else:
@@ -325,7 +341,7 @@ class RewriteSystem:
         self.lifted: list[LiftedRule] = []
         self.by_leading: dict[Word, list[LiftedRule]] = {}
         for idx, rule in enumerate(self.rules):
-            for lift, lead, lc in lift_leadings(config, rule.poly, max_degree):
+            for lift, lead, lc in lift_leadings(config, rule, max_degree):
                 entry = LiftedRule(idx, lift, lead, lc)
                 self.lifted.append(entry)
                 self.by_leading.setdefault(lead, []).append(entry)

@@ -54,7 +54,18 @@ through it, and completion rules through the section rules.  g(u) is
 then built in one pass: each term c·m of [u] gives c·D(P(m)), and after
 all of those come the terms −c·m.  Nothing cancels, since the first kind
 has degree deg(u)+2 and the second degree deg(u), and D(P(m)) only raises
-the D-power of the single prime P(m).
+the D-power of the single prime P(m).  Its leading term is D(P(u)) with
+coefficient 1, known without ranking a term: by Shirshov's lemma
+[u] = u + (terms deg-lex below u), the D(P(m)) terms outrank every −c·m
+on degree, and among them D(P(u)) is greatest because the prime order is
+monotone in the argument.  f(u,v) is read from the same memo: each of
+its four terms is the expansion of a bracketed node, [P([u]) P([v])],
+P([[u] P([v])]), P([P([u]) [v]]) and P([[u] [v]]), so P([u]) is expanded
+once per parameter and the pair nodes once per pair, in integers.  Its
+leading term is P(u)·P(v) with coefficient 1: the terms of breadth 2 are
+P(a)·P(b) and P(b)·P(a) for a in [u] and b in [v], and u, which is
+greater than v, is not a word of [v].  Every rule is built with its
+leading word, so ``rewriting.lift_leadings`` ranks no term of its group.
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -74,8 +85,9 @@ from .algebra import (
     Poly,
     apply_D,
     apply_operator,
+    as_fraction,
     commutator,
-    leading,
+    expansion,
     lie_expand,
 )
 from .lyndon import (
@@ -89,10 +101,11 @@ from .rewriting import (
     LiftCache,
     RewriteSystem,
     Rule,
+    _subtract,
     lie_reduce,
     make_rule,
 )
-from .words import NaLeaf, NaPair, OpApp, Prime, Word, iter_subword_runs
+from .words import NaLeaf, NaOp, NaPair, OpApp, Prime, Word, iter_subword_runs
 
 
 class DrblSystem:
@@ -122,22 +135,30 @@ class DrblSystem:
 
     # -- rule families -------------------------------------------------------
 
-    def _bracketed(self, u: Word) -> Poly:
-        """The expansion of [u], read from the alphabet's memo."""
+    def _bracket(self, u: Word):
+        """The standard bracketing [u] of a parameter."""
         alphabet = self.config.alphabet
         if not is_alsw_hereditary(u, alphabet):
             raise ValueError("parameter %r is not a Lyndon-Shirshov word" % (u,))
-        return lie_expand(self.config, shirshov_bracket(u, alphabet))
+        return shirshov_bracket(u, alphabet)
+
+    def _operated(self, t):
+        """The bracketed node P(t)."""
+        return NaLeaf(0, NaOp(self.operator, (t,)))
 
     def section_rule(self, u: Word) -> Rule:
         """g(u): applying D undoes P, modulo lower terms."""
         got = self._section.get(u)
         if got is None:
-            bu = self._bracketed(u).terms
+            bu = expansion(self.config.alphabet, self._bracket(u))
             op = self.operator
-            terms = {Word((Prime(1, OpApp(op, (m,))),)): c for m, c in bu.items()}
-            terms.update((m, -c) for m, c in bu.items())
-            got = make_rule(self.config, Poly(terms), ("section", u))
+            terms = {
+                Word((Prime(1, OpApp(op, (m,))),)): as_fraction(c)
+                for m, c in bu.items()
+            }
+            terms.update((m, as_fraction(-c)) for m, c in bu.items())
+            lead = Word((Prime(1, OpApp(op, (u,))),))
+            got = Rule(Poly(terms), ("section", u), lead)
             self._section[u] = got
         return got
 
@@ -145,22 +166,26 @@ class DrblSystem:
         """f(u,v): the bracket of two P-images re-expressed under P."""
         got = self._rota_baxter.get((u, v))
         if got is None:
-            key = self.config.alphabet.key
-            if key(u) <= key(v):
+            alphabet = self.config.alphabet
+            if alphabet.key(u) <= alphabet.key(v):
                 raise ValueError("parameters must satisfy u > v in deg-lex")
-            bu = self._bracketed(u)
-            bv = self._bracketed(v)
-            pu = apply_operator(self.operator, bu)
-            pv = apply_operator(self.operator, bv)
-            poly = (
-                commutator(pu, pv)
-                - apply_operator(self.operator, commutator(bu, pv))
-                - apply_operator(self.operator, commutator(pu, bv))
-                - apply_operator(self.operator, commutator(bu, bv)).scale(
-                    self.config.weight
-                )
-            )
-            got = make_rule(self.config, poly, ("rota-baxter", u, v))
+            bu = self._bracket(u)
+            bv = self._bracket(v)
+            pu = self._operated(bu)
+            pv = self._operated(bv)
+            terms = dict(expansion(alphabet, NaPair(pu, pv)))
+            for c, t in (
+                (1, NaPair(bu, pv)),
+                (1, NaPair(pu, bv)),
+                (self.config.weight, NaPair(bu, bv)),
+            ):
+                if c:
+                    e = expansion(alphabet, self._operated(t))
+                    _subtract(terms, ((w, c * k) for w, k in e.items()))
+            poly = Poly({w: as_fraction(c) for w, c in terms.items()})
+            op = self.operator
+            lead = Word((Prime(0, OpApp(op, (u,))), Prime(0, OpApp(op, (v,)))))
+            got = Rule(poly, ("rota-baxter", u, v), lead)
             self._rota_baxter[(u, v)] = got
         return got
 
@@ -201,13 +226,13 @@ class DrblSystem:
         finally:
             del self._completion[key]
         top = Word((Prime(lift + 1, OpApp(self.operator, (u,))),))
-        lead = leading(self.config, poly)[0] if poly else None
-        if lead != top:
+        got = make_rule(self.config, poly, ("completion", u, lift)) if poly else None
+        if got is None or got.lead != top:
             raise RuntimeError(
                 "rule system not completed: the interreduced %d-lift of "
-                "g(%r) leads with %r, not %r" % (lift, u, lead, top)
+                "g(%r) leads with %r, not %r"
+                % (lift, u, got and got.lead, top)
             )
-        got = make_rule(self.config, poly, ("completion", u, lift))
         self._completion[key] = got
         return got
 
@@ -253,25 +278,14 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
     out = s1_rules(sys, max_degree)
     params = enumerate_alsw(sys.config, max_degree - 3)
     key = sys.config.alphabet.key
-    pairs = [
-        (u, v)
+    rota_baxter = [
+        sys.rota_baxter_rule(u, v)
         for u in params
         for v in params
         if u.degree + v.degree <= max_degree - 2 and key(u) > key(v)
     ]
-
-    def leading_key(pair):
-        u, v = pair
-        w = Word(
-            (
-                Prime(0, OpApp(sys.operator, (u,))),
-                Prime(0, OpApp(sys.operator, (v,))),
-            )
-        )
-        return key(w)
-
-    pairs.sort(key=leading_key)
-    out.extend(sys.rota_baxter_rule(u, v) for u, v in pairs)
+    rota_baxter.sort(key=lambda r: key(r.lead))
+    out.extend(rota_baxter)
     if sys.config.weight != 0:
         completion = []
         for u in params:
@@ -280,7 +294,7 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
                     rule = sys.completion_rule(u, i)
                     if rule is not None:
                         completion.append(rule)
-        completion.sort(key=lambda r: key(leading(sys.config, r.poly)[0]))
+        completion.sort(key=lambda r: key(r.lead))
         out.extend(completion)
     return out
 

@@ -299,6 +299,17 @@ def test_cli_nf_parse_failure_exits_2(capsys):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("nf", "--max-deg", "4", "x0"), ("bracket", "x0")],
+    ids=["nf", "bracket"],
+)
+def test_cli_x0_is_an_unknown_symbol(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: unknown symbol 'x0' (at position 0)\n"
+
+
 def test_cli_basis_text(capsys):
     rc, out, err = run_cli(
         capsys, "basis", "--gens", "1", "--lambda", "1", "--max-deg", "3"

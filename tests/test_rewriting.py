@@ -15,6 +15,7 @@ from shirshov import (
     DrblSystem,
     Poly,
     RewriteSystem,
+    Rule,
     apply_D,
     apply_operator,
     drbl_nf,
@@ -109,6 +110,36 @@ def test_closed_form_lift_leadings_match_full_expansion(gens, weight):
                     assert (e.leading_word, e.leading_coeff) == leading(c, full)
                 beyond = apply_D(c, rule.poly, len(entries))
                 assert leading(c, beyond)[0].degree > n
+
+
+@pytest.mark.parametrize("gens", (1, 2))
+@pytest.mark.parametrize("weight", (0, 1, 2, -1, Fraction(1, 2)))
+def test_every_rule_family_stores_its_monic_leading_word(gens, weight):
+    c = AlgebraConfig(make_alphabet(gens), Fraction(weight))
+    sys_ = DrblSystem(c).system(7)
+    families = Counter(r.origin[0] for r in sys_.rules)
+    assert families["section"] and families["rota-baxter"]
+    assert bool(families["completion"]) == (weight != 0)
+    for rule in sys_.rules:
+        assert leading(c, rule.poly) == (rule.lead, Fraction(1)), rule.origin
+    # without stored leadings every group is ranked, to the same lifts
+    bare = [Rule(rule.poly, rule.origin) for rule in sys_.rules]
+    assert all(b.lead is None for b in bare) and bare == list(sys_.rules)
+    got = RewriteSystem(c, bare, 7).lifted
+    assert got == sys_.lifted
+    assert [type(e.leading_coeff) for e in got] == [Fraction] * len(got)
+
+
+@pytest.mark.parametrize("weight", (0, 1))
+def test_section_rules_are_built_without_ranking_their_terms(weight):
+    # the keys computed are those of the parameters (degree <= 5), none of
+    # a rule term D(P(m)) of degree 7
+    alphabet = make_alphabet(2)
+    sys_ = DrblSystem(AlgebraConfig(alphabet, Fraction(weight))).system(
+        7, s1_only=True
+    )
+    assert len(sys_.lifted) > len(sys_.rules) > 0
+    assert max(w.degree for w in alphabet._word_keys) == 5
 
 
 def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):

@@ -30,7 +30,7 @@ from shirshov import (
     shirshov_bracket,
     verify_axioms,
 )
-from shirshov.reference import oracle_lie_expand, oracle_section_rule
+from shirshov.reference import oracle_rota_baxter_rule, oracle_section_rule
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -438,18 +438,22 @@ def test_fast_path_agrees_with_generic_engine_at_degree_seven():
 
 
 class _UnsharedSystem(DrblSystem):
-    """The rule families built from fresh expansions and the old g(u)."""
-
-    def _bracketed(self, u):
-        return oracle_lie_expand(
-            self.config, shirshov_bracket(u, self.config.alphabet)
-        )
+    """The rule families built from fresh expansions and the old formulas."""
 
     def section_rule(self, u):
         got = self._section.get(u)
         if got is None:
             poly = oracle_section_rule(self.config, self.operator, u)
             got = self._section[u] = make_rule(self.config, poly, ("section", u))
+        return got
+
+    def rota_baxter_rule(self, u, v):
+        got = self._rota_baxter.get((u, v))
+        if got is None:
+            poly = oracle_rota_baxter_rule(self.config, self.operator, u, v)
+            got = self._rota_baxter[(u, v)] = make_rule(
+                self.config, poly, ("rota-baxter", u, v)
+            )
         return got
 
 
@@ -465,10 +469,12 @@ def test_rules_from_shared_expansions_equal_the_unshared_formula(alphabet, weigh
     families = Counter(r.origin[0] for r in rules)
     assert families["section"] and families["rota-baxter"]
     assert bool(families["completion"]) == (weight != 0)
+    assert families["rota-baxter"] == (38 if alphabet is A1 else 296)
     for got, want in zip(rules, expect):
         assert got == want, got.origin
         # term order too, so every later pass sees the same iteration order
         assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+        assert all(type(c) is Fraction for c in got.poly.terms.values())
 
 
 def _subtrees(t, out):
@@ -481,6 +487,29 @@ def _subtrees(t, out):
     elif type(t.head) is NaOp:
         for a in t.head.args:
             _subtrees(a, out)
+
+
+def _rota_baxter_nodes(alphabet, u, v, weight):
+    """The bracketed nodes whose expansions make up f(u,v)."""
+
+    def op(t):
+        return NaLeaf(0, NaOp("P", (t,)))
+
+    bu = shirshov_bracket(u, alphabet)
+    bv = shirshov_bracket(v, alphabet)
+    out = [NaPair(op(bu), op(bv)), op(NaPair(bu, op(bv))), op(NaPair(op(bu), bv))]
+    if weight:
+        out.append(op(NaPair(bu, bv)))
+    return out
+
+
+def _node_counts(nodes):
+    return {
+        "_int_commutator": sum(type(t) is NaPair for t in nodes),
+        "_int_operator": sum(
+            type(t) is NaLeaf and type(t.head) is NaOp for t in nodes
+        ),
+    }
 
 
 def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
@@ -500,21 +529,37 @@ def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
         sys_ = make_sys(alphabet, weight)
         calls.clear()
         if s1_only:
-            s1_rules(sys_, 7)
+            rules = s1_rules(sys_, 7)
         else:
-            instantiate_rules(sys_, 7)
+            rules = instantiate_rules(sys_, 7)
         params = enumerate_alsw(sys_.config, 5)
         nodes = set()
         for u in params:
             _subtrees(shirshov_bracket(u, alphabet), nodes)
-        pairs = sum(type(t) is NaPair for t in nodes)
-        ops = sum(type(t) is NaLeaf and type(t.head) is NaOp for t in nodes)
-        assert calls == {"_int_commutator": pairs, "_int_operator": ops}
+        # f(u,v) is read from the memo: P([u]) once per parameter, and the
+        # pair's three (four at nonzero weight) operated brackets
+        pairs = [r.origin[1:] for r in rules if r.origin[0] == "rota-baxter"]
+        assert len(pairs) == (0 if s1_only else 296)
+        for u, v in pairs:
+            for t in _rota_baxter_nodes(alphabet, u, v, weight):
+                _subtrees(t, nodes)
+        assert calls == _node_counts(nodes)
         assert set(alphabet._expansions) == nodes
         # later rules find every expansion in the memo
         calls.clear()
         for u in params:
-            sys_._bracketed(u)
-        if not s1_only:
-            sys_.rota_baxter_rule(params[-1], params[0])
+            lie_expand(sys_.config, shirshov_bracket(u, alphabet))
+        again = make_sys(alphabet, weight)
+        s1_rules(again, 7)
+        for u, v in pairs:
+            again.rota_baxter_rule(u, v)
         assert not calls
+        # a new pair expands only the nodes the memo lacks
+        u, v = params[-1], params[0]
+        new = set()
+        for t in _rota_baxter_nodes(alphabet, u, v, weight):
+            _subtrees(t, new)
+        new -= nodes
+        sys_.rota_baxter_rule(u, v)
+        assert calls == _node_counts(new)
+        assert set(alphabet._expansions) == nodes | new
