@@ -118,7 +118,7 @@ def shirshov_bracket(u: Word, alphabet: Alphabet):
     else:
         if not is_alsw(u, alphabet):
             raise ValueError("not a Lyndon-Shirshov word: %r" % (u,))
-        k = _standard_split(primes, alphabet)
+        k = alphabet._split_cache.get(u) or _standard_split(primes, alphabet)
         out = NaPair(
             shirshov_bracket(Word(primes[:k]), alphabet),
             shirshov_bracket(Word(primes[k:]), alphabet),
@@ -188,18 +188,32 @@ def enumerate_alsw_by_degree(
     breadth ≥ 2 arise as products u·v of smaller ALSWs with u > v in lex
     order; every such product is an ALSW and every ALSW of breadth ≥ 2 is
     one, via its standard split.
+
+    The alphabet's caches learn what enumeration already knows: every
+    returned word is recorded as an ALSW, and each product as split at its
+    shortest left factor, which is the standard split (the right factor
+    of the standard split is the longest proper ALSW suffix).  So
+    ``is_alsw`` and ``shirshov_bracket`` decide nothing again for them.
     """
     if letters is None:
         letters = default_letters(alphabet)
+    alsw_cache = alphabet._alsw_cache
+    split_cache = alphabet._split_cache
     alsw_by_deg: dict[int, list[Word]] = {}
     for d in range(1, max_degree + 1):
-        found = {Word((p,)) for p in letters(d, alsw_by_deg)}
+        found = dict.fromkeys(Word((p,)) for p in letters(d, alsw_by_deg))
         for k in range(1, d):
             for v in alsw_by_deg.get(k, ()):
+                b = len(v.primes)
                 for w in alsw_by_deg.get(d - k, ()):
                     if lex_cmp(v, w, alphabet) > 0:
-                        found.add(concat(v, w))
+                        vw = concat(v, w)
+                        found[vw] = None
+                        if split_cache.get(vw, b) >= b:
+                            split_cache[vw] = b
         alsw_by_deg[d] = sorted(found, key=alphabet.key)
+        for w in found:
+            alsw_cache[w] = True
     return alsw_by_deg
 
 

@@ -27,39 +27,85 @@ operator arguments at arbitrary depth as well as contiguous top-level runs.
 Nonassociative words (``NaLeaf``/``NaPair``) are fully bracketed binary
 trees over primes whose operator arguments are again bracketed; they are
 the carrier for Lie-side computations.
+
+``OpApp``, ``Prime`` and ``Word`` are hash-consed (Filliâtre-Conchon,
+*Type-safe modular hash-consing*, 2006): constructing one is a lookup in
+a weak intern table, keyed by its parts, that returns the existing object
+when there is one.  So two equal words are one object, and equality and
+hashing are identity, done in C.  The tables hold their objects weakly, so
+a word lives only as long as something else refers to it, and nothing
+carries over from one computation to the next.  Identity hashes differ
+from run to run, so no output may depend on hash order: no set of words
+is ever iterated, and dicts iterate in insertion order.  Copying or
+unpickling an interned object constructs it again, so it yields the same
+object.  The tables take no lock: construct words from one thread only.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Union
 
 
+class _Ref(weakref.ref):
+    """Intern-table entry: a weak reference that knows where it is filed."""
+
+    __slots__ = ("table", "key")
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop a dead object's entry, unless the key was filed again since."""
+    table = ref.table
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _file(table: dict, key, obj) -> None:
+    ref = _Ref(obj, _forget)
+    ref.table = table
+    ref.key = key
+    table[key] = ref
+
+
+# Intern tables, keyed by parts the object holds anyway, so a lookup builds
+# no key tuple; those parts hash by identity or by a cached string hash.
+_WORDS: dict[tuple, _Ref] = {}  # primes tuple -> Word
+_PRIMES: dict[int, dict] = {}  # d_power -> {head: Prime}
+_OPAPPS: dict[str, dict] = {}  # name -> {args tuple: OpApp}
+
+
 class OpApp:
-    """Operator head applied to a nonempty tuple of argument words."""
+    """Operator head applied to a nonempty tuple of argument words.
 
-    __slots__ = ("name", "args", "degree", "_hash")
+    Interned: constructing an ``OpApp`` looks it up by (name, args) in a
+    weak table and returns the existing object on a hit, so equality and
+    hashing are identity.
+    """
 
-    def __init__(self, name: str, args):
+    __slots__ = ("name", "args", "degree", "__weakref__")
+
+    def __new__(cls, name: str, args):
         args = tuple(args)
         if not args:
             raise ValueError("operator %r needs at least one argument" % name)
+        table = _OPAPPS.get(name)
+        if table is None:
+            table = _OPAPPS[name] = {}
+        else:
+            ref = table.get(args)
+            if ref is not None:
+                self = ref()
+                if self is not None:
+                    return self
+        self = object.__new__(cls)
         self.name = name
         self.args = args
         self.degree = 1 + sum(a.degree for a in args)
-        self._hash = hash((name,) + args)
+        _file(table, args, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is OpApp
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return OpApp, (self.name, self.args)
 
     def __repr__(self):
         return "OpApp(%r, %r)" % (self.name, list(self.args))
@@ -69,30 +115,34 @@ Head = Union[str, OpApp]
 
 
 class Prime:
-    """``D^d_power`` applied to a generator or operator head."""
+    """``D^d_power`` applied to a generator or operator head.
 
-    __slots__ = ("d_power", "head", "degree", "_hash")
+    Interned like ``OpApp``: one object per (d_power, head).
+    """
 
-    def __init__(self, d_power: int, head: Head):
+    __slots__ = ("d_power", "head", "degree", "__weakref__")
+
+    def __new__(cls, d_power: int, head: Head):
         if d_power < 0:
             raise ValueError("negative D power")
+        table = _PRIMES.get(d_power)
+        if table is None:
+            table = _PRIMES[d_power] = {}
+        else:
+            ref = table.get(head)
+            if ref is not None:
+                self = ref()
+                if self is not None:
+                    return self
+        self = object.__new__(cls)
         self.d_power = d_power
         self.head = head
         self.degree = d_power + (1 if type(head) is str else head.degree)
-        self._hash = hash((d_power, head))
+        _file(table, head, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Prime
-            and self._hash == other._hash
-            and self.d_power == other.d_power
-            and self.head == other.head
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Prime, (self.d_power, self.head)
 
     def shifted(self, k: int) -> "Prime":
         """The same prime with ``k`` more D applications."""
@@ -105,33 +155,36 @@ class Prime:
 
 
 class Word:
-    """Nonempty flat sequence of primes; the monomial carrier."""
+    """Nonempty flat sequence of primes; the monomial carrier.
 
-    __slots__ = ("primes", "degree", "_hash")
+    Interned: constructing a ``Word`` looks its primes tuple up in a weak
+    table, so two equal words are one object, ``==`` is ``is`` and the
+    hash is the identity hash.
+    """
 
-    def __init__(self, primes):
+    __slots__ = ("primes", "degree", "__weakref__")
+
+    def __new__(cls, primes):
         primes = tuple(primes)
         if not primes:
             raise ValueError("words are nonempty")
+        ref = _WORDS.get(primes)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.primes = primes
         self.degree = sum(p.degree for p in primes)
-        self._hash = hash(primes)
+        _file(_WORDS, primes, self)
+        return self
+
+    def __reduce__(self):
+        return Word, (self.primes,)
 
     @property
     def breadth(self) -> int:
         return len(self.primes)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Word
-            and self._hash == other._hash
-            and self.primes == other.primes
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         from .syntax import format_word
@@ -169,8 +222,10 @@ class Alphabet:
         self._arity = {n: a for n, a in self.operators}
         self._word_keys: dict[Word, tuple] = {}
         self._prime_keys: dict[Prime, tuple] = {}
-        # Filled by ``lyndon``: ALSW tests and standard bracketings per word.
+        # Filled by ``lyndon``: ALSW tests, standard split indices and
+        # standard bracketings per word.
         self._alsw_cache: dict[Word, bool] = {}
+        self._split_cache: dict[Word, int] = {}
         self._bracket_cache: dict[Word, object] = {}
         # Filled by ``algebra.expansion``: per bracketed node, the stored
         # node and its integer expansion.
@@ -224,7 +279,7 @@ class Alphabet:
 def lex_cmp_primes(ps, qs, alphabet: Alphabet) -> int:
     """Lex comparison of prime sequences; a proper prefix is greater."""
     for p, q in zip(ps, qs):
-        if p is q or p == q:
+        if p is q:
             continue
         return 1 if alphabet.prime_key(p) > alphabet.prime_key(q) else -1
     if len(ps) == len(qs):

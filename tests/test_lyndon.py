@@ -25,6 +25,9 @@ from shirshov import (
     special_bracket,
     special_expand,
 )
+from shirshov import lyndon, rota_baxter, words
+from shirshov.lyndon import _standard_split
+from shirshov.rota_baxter import DrblSystem, s1_rules
 from shirshov.words import Context, Hole, Prime, concat, enumerate_words
 from shirshov.reference import (
     _oracle_is_alsw,
@@ -107,6 +110,64 @@ def test_letters_hook_restricts_language():
     full = enumerate_alsw_by_degree(PURE2, 3)
     assert [len(full[n]) for n in (1, 2, 3)] == [2, 3, 8]
     assert all(len(full[n]) > len(pure[n]) for n in (2, 3))
+
+
+@pytest.mark.parametrize(
+    "gens, restricted",
+    [(("x",), False), (("x", "y"), False), (("x", "y"), True)],
+    ids=["full-1", "full-2", "generators-2"],
+)
+def test_enumeration_records_what_a_fresh_alphabet_decides(gens, restricted):
+    alphabet = Alphabet(gens, (("P", 1),))
+    letters = generators_only(alphabet) if restricted else None
+    by_deg = enumerate_alsw_by_degree(alphabet, 7, letters=letters)
+    fresh = Alphabet(gens, (("P", 1),))
+    seen = 0
+    for d in range(1, 8):
+        for w in by_deg[d]:
+            assert alphabet._alsw_cache[w] is True
+            assert is_alsw(w, alphabet) is is_alsw(w, fresh) is True
+            if w.breadth > 1:
+                k = alphabet._split_cache[w]
+                assert k == _standard_split(w.primes, fresh)
+                seen += 1
+            assert shirshov_bracket(w, alphabet) == shirshov_bracket(w, fresh)
+    assert seen > 0
+    assert not fresh._split_cache
+
+
+@pytest.mark.parametrize("gens", [1, 2])
+@pytest.mark.parametrize("weight", [0, 1])
+def test_section_rules_decide_no_parameter_again(monkeypatch, gens, weight):
+    names = tuple("x%d" % (i + 1) for i in range(gens))
+    counting = []
+    real_cmp = words.lex_cmp_primes
+
+    def counted(*args):
+        if counting:
+            counting.append(args)
+        return real_cmp(*args)
+
+    monkeypatch.setattr(lyndon, "lex_cmp_primes", counted)
+    monkeypatch.setattr(words, "lex_cmp_primes", counted)
+    real_enumerate = rota_baxter.enumerate_alsw
+
+    def enumerate_then_count(config, max_degree):
+        out = real_enumerate(config, max_degree)
+        counting.append("on")
+        return out
+
+    monkeypatch.setattr(rota_baxter, "enumerate_alsw", enumerate_then_count)
+    sys_ = DrblSystem(AlgebraConfig(Alphabet(names, (("P", 1),)), weight))
+    rules = s1_rules(sys_, 8)
+    assert len(rules) > 100
+    assert counting == ["on"]
+    # Live control: a fresh alphabet decides the same parameters by
+    # comparing rotations.
+    control = DrblSystem(AlgebraConfig(Alphabet(names, (("P", 1),)), weight))
+    for rule in rules:
+        control._bracket(rule.origin[1])
+    assert len(counting) > 1
 
 
 def test_ls_factorization_examples():

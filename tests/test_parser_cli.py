@@ -558,8 +558,13 @@ def test_nf_trace_names_completion_rules(capsys):
         ["nf", "--lambda", "1", "--mode", "assoc", "--max-deg", "7", "--trace",
          "[D^2(x1) D^2(x2)] + D^3(P([P(x1) x1])) + [D^2(P(x1)) P(x2)]"],
         ["check-gsb", "--system", "s1", "--lambda", "1", "--max-deg", "7"],
+        ["check-gsb", "--system", "drbl", "--gens", "2", "--lambda", "0",
+         "--max-deg", "7"],
+        ["basis", "--gens", "2", "--lambda", "1", "--max-deg", "5"],
+        ["oracle-dim", "--gens", "2", "--lambda", "1", "--max-deg", "5"],
     ],
-    ids=["nf-lie", "nf-assoc", "check-gsb-s1"],
+    ids=["nf-lie", "nf-assoc", "check-gsb-s1", "check-gsb-drbl",
+         "basis", "oracle-dim"],
 )
 def test_cli_output_does_not_depend_on_the_hash_seed(argv):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,20 +1,31 @@
 """Term language: degrees, orders, contexts, occurrence search."""
 
+import copy
+import gc
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from shirshov import (
+    AlgebraConfig,
     Alphabet,
     Context,
+    DrblSystem,
     OpApp,
+    Poly,
     Prime,
     Word,
+    apply_D,
+    d_power_leading,
     enumerate_words,
     occurrences,
+    parse_term,
     parse_word,
 )
-from shirshov.words import Hole, lex_cmp, substitute
+from shirshov import words
+from shirshov.words import Hole, concat, lex_cmp, substitute, underlying_word
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -161,3 +172,108 @@ def test_context_equality_and_hash():
     c2 = Context((Prime(0, "x"),), Hole(0), ())
     assert c1 == c2 and hash(c1) == hash(c2)
     assert c1 != Context((), Hole(0), (Prime(0, "x"),))
+
+
+# ---------------------------------------------------------------------------
+# Interning: one object per word.
+
+
+def _table_sizes():
+    return (
+        len(words._WORDS),
+        sum(len(t) for t in words._PRIMES.values()),
+        sum(len(t) for t in words._OPAPPS.values()),
+    )
+
+
+def test_equal_words_built_by_different_routes_are_one_object():
+    x, y = Prime(0, "x"), Prime(0, "y")
+    target = Word((Prime(1, OpApp("P", (Word((x, y)),))), y))
+    assert Word([Prime(1, OpApp("P", [Word([x, y])])), y]) is target
+    assert concat(parse_word("D(P(x y))", A2), Word((y,))) is target
+    ctx = Context((), Hole(1), (y,))
+    assert substitute(ctx, parse_word("P(x y)", A2)) is target
+    p = parse_word("P(x y)", A2).primes[0]
+    assert Word((p.shifted(1), y)) is target
+    assert p.shifted(1) is target.primes[0]
+    assert p.shifted(1).head is p.head
+    config = AlgebraConfig(A2, 0)
+    assert d_power_leading(config, parse_word("P(x y) y", A2), 1)[0] is target
+    node = parse_term("[D(P([x y])) y]", A2)
+    assert underlying_word(node) is target
+    image = apply_D(config, Poly({parse_word("P(x y) y", A2): Fraction(1)}))
+    assert any(w is target for w in image.terms)
+    assert parse_word("D(P(x y)) y", A2) is target
+
+
+def test_interned_objects_survive_copy_and_pickle_as_themselves():
+    w = parse_word("D^2(P(x P(y))) x", A2)
+    for obj in (w, w.primes[0], w.primes[0].head):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+
+
+def test_invalid_constructions_raise_and_intern_nothing():
+    before = _table_sizes()
+    with pytest.raises(ValueError, match="words are nonempty"):
+        Word(())
+    with pytest.raises(ValueError, match="negative D power"):
+        Prime(-1, "x")
+    with pytest.raises(ValueError, match="negative D power"):
+        Prime(-3, "fresh-generator")
+    with pytest.raises(ValueError, match="needs at least one argument"):
+        OpApp("P", ())
+    with pytest.raises(ValueError, match="needs at least one argument"):
+        OpApp("fresh-operator", [])
+    assert _table_sizes() == before
+    assert -1 not in words._PRIMES and -3 not in words._PRIMES
+    assert "fresh-operator" not in words._OPAPPS
+
+
+def test_dropped_words_leave_the_intern_tables():
+    def job():
+        # Names no other test uses, so every word of the job is new.
+        alphabet = Alphabet(("leak1", "leak2"), (("Q", 1),))
+        engine = DrblSystem(AlgebraConfig(alphabet, 0)).system(7)
+        return len(engine.lifted), _table_sizes()
+
+    gc.collect()
+    before = _table_sizes()
+    lifted, during = job()
+    assert lifted > 0 and during[0] > before[0] + 1000
+    gc.collect()
+    assert _table_sizes() == before
+
+
+def test_a_late_callback_keeps_the_entry_filed_since():
+    primes = (Prime(7, "x"), Prime(0, "y"))
+    w = Word(primes)
+    old_ref = words._WORDS[primes]
+    assert old_ref() is w
+    del w
+    assert primes not in words._WORDS
+    w = Word(primes)
+    new_ref = words._WORDS[primes]
+    # The old word's callback, had it run late, must not drop the new entry.
+    words._forget(old_ref)
+    assert words._WORDS[primes] is new_ref and new_ref() is w
+
+
+def test_word_is_not_equal_to_its_primes():
+    w = parse_word("x y", A2)
+    assert w != w.primes and w.primes != w
+    assert w.primes[0] != (0, "x")
+    assert w.primes[0].head == "x"
+    assert {w: 1}.get(w.primes) is None
+
+
+def test_identity_is_equality():
+    assert "__eq__" not in vars(Word)
+    assert "__eq__" not in vars(Prime)
+    assert "__eq__" not in vars(OpApp)
+    for cls in (Word, Prime, OpApp):
+        assert "_hash" not in cls.__slots__
+    u = parse_word("P(x) y", A2)
+    v = parse_word("P(x) y", A2)
+    assert u is v and hash(u) == object.__hash__(u)
