@@ -2,7 +2,10 @@
 Lie-bracket expansion.
 
 Coefficients are ``fractions.Fraction``.  A polynomial is a mapping from
-``Word`` to nonzero coefficient; the zero polynomial has no terms.
+``Word`` to nonzero coefficient; the zero polynomial has no terms.  Hot
+paths keep bare term dicts whose coefficients are ``int``s while they are
+integral; ``narrow``, ``divide`` and ``as_fractions`` move between the two
+and never make a float.
 
 The differential satisfies the weighted Leibniz law
 
@@ -218,6 +221,29 @@ def _accumulate(out, w, c):
         out[w] = nc
     else:
         del out[w]
+
+
+def narrow(c):
+    """An integral ``Fraction`` as an ``int``; anything else unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def divide(a, b):
+    """``a / b`` exactly and never a float: an ``int`` when ``b`` divides
+    the int ``a``, else a ``Fraction``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def as_fractions(terms: dict) -> dict:
+    """``terms`` with every coefficient a ``Fraction``, ints via ``as_fraction``."""
+    return {
+        w: c if type(c) is Fraction else as_fraction(c) for w, c in terms.items()
+    }
 
 
 def leading(config: AlgebraConfig, p: Poly) -> tuple[Word, Fraction]:

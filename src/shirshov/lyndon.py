@@ -19,20 +19,32 @@ containing ``v`` has ``v`` as a prefix; that subtree is rebracketed as a
 left-normed chain over the LS factors of the tail.  The expansion of the
 result is ``w`` plus deg-lex smaller monomials — asserted on construction,
 so a returned value always carries a verified certificate.  The same
-template expands with an arbitrary polynomial in place of ``v``, which is
+bracketing expands with an arbitrary polynomial in place of ``v``, which is
 how bracketed rule multiples are formed.
+
+That expansion is linear in the core and touches only the spine, the
+path from the marked slot to the root.  Every subtree off the spine is a
+standard bracketing, read from the alphabet's integer memo of bracket
+expansions (``algebra.expansion``), which the rules and ``drbl_nf``'s peel
+share; the spine is computed with the memo's own integer commutator and
+operator steps.  A core with denominators is scaled to integers by their
+lcm and the result divided back once, so ``special_terms`` runs in
+``int``s whatever the weight and ``special_expand`` returns ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     AlgebraConfig,
     Poly,
-    apply_D,
-    apply_operator,
-    commutator,
+    _int_commutator,
+    _int_operator,
+    as_fractions,
+    divide,
+    expansion,
     leading,
 )
 from .words import (
@@ -230,16 +242,6 @@ def enumerate_alsw(config: AlgebraConfig, max_degree: int) -> list[Word]:
 # Special bracketing.
 
 
-class _MarkType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<mark>"
-
-
-_MARK = _MarkType()
-
-
 @dataclass(frozen=True)
 class SpecialBracket:
     """A bracketing of ``word`` isolating a designated subword.
@@ -254,91 +256,94 @@ class SpecialBracket:
     expansion: Poly
 
 
-def _build_template(w: Word, ctx: Context, alphabet: Alphabet):
-    """Bracketing of ``w`` with a mark at the subword the context isolates."""
+# Spine steps, from the marked slot up to the root.  ("left", t): the
+# node so far is the left child of a pair whose right child is t;
+# ("right", t): it is the right child, t the left; ("op", k, name, before,
+# after): it is an operator argument between the bracketed arguments
+# ``before`` and ``after``, under D^k.  Every t is a standard bracketing.
+_LEFT = "left"
+_RIGHT = "right"
+_OP = "op"
+
+
+def _spine(w: Word, ctx: Context, alphabet: Alphabet) -> list:
+    """Spine of the bracketing of ``w`` isolating the subword ``ctx`` holds."""
     core = ctx.core
     if type(core) is Hole:
         if core.d_power != 0:
             raise ValueError("special bracketing needs a bare context")
         i = len(ctx.before)
-        j = len(w.primes) - len(ctx.after)
-        return _descend(w.primes, i, j, alphabet, lambda: _MARK)
+        return _descend(w.primes, i, len(w.primes) - len(ctx.after), alphabet)
     t = len(ctx.before)
     prime = w.primes[t]
-
-    def build_letter():
-        head = prime.head
-        a = len(core.args_before)
-        arg_word = head.args[a]
-        inner = _build_template(arg_word, core.inner, alphabet)
-        args = tuple(
-            inner
-            if idx == a
-            else shirshov_bracket(arg, alphabet)
-            for idx, arg in enumerate(head.args)
-        )
-        return NaLeaf(prime.d_power, NaOp(head.name, args))
-
-    return _descend(w.primes, t, t + 1, alphabet, build_letter)
+    head = prime.head
+    a = len(core.args_before)
+    steps = _spine(head.args[a], core.inner, alphabet)
+    args = tuple(shirshov_bracket(arg, alphabet) for arg in head.args)
+    steps.append((_OP, prime.d_power, head.name, args[:a], args[a + 1 :]))
+    steps.extend(_descend(w.primes, t, t + 1, alphabet))
+    return steps
 
 
-def _descend(primes, i, j, alphabet: Alphabet, core_builder):
+def _descend(primes, i, j, alphabet: Alphabet) -> list:
+    """Spine from the node of ``primes[i:j]`` up to the root of ``primes``."""
     n = len(primes)
     if i == 0 and j == n:
-        return core_builder()
+        return []
     k = _standard_split(primes, alphabet)
     if j <= k:
-        return NaPair(
-            _descend(primes[:k], i, j, alphabet, core_builder),
-            shirshov_bracket(Word(primes[k:]), alphabet),
-        )
+        steps = _descend(primes[:k], i, j, alphabet)
+        steps.append((_LEFT, shirshov_bracket(Word(primes[k:]), alphabet)))
+        return steps
     if i >= k:
-        return NaPair(
-            shirshov_bracket(Word(primes[:k]), alphabet),
-            _descend(primes[k:], i - k, j - k, alphabet, core_builder),
-        )
+        steps = _descend(primes[k:], i - k, j - k, alphabet)
+        steps.append((_RIGHT, shirshov_bracket(Word(primes[:k]), alphabet)))
+        return steps
     if i == 0:
-        node = core_builder()
-        for f in ls_factorization(Word(primes[j:]), alphabet):
-            node = NaPair(node, shirshov_bracket(f, alphabet))
-        return node
+        return [
+            (_LEFT, shirshov_bracket(f, alphabet))
+            for f in ls_factorization(Word(primes[j:]), alphabet)
+        ]
     raise RuntimeError(
         "isolated subword straddles a standard split away from its start"
     )
 
 
-def _fill_mark(template, value):
-    if template is _MARK:
-        return value
-    if type(template) is NaPair:
-        left = _fill_mark(template.left, value)
-        right = _fill_mark(template.right, value)
-        if left is template.left and right is template.right:
-            return template
-        return NaPair(left, right)
-    head = template.head
-    if type(head) is NaOp:
-        args = tuple(_fill_mark(a, value) for a in head.args)
-        if args != head.args:
-            return NaLeaf(template.d_power, NaOp(head.name, args))
-    return template
+def _graft(steps, node):
+    """The bracketing the spine ``steps`` builds over ``node``."""
+    for step in steps:
+        kind = step[0]
+        if kind is _LEFT:
+            node = NaPair(node, step[1])
+        elif kind is _RIGHT:
+            node = NaPair(step[1], node)
+        else:
+            _, d_power, name, before, after = step
+            node = NaLeaf(d_power, NaOp(name, before + (node,) + after))
+    return node
 
 
-def _expand_template(config: AlgebraConfig, template, core: Poly) -> Poly:
-    if template is _MARK:
-        return core
-    if type(template) is NaPair:
-        return commutator(
-            _expand_template(config, template.left, core),
-            _expand_template(config, template.right, core),
-        )
-    head = template.head
-    if type(head) is str:
-        return Poly.word(Word((Prime(template.d_power, head),)))
-    inner = apply_operator(
-        head.name, *(_expand_template(config, a, core) for a in head.args)
-    )
-    return apply_D(config, inner, template.d_power)
+def _expand_spine(alphabet: Alphabet, steps, core: dict) -> dict:
+    """Expansion of the spine over ``core``, off-spine subtrees from the memo.
+
+    ``_int_commutator`` and ``_int_operator`` keep ``commutator``'s and
+    ``apply_operator``'s term order, so this equals the ``Poly`` recursion
+    over the grafted bracketing term for term and in order.
+    """
+    out = core
+    for step in steps:
+        kind = step[0]
+        if kind is _LEFT:
+            out = _int_commutator(out, expansion(alphabet, step[1]))
+        elif kind is _RIGHT:
+            out = _int_commutator(expansion(alphabet, step[1]), out)
+        else:
+            _, d_power, name, before, after = step
+            args = [expansion(alphabet, t) for t in before]
+            args.append(out)
+            args.extend(expansion(alphabet, t) for t in after)
+            out = _int_operator(name, args, d_power)
+    return out
 
 
 def special_bracket(config: AlgebraConfig, ctx: Context, v: Word) -> SpecialBracket:
@@ -348,11 +353,11 @@ def special_bracket(config: AlgebraConfig, ctx: Context, v: Word) -> SpecialBrac
     The expansion is ``special_expand`` with ``v`` itself as the core, so
     it is certified: leading term exactly (filled word, 1).
     """
-    expansion = special_expand(config, ctx, v, Poly.word(v))
+    expanded = special_expand(config, ctx, v, Poly.word(v))
     w = substitute(ctx, v)
-    template = _build_template(w, ctx, config.alphabet)
-    bracketing = _fill_mark(template, shirshov_bracket(v, config.alphabet))
-    return SpecialBracket(w, bracketing, expansion)
+    alphabet = config.alphabet
+    bracketing = _graft(_spine(w, ctx, alphabet), shirshov_bracket(v, alphabet))
+    return SpecialBracket(w, bracketing, expanded)
 
 
 def special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> Poly:
@@ -360,6 +365,19 @@ def special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> 
 
     ``core`` must have leading word ``v``; the result is certified to have
     leading word ``ctx`` filled with ``v`` and core's leading coefficient.
+    Coefficients are ``Fraction``s; ``special_terms`` computes them.
+    """
+    return Poly(as_fractions(special_terms(config, ctx, v, core.terms)))
+
+
+def special_terms(config: AlgebraConfig, ctx: Context, v: Word, core: dict) -> dict:
+    """``special_expand`` over term dicts, in integers where they suffice.
+
+    Only the spine is computed; every subtree off it is a standard
+    bracketing, read from the alphabet's integer memo.  The core is scaled
+    to integers by the lcm of its denominators (1 when it is integral),
+    and the result divided back once, so a coefficient comes out an
+    ``int`` when it is integral and a ``Fraction`` otherwise.
     """
     alphabet = config.alphabet
     if not is_alsw_hereditary(v, alphabet):
@@ -367,12 +385,15 @@ def special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> 
     w = substitute(ctx, v)
     if not is_alsw_hereditary(w, alphabet):
         raise ValueError("filled word is not Lyndon-Shirshov: %r" % (w,))
-    core_lead, core_coeff = leading(config, core)
+    core_lead, core_coeff = leading(config, Poly(core))
     if core_lead != v:
         raise ValueError("core leading word %r is not %r" % (core_lead, v))
-    template = _build_template(w, ctx, alphabet)
-    out = _expand_template(config, template, core)
-    lead, coeff = leading(config, out)
+    scale = lcm(*(c.denominator for c in core.values()))
+    scaled = {u: c.numerator * (scale // c.denominator) for u, c in core.items()}
+    out = _expand_spine(alphabet, _spine(w, ctx, alphabet), scaled)
+    if scale != 1:
+        out = {u: divide(c, scale) for u, c in out.items()}
+    lead, coeff = leading(config, Poly(out))
     if lead != w or coeff != core_coeff:
         raise RuntimeError(
             "special multiple certificate failed at %r" % (w,)

@@ -19,7 +19,6 @@ one ``occurrences`` call per ALSW word and lift, as the tests' cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (
@@ -27,7 +26,9 @@ from .algebra import (
     Poly,
     apply_D,
     apply_operator,
+    as_fractions,
     commutator,
+    divide,
     leading,
     multiply,
 )
@@ -36,6 +37,7 @@ from .lyndon import (
     is_alsw,
     shirshov_bracket,
     special_expand,
+    special_terms,
 )
 from .rewriting import Ambiguity
 from .words import (
@@ -301,7 +303,10 @@ def oracle_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=Non
     order.  ``letters`` is as for ``oracle_quotient_dim``.
     """
     alsws = _alsws(config, max_degree, letters)
-    return list(_ideal_rows(config, rules, max_degree, alsws))
+    return [
+        Poly(as_fractions(row))
+        for row in _ideal_rows(config, rules, max_degree, alsws)
+    ]
 
 
 def naive_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=None):
@@ -344,7 +349,7 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
     lift leadings, and build a context only on a hit.  Hits are held back
     so rows go out lift by lift, then by ALSW word and walk order (for one
     leading word, the order of ``occurrences``), as the naive scan gives
-    them."""
+    them.  A row is a fresh term dict from ``special_terms``."""
     alphabet = config.alphabet
     lifts = []  # (leading word, lifted rule), rule by rule, lift by lift
     by_leading: dict[tuple, list[int]] = {}
@@ -373,8 +378,8 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
     monomials = 0
     for (v, core), contexts in zip(lifts, hits):
         for ctx in contexts:
-            row = special_expand(config, ctx, v, core)
-            monomials += len(row.terms)
+            row = special_terms(config, ctx, v, core.terms)
+            monomials += len(row)
             if monomials > _MONOMIAL_CAP:
                 raise RuntimeError(
                     "oracle instance too large: more than %d monomials"
@@ -392,7 +397,8 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
     and every occurrence of that leading inside an ALSW word, the isolating
     bracketing filled with the lifted rule.  Exact Gaussian elimination with
     deg-lex-descending pivots then counts, per degree, how many ALSW leading
-    words the ideal consumes.
+    words the ideal consumes; its entries stay ``int``s while the divisions
+    are exact (``algebra.divide``).
 
     ``letters`` optionally restricts the letter alphabet of the enumeration
     (for example, to bare generators with no differential).  Returns a tuple
@@ -407,17 +413,15 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
     rows = list(_ideal_rows(config, rules, max_degree, alsws))
 
     key = alphabet.key
-    pivots: dict[Word, dict[Word, Fraction]] = {}
-    for row in rows:
-        terms = dict(row.terms)
+    pivots: dict[Word, dict] = {}
+    for terms in rows:
         while terms:
             lead = max(terms, key=key)
             pivot = pivots.get(lead)
-            if pivot is None:
-                coeff = terms[lead]
-                pivots[lead] = {w: c / coeff for w, c in terms.items()}
-                break
             coeff = terms[lead]
+            if pivot is None:
+                pivots[lead] = {w: divide(c, coeff) for w, c in terms.items()}
+                break
             for w, c in pivot.items():
                 nc = terms.get(w, 0) - coeff * c
                 if nc:

@@ -36,6 +36,16 @@ subtract the special-bracketed multiple; once it is irreducible, move its
 standard-bracketed expansion to the output and continue.  The output is a
 combination of bracketed irreducible words.
 
+Lie-mode arithmetic runs on Python ``int``s while the coefficients are
+integral, as they are at weight 0 and ±1, where every rule, lift, special
+multiple and composition is integral with leading coefficient ±1.  Special
+multiples come from ``lyndon.special_terms``, and a division yields a
+``Fraction`` only when it is not exact (``algebra.divide``), so no
+coefficient is ever a float.  What crosses the public boundary
+(``composition``, ``reduce``, ``lie_normal_form``, ``ReductionStep``,
+``special_multiple``) has ``Fraction`` coefficients, with the values and
+the term order the all-``Fraction`` computation gives.
+
 A basis check reduces every composition and reports nonzero residues.
 Reduction to zero certifies triviality; a nonzero residue means the
 composition is not certified by naive reduction, which is weaker than a
@@ -51,17 +61,20 @@ from .algebra import (
     AlgebraConfig,
     Poly,
     apply_D,
+    as_fractions,
     d_power_leading,
+    divide,
     expansion,
     leading,
     multiply,
+    narrow,
     subst_poly,
 )
 from .lyndon import (
     enumerate_alsw,
     is_alsw_hereditary,
     shirshov_bracket,
-    special_expand,
+    special_terms,
 )
 from .words import (
     IDENTITY_CONTEXT,
@@ -243,14 +256,16 @@ class LiftCache:
 
     ``rule_poly(key)`` gives a rule's polynomial.  A core is expanded on
     first use, one D step from the cached lift below it; a special multiple
-    is cached with the leading coefficient of its core.
+    is cached as ``lyndon.special_terms`` gives it (``int`` coefficients
+    while integral), with the leading coefficient of its core, narrowed to
+    an ``int`` when it is integral.
     """
 
     def __init__(self, config: AlgebraConfig, rule_poly):
         self.config = config
         self.rule_poly = rule_poly
         self._cores: dict[tuple, Poly] = {}
-        self._specials: dict[tuple, tuple[Poly, Fraction]] = {}
+        self._specials: dict[tuple, tuple[dict, int | Fraction]] = {}
 
     def core(self, key, lift: int) -> Poly:
         """``D^lift`` of the rule under ``key``."""
@@ -263,13 +278,14 @@ class LiftCache:
             self._cores[(key, lift)] = got
         return got
 
-    def special(self, key, lift: int, ctx: Context) -> tuple[Poly, Fraction]:
-        """(isolating-bracketed multiple in ``ctx``, leading coeff of core)."""
+    def special(self, key, lift: int, ctx: Context) -> tuple[dict, int | Fraction]:
+        """(terms of the isolating-bracketed multiple in ``ctx``, leading
+        coeff of core); callers must not mutate the terms."""
         got = self._specials.get((key, lift, ctx))
         if got is None:
             core = self.core(key, lift)
             v, lc = leading(self.config, core)
-            got = special_expand(self.config, ctx, v, core), lc
+            got = special_terms(self.config, ctx, v, core.terms), narrow(lc)
             self._specials[(key, lift, ctx)] = got
         return got
 
@@ -278,10 +294,12 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
     """Bracketed normal form of the Lie element ``p``, steps appended to ``log``.
 
     ``match(u)`` gives ``(key, lift, context)`` of a lifted rule reducing
-    the word ``u``, or None; ``lifts`` holds the rules by key.
+    the word ``u``, or None; ``lifts`` holds the rules by key.  The working
+    terms are ``int``s while integral (see the module docstring); the
+    output and the logged steps carry ``Fraction``s.
     """
     alphabet = config.alphabet
-    working = dict(p.terms)
+    working = {w: narrow(c) for w, c in p.terms.items()}
     out = []
     while working:
         u, c = leading(config, Poly(working))
@@ -292,16 +310,20 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
         m = match(u)
         if m is None:
             nb = shirshov_bracket(u, alphabet)
-            out.append((c, nb))
+            out.append((Fraction(c), nb))
             _subtract(working, ((w, c * k) for w, k in expansion(alphabet, nb).items()))
             continue
         key, lift, ctx = m
         special, lc = lifts.special(key, lift, ctx)
-        factor = c / lc
-        multiple = special.scale(factor)
-        _subtract(working, multiple.terms.items())
-        if log is not None:
-            log.append(ReductionStep(key, lift, ctx, factor, multiple))
+        factor = divide(c, lc)
+        if log is None:
+            _subtract(working, ((w, factor * t) for w, t in special.items()))
+            continue
+        multiple = {w: factor * t for w, t in special.items()}
+        _subtract(working, multiple.items())
+        log.append(
+            ReductionStep(key, lift, ctx, Fraction(factor), Poly(as_fractions(multiple)))
+        )
     return LieCombination(tuple(out))
 
 
@@ -384,7 +406,7 @@ class RewriteSystem:
 
     def special_multiple(self, rule_index: int, lift: int, ctx: Context) -> Poly:
         """Isolating-bracketed multiple of a lifted rule, leading certified."""
-        return self._lifts.special(rule_index, lift, ctx)[0]
+        return Poly(as_fractions(self._lifts.special(rule_index, lift, ctx)[0]))
 
     # -- reduction ----------------------------------------------------------
 
@@ -584,37 +606,42 @@ class RewriteSystem:
             a = amb.right.leading_word.primes[amb.overlap :]
             b = amb.left.leading_word.primes[: len(amb.left.leading_word.primes) - amb.overlap]
             if mode == "assoc":
-                side_l = multiply(core_l, Poly.word(Word(a)))
-                side_r = multiply(Poly.word(Word(b)), core_r)
+                side_l = multiply(core_l, Poly.word(Word(a))).terms
+                side_r = multiply(Poly.word(Word(b)), core_r).terms
             else:
-                side_l = special_expand(
-                    config, Context((), Hole(0), a), left.leading_word, core_l
+                side_l = special_terms(
+                    config, Context((), Hole(0), a), left.leading_word, core_l.terms
                 )
-                side_r = special_expand(
-                    config, Context(b, Hole(0), ()), right.leading_word, core_r
+                side_r = special_terms(
+                    config, Context(b, Hole(0), ()), right.leading_word, core_r.terms
                 )
         else:
             if mode == "assoc":
-                side_l = core_l
-                side_r = subst_poly(config, amb.context, core_r)
+                side_l = dict(core_l.terms)
+                side_r = subst_poly(config, amb.context, core_r).terms
             else:
-                side_l = special_expand(
-                    config, IDENTITY_CONTEXT, left.leading_word, core_l
+                side_l = special_terms(
+                    config, IDENTITY_CONTEXT, left.leading_word, core_l.terms
                 )
-                side_r = special_expand(
-                    config, amb.context, right.leading_word, core_r
+                side_r = special_terms(
+                    config, amb.context, right.leading_word, core_r.terms
                 )
-        result = side_l.scale(1 / left.leading_coeff) - side_r.scale(
-            1 / right.leading_coeff
+        # side_l is a fresh dict: scale it only off 1, then subtract in place.
+        lc = narrow(left.leading_coeff)
+        result = side_l if lc == 1 else {w: divide(c, lc) for w, c in side_l.items()}
+        lc = narrow(right.leading_coeff)
+        _subtract(
+            result,
+            side_r.items() if lc == 1 else ((w, divide(c, lc)) for w, c in side_r.items()),
         )
         if result:
-            lead, _ = leading(config, result)
-            if self.config.alphabet.key(lead) >= self.config.alphabet.key(amb.word):
+            lead, _ = leading(config, Poly(result))
+            if config.alphabet.key(lead) >= config.alphabet.key(amb.word):
                 raise RuntimeError(
                     "composition leading %r not below ambiguity word %r"
                     % (lead, amb.word)
                 )
-        return result
+        return Poly(as_fractions(result))
 
     def is_gsb(self, mode: str = "assoc") -> GsbReport:
         """Reduce every composition; nonzero residues are 'not certified'."""

@@ -28,14 +28,25 @@ from shirshov import (
 from shirshov import lyndon, rota_baxter, words
 from shirshov.lyndon import _standard_split
 from shirshov.rota_baxter import DrblSystem, s1_rules
-from shirshov.words import Context, Hole, Prime, concat, enumerate_words
+from shirshov.words import (
+    ArgHole,
+    Context,
+    Hole,
+    Prime,
+    Word,
+    concat,
+    enumerate_words,
+    iter_subword_runs,
+)
 from shirshov.reference import (
     _oracle_is_alsw,
     oracle_all_bracketings,
     oracle_lyndon_count,
 )
+from oracles import oracle_special_expand
 
 
+A1 = Alphabet(("x",), (("P", 1),))
 A2 = Alphabet(("x", "y"), (("P", 1),))
 PURE2 = Alphabet(("x", "y"))
 PURE3 = Alphabet(("x", "y", "z"))
@@ -316,3 +327,89 @@ def test_special_expand_random_certificates():
         if not diff.is_zero():
             dw, _ = leading(cfg, diff)
             assert A2.key(dw) < A2.key(target)
+
+
+KERNEL_WEIGHTS = (0, 1, 2, Fraction(1, 2))
+
+
+def _assert_same_expansion(got, want):
+    """Equal term for term and in order, and every coefficient a Fraction."""
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("weight", KERNEL_WEIGHTS)
+def test_special_expand_matches_fraction_oracle_on_random_contexts(weight):
+    """Random occurrences, top level and nested, with cores that carry
+    denominators and lower terms."""
+    rng = random.Random(41)
+    cfg = AlgebraConfig(A2, Fraction(weight))
+    by_deg = enumerate_alsw_by_degree(A2, 6)
+    pool = [u for d in by_deg for u in by_deg[d] if u.degree >= 2]
+    lower = enumerate_words(A2, 5)
+    seen = {Hole: 0, ArgHole: 0}
+    while min(seen.values()) < 40:
+        target = rng.choice(pool)
+        run, build = rng.choice(list(iter_subword_runs(target)))
+        v = Word(run)
+        if not is_alsw_hereditary(v, A2):
+            continue
+        ctx = build()
+        seen[type(ctx.core)] += 1
+        cores = [Poly.word(v), Poly.word(v, rng.choice((-3, 2, Fraction(2, 3))))]
+        if v.degree > 1:
+            below = [u for d in range(1, v.degree) for u in lower[d]]
+            core = Poly.word(v, Fraction(2, 3))
+            for c in (Fraction(5, 7), -3, Fraction(-1, 2)):
+                core = core + Poly.word(rng.choice(below), c)
+            cores.append(core)
+        for core in cores:
+            got = special_expand(cfg, ctx, v, core)
+            _assert_same_expansion(got, oracle_special_expand(cfg, ctx, v, core))
+            assert leading(cfg, got) == (target, leading(cfg, core)[1])
+
+
+def test_special_expand_matches_fraction_oracle_on_a_fractional_core():
+    cfg = AlgebraConfig(A2, Fraction(1, 2))
+    v = w("x y")
+    core = parse_poly("2/3 x y + 5/7 y", A2)
+    for target in map(w, ("x x y", "x y y", "P(x x y) y", "D(P(x y)) x", "P(P(x y) x)")):
+        contexts = [
+            build()
+            for run, build in iter_subword_runs(target)
+            if run == v.primes
+        ]
+        assert contexts
+        for ctx in contexts:
+            got = special_expand(cfg, ctx, v, core)
+            _assert_same_expansion(got, oracle_special_expand(cfg, ctx, v, core))
+
+
+@pytest.mark.parametrize("weight", KERNEL_WEIGHTS)
+def test_special_expand_matches_fraction_oracle_on_lifted_rules(weight):
+    """Every lift of the one-generator degree-6 system at every occurrence
+    of its leading word in an ALSW word; at weight 1/2 the lifts have
+    denominators."""
+    cfg = AlgebraConfig(A1, Fraction(weight))
+    engine = DrblSystem(cfg).system(6)
+    by_deg = enumerate_alsw_by_degree(A1, 6)
+    occurrences_by_run = {}
+    for d in by_deg:
+        for u in by_deg[d]:
+            for run, build in iter_subword_runs(u):
+                occurrences_by_run.setdefault(run, []).append(build)
+    cases = [
+        (entry, build)
+        for entry in engine.lifted
+        for build in occurrences_by_run.get(entry.leading_word.primes, ())
+    ]
+    assert len(cases) > 100
+    denominators = False
+    for entry, build in cases:
+        core = engine.core(entry.rule_index, entry.lift)
+        denominators |= any(c.denominator != 1 for c in core.terms.values())
+        ctx = build()
+        got = special_expand(cfg, ctx, entry.leading_word, core)
+        want = oracle_special_expand(cfg, ctx, entry.leading_word, core)
+        _assert_same_expansion(got, want)
+    assert denominators == (weight == Fraction(1, 2))

@@ -19,17 +19,19 @@ from shirshov import (
     apply_D,
     apply_operator,
     drbl_nf,
+    enumerate_alsw_by_degree,
     leading,
     lie_expand,
     make_rule,
     parse_poly,
     parse_word,
     shirshov_bracket,
+    special_expand,
 )
 from shirshov.cli import make_alphabet
 from shirshov.reference import oracle_ambiguities
 from shirshov.rewriting import reduce as reduce_once
-from shirshov.words import enumerate_words
+from shirshov.words import Context, Hole, enumerate_words
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -425,3 +427,103 @@ def test_module_level_reduce_matches_system():
     rules = [section_rule(c, parse_word("x", A1))]
     p = parse_poly("D(P(x)) + P(x)", A1)
     assert reduce_once(c, p, rules) == RewriteSystem(c, rules, 3).reduce(p)
+
+
+BOUNDARY_WEIGHTS = (0, 1, Fraction(1, 2))
+
+
+def _lie_inputs(c, count=8, seed=47):
+    """Random Lie elements of degree ≤ 5 with integral and fractional
+    coefficients; their normal forms are nonzero."""
+    rng = random.Random(seed)
+    by_deg = enumerate_alsw_by_degree(c.alphabet, 5)
+    pool = [u for d in by_deg for u in by_deg[d]]
+    out = []
+    for _ in range(count):
+        p = Poly.zero()
+        for _ in range(3):
+            t = shirshov_bracket(rng.choice(pool), c.alphabet)
+            coeff = rng.choice((1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2)))
+            p = p + lie_expand(c, t).scale(coeff)
+        out.append(p)
+    return out
+
+
+def _only_fractions(values):
+    values = list(values)
+    assert all(type(v) is Fraction for v in values), values
+    return len(values)
+
+
+def _logged_fractions(log):
+    for step in log:
+        assert type(step.coefficient) is Fraction
+        _only_fractions(step.multiple.terms.values())
+    return len(log)
+
+
+@pytest.mark.parametrize("weight", BOUNDARY_WEIGHTS)
+def test_public_coefficients_are_fractions(weight):
+    """Integer arithmetic stays inside: every coefficient the engine,
+    ``special_expand`` and ``drbl_nf`` hand out is a ``Fraction``."""
+    c = cfg(A2, weight)
+    drbl = DrblSystem(c)
+    engine = drbl.system(6)
+    terms = steps = 0
+    for amb in engine.find_ambiguities()[::7]:
+        for mode in ("assoc", "lie"):
+            terms += _only_fractions(engine.composition(amb, mode).terms.values())
+    for entry in engine.lifted[::9]:
+        core = engine.core(entry.rule_index, entry.lift)
+        ctx = Context((), Hole(0), ())
+        terms += _only_fractions(
+            special_expand(c, ctx, entry.leading_word, core).terms.values()
+        )
+        terms += _only_fractions(
+            engine.special_multiple(entry.rule_index, entry.lift, ctx).terms.values()
+        )
+    for p in _lie_inputs(c):
+        for mode in ("assoc", "lie"):
+            log = []
+            terms += _only_fractions(engine.reduce(p, mode=mode, log=log).terms.values())
+            steps += _logged_fractions(log)
+        for normal_form in (engine.lie_normal_form, lambda q, log: drbl_nf(q, drbl, log=log)):
+            log = []
+            nf = normal_form(p, log)
+            terms += _only_fractions(coeff for coeff, _ in nf.terms)
+            steps += _logged_fractions(log)
+    assert terms > 100 and steps > 10
+
+
+@pytest.mark.parametrize("weight", BOUNDARY_WEIGHTS)
+def test_lie_normal_forms_do_not_depend_on_logging(weight):
+    """``log=None`` and ``log=[]`` give identical results, and the logged
+    multiples plus the output's expansion sum back to the input."""
+    c = cfg(A2, weight)
+    drbl = DrblSystem(c)
+    engine = drbl.system(6)
+
+    def typed(items):
+        return [(w, type(x), x) for w, x in items]
+
+    logged = 0
+    for p in _lie_inputs(c, seed=53):
+        log = []
+        quiet = engine.reduce(p, mode="lie")
+        loud = engine.reduce(p, mode="lie", log=log)
+        assert typed(quiet.terms.items()) == typed(loud.terms.items())
+        assert sum((s.multiple for s in log), loud) == p
+        logged += len(log)
+        for normal_form in (
+            engine.lie_normal_form,
+            lambda q, log=None: drbl_nf(q, drbl, log=log),
+        ):
+            log = []
+            loud = normal_form(p, log)
+            quiet = normal_form(p)
+            assert typed((t, coeff) for coeff, t in quiet.terms) == typed(
+                (t, coeff) for coeff, t in loud.terms
+            )
+            assert sum((s.multiple for s in log), loud.as_poly(c)) == p
+            logged += len(log)
+    assert logged > 10
