@@ -318,7 +318,11 @@ def _memo_entry(memo: dict, t) -> tuple:
 
 
 def _int_commutator(p: dict, q: dict) -> dict:
-    """``commutator`` over integer dicts, with the same term order."""
+    """``commutator`` over term dicts, with the same term order.
+
+    The coefficients are ``int``s while integral; only ``*``, ``+`` and
+    ``-`` touch them, so ``Fraction``s pass through as well.
+    """
     out = _int_multiply(p, q)
     for w, c in _int_multiply(q, p).items():
         nc = out.get(w, 0) - c
@@ -344,7 +348,7 @@ def _int_multiply(p: dict, q: dict) -> dict:
 
 
 def _int_operator(name: str, args: list, d_power: int) -> dict:
-    """``D^d_power`` of ``apply_operator`` over integer dicts, same order.
+    """``D^d_power`` of ``apply_operator`` over term dicts, same order.
 
     Distinct argument tuples give distinct one-prime words, so nothing
     accumulates and D only shifts each word.

@@ -27,15 +27,15 @@ path from the marked slot to the root.  Every subtree off the spine is a
 standard bracketing, read from the alphabet's integer memo of bracket
 expansions (``algebra.expansion``), which the rules and ``drbl_nf``'s peel
 share; the spine is computed with the memo's own integer commutator and
-operator steps.  A core with denominators is scaled to integers by their
-lcm and the result divided back once, so ``special_terms`` runs in
-``int``s whatever the weight and ``special_expand`` returns ``Fraction``s.
+operator steps.  Integral coefficients of the core are narrowed to
+``int``s, so ``special_terms`` runs in ``int``s wherever the core is
+integral and in ``Fraction``s where it is not; ``special_expand`` returns
+``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import (
     AlgebraConfig,
@@ -43,9 +43,9 @@ from .algebra import (
     _int_commutator,
     _int_operator,
     as_fractions,
-    divide,
     expansion,
     leading,
+    narrow,
 )
 from .words import (
     Alphabet,
@@ -374,10 +374,9 @@ def special_terms(config: AlgebraConfig, ctx: Context, v: Word, core: dict) -> d
     """``special_expand`` over term dicts, in integers where they suffice.
 
     Only the spine is computed; every subtree off it is a standard
-    bracketing, read from the alphabet's integer memo.  The core is scaled
-    to integers by the lcm of its denominators (1 when it is integral),
-    and the result divided back once, so a coefficient comes out an
-    ``int`` when it is integral and a ``Fraction`` otherwise.
+    bracketing, read from the alphabet's integer memo.  The core's
+    integral coefficients are narrowed to ``int``s, so an integral core
+    gives ``int`` coefficients throughout.
     """
     alphabet = config.alphabet
     if not is_alsw_hereditary(v, alphabet):
@@ -388,11 +387,8 @@ def special_terms(config: AlgebraConfig, ctx: Context, v: Word, core: dict) -> d
     core_lead, core_coeff = leading(config, Poly(core))
     if core_lead != v:
         raise ValueError("core leading word %r is not %r" % (core_lead, v))
-    scale = lcm(*(c.denominator for c in core.values()))
-    scaled = {u: c.numerator * (scale // c.denominator) for u, c in core.items()}
-    out = _expand_spine(alphabet, _spine(w, ctx, alphabet), scaled)
-    if scale != 1:
-        out = {u: divide(c, scale) for u, c in out.items()}
+    narrowed = {u: narrow(c) for u, c in core.items()}
+    out = _expand_spine(alphabet, _spine(w, ctx, alphabet), narrowed)
     lead, coeff = leading(config, Poly(out))
     if lead != w or coeff != core_coeff:
         raise RuntimeError(

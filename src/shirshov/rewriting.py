@@ -316,14 +316,14 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
         key, lift, ctx = m
         special, lc = lifts.special(key, lift, ctx)
         factor = divide(c, lc)
-        if log is None:
-            _subtract(working, ((w, factor * t) for w, t in special.items()))
-            continue
         multiple = {w: factor * t for w, t in special.items()}
         _subtract(working, multiple.items())
-        log.append(
-            ReductionStep(key, lift, ctx, Fraction(factor), Poly(as_fractions(multiple)))
-        )
+        if log is not None:
+            log.append(
+                ReductionStep(
+                    key, lift, ctx, Fraction(factor), Poly(as_fractions(multiple))
+                )
+            )
     return LieCombination(tuple(out))
 
 

@@ -43,7 +43,7 @@ from shirshov.reference import (
     oracle_all_bracketings,
     oracle_lyndon_count,
 )
-from oracles import oracle_special_expand
+from oracles import fill_mark, oracle_special_expand, special_template
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -327,6 +327,29 @@ def test_special_expand_random_certificates():
         if not diff.is_zero():
             dw, _ = leading(cfg, diff)
             assert A2.key(dw) < A2.key(target)
+
+
+@pytest.mark.parametrize("alphabet, degree", [(A1, 7), (A2, 6)])
+def test_special_bracket_matches_recursive_template(alphabet, degree):
+    """Every hereditary-ALSW subword run of every ALSW word up to ``degree``,
+    top level and nested: the bracketing equals the oracle's recursive
+    template, which finds standard splits by rotations on its own."""
+    cfg = AlgebraConfig(alphabet)
+    by_deg = enumerate_alsw_by_degree(alphabet, degree)
+    seen = {Hole: 0, ArgHole: 0}
+    for d in by_deg:
+        for u in by_deg[d]:
+            for run, build in iter_subword_runs(u):
+                v = Word(run)
+                if not is_alsw_hereditary(v, alphabet):
+                    continue
+                ctx = build()
+                seen[type(ctx.core)] += 1
+                want = fill_mark(
+                    special_template(cfg, ctx, v), shirshov_bracket(v, alphabet)
+                )
+                assert special_bracket(cfg, ctx, v).bracketing == want
+    assert min(seen.values()) > 100
 
 
 KERNEL_WEIGHTS = (0, 1, 2, Fraction(1, 2))
