@@ -1,11 +1,19 @@
 """Exact-arithmetic polynomials over words, with product, differential and
 Lie-bracket expansion.
 
-Coefficients are ``fractions.Fraction``.  A polynomial is a mapping from
-``Word`` to nonzero coefficient; the zero polynomial has no terms.  Hot
-paths keep bare term dicts whose coefficients are ``int``s while they are
-integral; ``narrow``, ``divide`` and ``as_fractions`` move between the two
-and never make a float.
+A polynomial is a mapping from ``Word`` to nonzero coefficient; the zero
+polynomial has no terms.  ``Poly`` wraps such a term dict with
+``fractions.Fraction`` coefficients.  All polynomial arithmetic is one
+term-dict kernel: ``_add`` and ``_subtract`` sum (word, coefficient) pairs
+into a dict in place, dropping zeros, and ``_int_multiply``,
+``_int_commutator`` and ``_int_operator`` are the concatenation product,
+the commutator and operator application.  The kernel touches coefficients
+only with ``*``, ``+`` and ``-``, so ``Fraction``s stay ``Fraction``s and
+``int``s stay ``int``s.  ``Poly``'s ``+`` and ``-``, ``multiply``,
+``commutator`` and ``apply_operator`` run it on ``Fraction``s; the
+alphabet's expansion memo, special bracketings and Lie reduction run it on
+``int``s while the coefficients are integral.  ``narrow``, ``divide`` and
+``as_fractions`` move between the two and never make a float.
 
 The differential satisfies the weighted Leibniz law
 
@@ -96,22 +104,12 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, ZERO) + c
-            if nc:
-                terms[w] = nc
-            else:
-                terms.pop(w, None)
+        _add(terms, other.terms.items())
         return Poly(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = terms.get(w, ZERO) - c
-            if nc:
-                terms[w] = nc
-            else:
-                terms.pop(w, None)
+        _subtract(terms, other.terms.items())
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
@@ -143,84 +141,44 @@ class Poly:
 
 def multiply(p: Poly, q: Poly) -> Poly:
     """Concatenation product, extended bilinearly."""
-    terms: dict[Word, Fraction] = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
-            w = Word(u.primes + v.primes)
-            nc = terms.get(w, ZERO) + a * b
-            if nc:
-                terms[w] = nc
-            else:
-                del terms[w]
-    return Poly(terms)
+    return Poly(_int_multiply(p.terms, q.terms))
 
 
 def commutator(p: Poly, q: Poly) -> Poly:
     """[p, q] = pq - qp."""
-    return multiply(p, q) - multiply(q, p)
+    return Poly(_int_commutator(p.terms, q.terms))
 
 
 def apply_operator(name: str, *args: Poly) -> Poly:
-    """Apply an operator to polynomial arguments, multilinearly."""
-    out: dict[Word, Fraction] = {}
-    _op_expand(name, args, 0, (), ONE, out)
-    return Poly(out)
-
-
-def _op_expand(name, args, i, chosen, coeff, out):
-    if i == len(args):
-        w = Word((Prime(0, OpApp(name, chosen)),))
-        nc = out.get(w, ZERO) + coeff
-        if nc:
-            out[w] = nc
-        else:
-            del out[w]
-        return
-    for w, c in args[i].terms.items():
-        _op_expand(name, args, i + 1, chosen + (w,), coeff * c, out)
+    """Apply an operator to one or more polynomial arguments, multilinearly."""
+    return Poly(_int_operator(name, [a.terms for a in args], 0))
 
 
 def apply_D(config: AlgebraConfig, p: Poly, times: int = 1) -> Poly:
     """The weighted differential applied ``times`` times."""
     for _ in range(times):
-        p = _apply_D_once(config, p)
+        out: dict[Word, Fraction] = {}
+        _add(out, _d_terms(p.terms, config.weight))
+        p = Poly(out)
     return p
 
 
-def _apply_D_once(config: AlgebraConfig, p: Poly) -> Poly:
-    lam = config.weight
-    out: dict[Word, Fraction] = {}
-    for u, c in p.terms.items():
+def _d_terms(terms: dict, lam):
+    """(word, coefficient) pairs of D on each term, by the closed form."""
+    for u, c in terms.items():
         primes = u.primes
         n = len(primes)
         if n == 1:
-            _accumulate(out, Word((primes[0].shifted(1),)), c)
+            yield Word((primes[0].shifted(1),)), c
         elif lam == 0:
             for i in range(n):
-                w = Word(primes[:i] + (primes[i].shifted(1),) + primes[i + 1 :])
-                _accumulate(out, w, c)
+                yield Word(primes[:i] + (primes[i].shifted(1),) + primes[i + 1 :]), c
         else:
-            positions = range(n)
             for size in range(1, n + 1):
                 coeff = c * lam ** (size - 1)
-                for subset in combinations(positions, size):
-                    marked = set(subset)
-                    w = Word(
-                        tuple(
-                            q.shifted(1) if i in marked else q
-                            for i, q in enumerate(primes)
-                        )
-                    )
-                    _accumulate(out, w, coeff)
-    return Poly(out)
-
-
-def _accumulate(out, w, c):
-    nc = out.get(w, ZERO) + c
-    if nc:
-        out[w] = nc
-    else:
-        del out[w]
+                for hit in combinations(range(n), size):
+                    w = tuple(q.shifted(1) if i in hit else q for i, q in enumerate(primes))
+                    yield Word(w), coeff
 
 
 def narrow(c):
@@ -317,23 +275,39 @@ def _memo_entry(memo: dict, t) -> tuple:
     return got
 
 
-def _int_commutator(p: dict, q: dict) -> dict:
-    """``commutator`` over term dicts, with the same term order.
+def _add(terms: dict, items) -> None:
+    """Add (word, coefficient) pairs into ``terms`` in place, dropping zeros."""
+    for w, c in items:
+        nc = terms.get(w, 0) + c
+        if nc:
+            terms[w] = nc
+        else:
+            terms.pop(w, None)
 
-    The coefficients are ``int``s while integral; only ``*``, ``+`` and
-    ``-`` touch them, so ``Fraction``s pass through as well.
+
+def _subtract(terms: dict, items) -> None:
+    """Subtract (word, coefficient) pairs from ``terms`` in place, dropping zeros."""
+    for w, c in items:
+        nc = terms.get(w, 0) - c
+        if nc:
+            terms[w] = nc
+        else:
+            terms.pop(w, None)
+
+
+def _int_commutator(p: dict, q: dict) -> dict:
+    """The commutator ``pq - qp`` of two term dicts, as a fresh dict.
+
+    Its terms are those of ``pq`` in product order, then the new words of
+    ``qp``.  Coefficients may be ``int``s or ``Fraction``s.
     """
     out = _int_multiply(p, q)
-    for w, c in _int_multiply(q, p).items():
-        nc = out.get(w, 0) - c
-        if nc:
-            out[w] = nc
-        else:
-            out.pop(w, None)
+    _subtract(out, _int_multiply(q, p).items())
     return out
 
 
 def _int_multiply(p: dict, q: dict) -> dict:
+    """The concatenation product of two term dicts, as a fresh dict."""
     out: dict[Word, int] = {}
     for u, a in p.items():
         up = u.primes
@@ -348,10 +322,12 @@ def _int_multiply(p: dict, q: dict) -> dict:
 
 
 def _int_operator(name: str, args: list, d_power: int) -> dict:
-    """``D^d_power`` of ``apply_operator`` over term dicts, same order.
+    """``D^d_power`` of the operator applied to term dicts, multilinearly.
 
-    Distinct argument tuples give distinct one-prime words, so nothing
-    accumulates and D only shifts each word.
+    Terms come in the order of the argument tuples (the product of the
+    arguments' terms).  Distinct tuples give distinct one-prime words, so
+    nothing accumulates and D only shifts each word.  Coefficients may be
+    ``int``s or ``Fraction``s.
     """
     out: dict[Word, int] = {}
     for chosen in product(*(a.items() for a in args)):
@@ -374,6 +350,5 @@ def subst_poly(config: AlgebraConfig, ctx: Context, p: Poly) -> Poly:
         ctx = ctx.bare()
         p = apply_D(config, p, k)
     out: dict[Word, Fraction] = {}
-    for w, c in p.terms.items():
-        _accumulate(out, substitute(ctx, w), c)
+    _add(out, ((substitute(ctx, w), c) for w, c in p.terms.items()))
     return Poly(out)

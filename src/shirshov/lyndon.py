@@ -55,9 +55,9 @@ from .words import (
     NaOp,
     NaPair,
     OpApp,
-    Prime,
     Word,
     concat,
+    default_letters,
     lex_cmp,
     lex_cmp_primes,
     substitute,
@@ -162,32 +162,6 @@ def ls_factorization(u: Word, alphabet: Alphabet) -> list[Word]:
 
 # ---------------------------------------------------------------------------
 # Enumeration.
-
-
-def default_letters(alphabet: Alphabet):
-    """Letter maker for the full differential operated language."""
-
-    def letters(d: int, alsw_by_deg):
-        out = [Prime(d - 1, g) for g in alphabet.generators]
-        for name, arity in alphabet.operators:
-            for dp in range(0, d - 1):
-                budget = d - 1 - dp
-                for args in _alsw_arg_tuples(alsw_by_deg, arity, budget):
-                    out.append(Prime(dp, OpApp(name, args)))
-        return out
-
-    return letters
-
-
-def _alsw_arg_tuples(alsw_by_deg, arity, budget):
-    if arity == 1:
-        return [(w,) for w in alsw_by_deg.get(budget, ())]
-    out = []
-    for first_deg in range(1, budget - arity + 2):
-        for w in alsw_by_deg.get(first_deg, ()):
-            for rest in _alsw_arg_tuples(alsw_by_deg, arity - 1, budget - first_deg):
-                out.append((w,) + rest)
-    return out
 
 
 def enumerate_alsw_by_degree(
@@ -326,9 +300,9 @@ def _graft(steps, node):
 def _expand_spine(alphabet: Alphabet, steps, core: dict) -> dict:
     """Expansion of the spine over ``core``, off-spine subtrees from the memo.
 
-    ``_int_commutator`` and ``_int_operator`` keep ``commutator``'s and
-    ``apply_operator``'s term order, so this equals the ``Poly`` recursion
-    over the grafted bracketing term for term and in order.
+    ``_int_commutator`` and ``_int_operator`` are the kernel behind
+    ``commutator`` and ``apply_operator``, so this equals the ``Poly``
+    recursion over the grafted bracketing term for term and in order.
     """
     out = core
     for step in steps:

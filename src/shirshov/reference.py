@@ -24,6 +24,7 @@ from itertools import product
 from .algebra import (
     AlgebraConfig,
     Poly,
+    _subtract,
     apply_D,
     apply_operator,
     as_fractions,
@@ -422,12 +423,7 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
             if pivot is None:
                 pivots[lead] = {w: divide(c, coeff) for w, c in terms.items()}
                 break
-            for w, c in pivot.items():
-                nc = terms.get(w, 0) - coeff * c
-                if nc:
-                    terms[w] = nc
-                else:
-                    terms.pop(w, None)
+            _subtract(terms, ((w, coeff * c) for w, c in pivot.items()))
 
     consumed = {d: 0 for d in range(1, max_degree + 1)}
     for lead in pivots:

@@ -60,6 +60,8 @@ from fractions import Fraction
 from .algebra import (
     AlgebraConfig,
     Poly,
+    _add,
+    _subtract,
     apply_D,
     as_fractions,
     d_power_leading,
@@ -171,8 +173,8 @@ class LieCombination:
         alphabet = config.alphabet
         out: dict[Word, Fraction] = {}
         for c, t in self.terms:
-            neg = -Fraction(c)  # out += c·[t], as out -= (−c)·[t]
-            _subtract(out, ((w, neg * k) for w, k in expansion(alphabet, t).items()))
+            c = Fraction(c)
+            _add(out, ((w, c * k) for w, k in expansion(alphabet, t).items()))
         return Poly(out)
 
     def __repr__(self):
@@ -327,19 +329,6 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
     return LieCombination(tuple(out))
 
 
-def _subtract(terms: dict, items) -> None:
-    """Subtract (word, coefficient) pairs in place, as ``Poly.__sub__`` would.
-
-    Integer coefficients stay integers, ``Fraction``s stay ``Fraction``s.
-    """
-    for w, c in items:
-        nc = terms.get(w, 0) - c
-        if nc:
-            terms[w] = nc
-        else:
-            terms.pop(w, None)
-
-
 class RewriteSystem:
     """A rule set instantiated and lift-bounded up to a fixed degree.
 
@@ -449,20 +438,14 @@ class RewriteSystem:
             return self._reduce_random(p, log, rng)
         raise ValueError("strategy must be 'leading' or 'random'")
 
-    def _eliminate(self, working, u, c, entry, ctx, log):
+    def _eliminate(self, working, u, entry, ctx, log):
+        c = working[u]
         multiple = subst_poly(self.config, ctx, self.core(entry.rule_index, entry.lift))
         factor = c / entry.leading_coeff
         multiple = multiple.scale(factor)
         if multiple.terms.get(u) != c:
             raise RuntimeError("rule multiple does not cancel %r" % (u,))
-        for w, cc in multiple.terms.items():
-            if w == u:
-                continue
-            nc = working.get(w, 0) - cc
-            if nc:
-                working[w] = nc
-            else:
-                working.pop(w, None)
+        _subtract(working, multiple.terms.items())
         if log is not None:
             log.append(
                 ReductionStep(entry.rule_index, entry.lift, ctx, factor, multiple)
@@ -474,13 +457,12 @@ class RewriteSystem:
         out: dict[Word, Fraction] = {}
         while working:
             u = max(working, key=key)
-            c = working.pop(u)
             m = self.match(u)
             if m is None:
-                out[u] = c
+                out[u] = working.pop(u)
                 continue
             entry, ctx = m
-            self._eliminate(working, u, c, entry, ctx, log)
+            self._eliminate(working, u, entry, ctx, log)
         return Poly(out)
 
     def _reduce_random(self, p: Poly, log, rng) -> Poly:
@@ -493,9 +475,8 @@ class RewriteSystem:
             if not reducible:
                 return Poly(working)
             u = rng.choice(reducible)
-            c = working.pop(u)
             entry, ctx = self.match(u)
-            self._eliminate(working, u, c, entry, ctx, log)
+            self._eliminate(working, u, entry, ctx, log)
 
     def lie_normal_form(self, p: Poly, log: list | None = None) -> LieCombination:
         """Normal form of a Lie element as bracketed basis words."""

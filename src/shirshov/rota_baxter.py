@@ -83,6 +83,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     AlgebraConfig,
     Poly,
+    _subtract,
     apply_D,
     apply_operator,
     as_fraction,
@@ -101,7 +102,6 @@ from .rewriting import (
     LiftCache,
     RewriteSystem,
     Rule,
-    _subtract,
     lie_reduce,
     make_rule,
 )

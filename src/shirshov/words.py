@@ -543,22 +543,34 @@ def iter_subword_runs(w: Word) -> Iterator[tuple[tuple, "object"]]:
                     yield run, build
 
 
+def default_letters(alphabet: Alphabet):
+    """Letter maker for the full differential operated language:
+    ``letters(d, words_by_deg)`` lists the primes of degree ``d`` whose
+    operator arguments come from ``words_by_deg``."""
+
+    def letters(d: int, words_by_deg):
+        out = [Prime(d - 1, g) for g in alphabet.generators]
+        for name, arity in alphabet.operators:
+            for dp in range(0, d - 1):
+                budget = d - 1 - dp
+                for args in _arg_tuples(words_by_deg, arity, budget):
+                    out.append(Prime(dp, OpApp(name, args)))
+        return out
+
+    return letters
+
+
 def enumerate_words(alphabet: Alphabet, max_degree: int):
     """All words of degree at most ``max_degree``, grouped by degree.
 
     Returns a dict mapping degree to the deg-lex sorted list of words.
     Exponential in ``max_degree``; intended for small bounds.
     """
-    primes_by_deg: dict[int, list[Prime]] = {d: [] for d in range(1, max_degree + 1)}
-    words_by_deg: dict[int, list[Word]] = {d: [] for d in range(1, max_degree + 1)}
+    letters = default_letters(alphabet)
+    primes_by_deg: dict[int, list[Prime]] = {}
+    words_by_deg: dict[int, list[Word]] = {}
     for d in range(1, max_degree + 1):
-        for g in alphabet.generators:
-            primes_by_deg[d].append(Prime(d - 1, g))
-        for name, arity in alphabet.operators:
-            for dp in range(0, d - 1):
-                budget = d - 1 - dp
-                for args in _arg_tuples(words_by_deg, arity, budget):
-                    primes_by_deg[d].append(Prime(dp, OpApp(name, args)))
+        primes_by_deg[d] = letters(d, words_by_deg)
         words: list[Word] = [Word((p,)) for p in primes_by_deg[d]]
         for k in range(1, d):
             for p in primes_by_deg[k]:

@@ -82,6 +82,40 @@ def test_apply_operator_is_multilinear():
     assert got == parse_poly("3 P(x y)", A2)
 
 
+def test_product_kernel_terms_are_literal_and_in_order():
+    """Pins the term-dict kernel by hand-computed terms, not by parse_poly
+    (which builds its products with ``multiply`` itself)."""
+    AQ = Alphabet(("x", "y"), (("P", 1), ("Q", 2)))
+
+    def poly(*pairs):
+        return Poly({parse_word(w, AQ): Fraction(c) for w, c in pairs})
+
+    def terms(p):
+        assert all(type(c) is Fraction for c in p.terms.values())
+        return list(p.terms.items())
+
+    def want(*pairs):
+        return [(parse_word(w, AQ), Fraction(c)) for w, c in pairs]
+
+    # x·yy, x·(−y), xy·yy, then xy·(−y) cancels x y y.
+    got = multiply(poly(("x", 1), ("x y", 1)), poly(("y y", 1), ("y", -1)))
+    assert terms(got) == want(("x y", -1), ("x y y y", 1))
+    # x x + x y − (x x + y x): x x cancels in place.
+    assert terms(commutator(poly(("x", 1)), poly(("x", 1), ("y", 1)))) == want(
+        ("x y", 1), ("y x", -1)
+    )
+    a, b = poly(("x", 1), ("y", "-1/2")), poly(("P(x)", 3), ("y", 1))
+    got = apply_operator("Q", a, b)
+    assert terms(got) == want(
+        ("Q(x, P(x))", 3), ("Q(x, y)", 1), ("Q(y, P(x))", "-3/2"), ("Q(y, y)", "-1/2")
+    )
+    p = poly(("x", 1), ("y", "1/2"))
+    q = poly(("P(x)", 1), ("x", -1), ("y", 1))
+    assert terms(p + q) == want(("y", "3/2"), ("P(x)", 1))
+    assert terms(p - q) == want(("x", 2), ("y", "-1/2"), ("P(x)", -1))
+    assert terms(p - poly(("y", "1/2"))) == want(("x", 1))
+
+
 def test_differential_unweighted_leibniz():
     c = cfg(0)
     assert apply_D(c, parse_poly("x y", A2)) == parse_poly(
