@@ -38,10 +38,21 @@ from .syntax import (
 from .words import Alphabet, NaLeaf, NaPair
 
 
+# The most generators a command accepts.  The name of every generator is
+# built up front, so a count in the millions would run for minutes before
+# any output; the tests, the CI steps and the benchmark use at most 3.
+MAX_GENS = 100
+
+
 def make_alphabet(gens: int, with_operator: bool = True) -> Alphabet:
     """x1 > x2 > … > xN, optionally with the unary operator P."""
     if gens < 1:
         raise ValueError("need at least one generator")
+    if gens > MAX_GENS:
+        raise ValueError(
+            "%d generators (x1 to x%d) requested; at most %d are supported"
+            % (gens, gens, MAX_GENS)
+        )
     names = tuple("x%d" % (i + 1) for i in range(gens))
     return Alphabet(names, (("P", 1),) if with_operator else ())
 

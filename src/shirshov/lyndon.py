@@ -82,16 +82,22 @@ def is_alsw(u: Word, alphabet: Alphabet) -> bool:
 
 
 def is_alsw_hereditary(u: Word, alphabet: Alphabet) -> bool:
-    """ALSW at top level with every operator argument hereditarily ALSW."""
-    if not is_alsw(u, alphabet):
-        return False
-    for p in u.primes:
-        head = p.head
-        if type(head) is OpApp:
-            for a in head.args:
-                if not is_alsw_hereditary(a, alphabet):
-                    return False
-    return True
+    """ALSW at top level with every operator argument hereditarily ALSW.
+
+    The answer is memoised per word on the alphabet.
+    """
+    cache = alphabet._hereditary_cache
+    hit = cache.get(u)
+    if hit is not None:
+        return hit
+    result = is_alsw(u, alphabet) and all(
+        is_alsw_hereditary(a, alphabet)
+        for p in u.primes
+        if type(p.head) is OpApp
+        for a in p.head.args
+    )
+    cache[u] = result
+    return result
 
 
 def _standard_split(primes, alphabet: Alphabet) -> int:

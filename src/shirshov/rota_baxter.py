@@ -78,6 +78,7 @@ Rota-Baxter identities on random basis elements by reducing to zero.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -102,6 +103,7 @@ from .rewriting import (
     LiftCache,
     RewriteSystem,
     Rule,
+    collector_paused,
     lie_reduce,
     make_rule,
 )
@@ -130,7 +132,10 @@ class DrblSystem:
         self._section: dict[Word, Rule] = {}
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
-        self._lifts = LiftCache(config, self._rule_poly)
+        # A weak back-reference, so the cache does not keep its owner in a
+        # reference cycle; the cache is reached only through its owner.
+        owner = weakref.ref(self)
+        self._lifts = LiftCache(config, lambda tag: owner()._rule_poly(tag))
         self._engines: dict[tuple[int, bool], RewriteSystem] = {}
 
     # -- rule families -------------------------------------------------------
@@ -246,16 +251,21 @@ class DrblSystem:
     # -- instantiated engines --------------------------------------------------
 
     def system(self, max_degree: int, s1_only: bool = False) -> RewriteSystem:
-        """The generic rewrite engine over the eagerly instantiated rules."""
+        """The generic rewrite engine over the eagerly instantiated rules.
+
+        Built once per (bound, s1_only), with the cyclic garbage collector
+        paused (``rewriting.collector_paused``).
+        """
         key = (max_degree, s1_only)
         got = self._engines.get(key)
         if got is None:
-            rules = (
-                s1_rules(self, max_degree)
-                if s1_only
-                else instantiate_rules(self, max_degree)
-            )
-            got = RewriteSystem(self.config, rules, max_degree)
+            with collector_paused():
+                rules = (
+                    s1_rules(self, max_degree)
+                    if s1_only
+                    else instantiate_rules(self, max_degree)
+                )
+                got = RewriteSystem(self.config, rules, max_degree)
             self._engines[key] = got
         return got
 

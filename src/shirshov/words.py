@@ -222,9 +222,10 @@ class Alphabet:
         self._arity = {n: a for n, a in self.operators}
         self._word_keys: dict[Word, tuple] = {}
         self._prime_keys: dict[Prime, tuple] = {}
-        # Filled by ``lyndon``: ALSW tests, standard split indices and
-        # standard bracketings per word.
+        # Filled by ``lyndon``: ALSW tests (top level, and hereditary),
+        # standard split indices and standard bracketings per word.
         self._alsw_cache: dict[Word, bool] = {}
+        self._hereditary_cache: dict[Word, bool] = {}
         self._split_cache: dict[Word, int] = {}
         self._bracket_cache: dict[Word, object] = {}
         # Filled by ``algebra.expansion``: per bracketed node, the stored

@@ -31,7 +31,8 @@ from shirshov import (
     parse_word,
     shirshov_bracket,
 )
-from shirshov.cli import main, make_alphabet
+import shirshov.cli
+from shirshov.cli import MAX_GENS, main, make_alphabet
 from shirshov.reference import oracle_lie_expand
 from shirshov.words import enumerate_words
 
@@ -308,6 +309,44 @@ def test_cli_x0_is_an_unknown_symbol(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err == "error: unknown symbol 'x0' (at position 0)\n"
+
+
+OVER_CAP = str(MAX_GENS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--gens", OVER_CAP, "--max-deg", "2"),
+        ("lyndon", "--gens", OVER_CAP, "--max-deg", "2"),
+        ("check-gsb", "--system", "drbl", "--gens", OVER_CAP, "--max-deg", "3"),
+        ("oracle-dim", "--gens", OVER_CAP, "--max-deg", "2"),
+        ("nf", "--max-deg", "2", "x" + OVER_CAP),
+        ("bracket", "x1 x" + OVER_CAP),
+    ],
+    ids=["basis", "lyndon", "check-gsb", "oracle-dim", "nf", "bracket"],
+)
+def test_cli_refuses_generators_over_the_cap_before_building_them(
+    capsys, monkeypatch, argv
+):
+    def no_alphabet(*args, **kwargs):
+        raise AssertionError("an alphabet was built")
+
+    monkeypatch.setattr(shirshov.cli, "Alphabet", no_alphabet)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == (
+        "error: %s generators (x1 to x%s) requested; at most %d are supported\n"
+        % (OVER_CAP, OVER_CAP, MAX_GENS)
+    )
+
+
+def test_cli_accepts_generators_up_to_the_cap(capsys):
+    rc, out, err = run_cli(capsys, "lyndon", "--gens", str(MAX_GENS), "--max-deg", "1")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == "degree 1: %d" % MAX_GENS
+    rc, out, err = run_cli(capsys, "nf", "--max-deg", "1", "x%d" % MAX_GENS)
+    assert (rc, out, err) == (0, "x%d\n" % MAX_GENS, "")
 
 
 def test_cli_basis_text(capsys):

@@ -1,7 +1,9 @@
 """Rewrite engine: lifted rules, reduction traces, overlap certification."""
 
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from shirshov import (
 )
 from shirshov.cli import make_alphabet
 from shirshov.reference import oracle_ambiguities
+from shirshov.rewriting import collector_paused
 from shirshov.rewriting import reduce as reduce_once
 from shirshov.words import Context, Hole, enumerate_words
 
@@ -527,3 +530,68 @@ def test_lie_normal_forms_do_not_depend_on_logging(weight):
             assert sum((s.multiple for s in log), loud.as_poly(c)) == p
             logged += len(log)
     assert logged > 10
+
+
+@pytest.fixture
+def collector_state():
+    """Yields a setter for the collector's state, restored afterwards."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)
+
+
+def test_collector_pause_restores_the_state_it_found(collector_state):
+    for enabled in (True, False):
+        collector_state(enabled)
+        with collector_paused():
+            assert not gc.isenabled()
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with collector_paused():
+                raise KeyError("inside the pause")
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_engine_calls_leave_the_collector_as_they_found_it(
+    collector_state, enabled
+):
+    collector_state(enabled)
+    engine = DrblSystem(cfg(A2, 0)).system(5)
+    assert gc.isenabled() is enabled
+    assert engine.is_gsb("lie")
+    assert gc.isenabled() is enabled
+    # degree 8 at nonzero weight is refused while the rules are built
+    refused = DrblSystem(AlgebraConfig(make_alphabet(1), Fraction(1)))
+    with pytest.raises(RuntimeError, match="rule system not completed"):
+        refused.system(8)
+    assert gc.isenabled() is enabled
+
+    def broken(amb, mode):
+        raise ZeroDivisionError("inside is_gsb")
+
+    engine.composition = broken
+    with pytest.raises(ZeroDivisionError):
+        engine.is_gsb("lie")
+    assert gc.isenabled() is enabled
+
+
+def test_a_dropped_engine_is_freed_without_the_collector(collector_state):
+    collector_state(False)
+    config = cfg(A1, 1)
+    drbl = DrblSystem(config)
+    engine = drbl.system(7)
+    assert any(r.origin[0] == "completion" for r in engine.rules)
+    assert engine.is_gsb("lie")
+    expr = parse_poly("D^2(P([P(x) x]))", A1)
+    assert drbl_nf(expr, drbl) == drbl_nf(expr, DrblSystem(config))
+    refs = [weakref.ref(o) for o in (drbl, drbl._lifts, engine, engine._lifts)]
+    del drbl, engine
+    assert [r() for r in refs] == [None] * len(refs)
