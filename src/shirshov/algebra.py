@@ -341,14 +341,8 @@ def _int_operator(name: str, args: list, d_power: int) -> dict:
 def subst_poly(config: AlgebraConfig, ctx: Context, p: Poly) -> Poly:
     """Substitute a polynomial into a context, linearly.
 
-    A D-wrapped hole means the substituted element is differentiated that
-    many times before splicing, so the wrapping is applied via ``apply_D``
-    on the bare context.
+    The hole is bare, so filling it is one-to-one on words and no terms
+    merge.  To put ``D^k`` around ``p``, substitute its lift:
+    ``subst_poly(config, ctx, apply_D(config, p, k))``.
     """
-    k = ctx.hole_d_power
-    if k:
-        ctx = ctx.bare()
-        p = apply_D(config, p, k)
-    out: dict[Word, Fraction] = {}
-    _add(out, ((substitute(ctx, w), c) for w, c in p.terms.items()))
-    return Poly(out)
+    return Poly({substitute(ctx, w): c for w, c in p.terms.items()})

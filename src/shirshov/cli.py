@@ -42,6 +42,7 @@ from .words import Alphabet, NaLeaf, NaPair
 # built up front, so a count in the millions would run for minutes before
 # any output; the tests, the CI steps and the benchmark use at most 3.
 MAX_GENS = 100
+_OVER_CAP = "%s generators (x1 to x%s) requested; at most %d are supported"
 
 
 def make_alphabet(gens: int, with_operator: bool = True) -> Alphabet:
@@ -49,19 +50,22 @@ def make_alphabet(gens: int, with_operator: bool = True) -> Alphabet:
     if gens < 1:
         raise ValueError("need at least one generator")
     if gens > MAX_GENS:
-        raise ValueError(
-            "%d generators (x1 to x%d) requested; at most %d are supported"
-            % (gens, gens, MAX_GENS)
-        )
+        raise ValueError(_OVER_CAP % (gens, gens, MAX_GENS))
     names = tuple("x%d" % (i + 1) for i in range(gens))
     return Alphabet(names, (("P", 1),) if with_operator else ())
 
 
 def _infer_gens(text: str) -> int:
-    """Number of generators mentioned in an expression (at least 1)."""
-    indices = [int(m) for m in re.findall(r"\bx(\d+)\b", text)]
+    """Number of generators mentioned in an expression (at least 1).
+
+    Indices compare as digit strings: one too long for ``int`` meets the cap.
+    """
+    found = (m.lstrip("0") for m in re.findall(r"\bx(\d+)\b", text))
+    digits = max(found, key=lambda d: (len(d), d), default="")
+    if len(digits) > len(str(MAX_GENS)):
+        raise ValueError(_OVER_CAP % (digits, digits, MAX_GENS))
     # x0 names no generator; the parser reports it as an unknown symbol
-    return max(indices + [1])
+    return max(int(digits or "0"), 1)
 
 
 def _fraction(text: str) -> Fraction:

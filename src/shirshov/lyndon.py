@@ -250,8 +250,6 @@ def _spine(w: Word, ctx: Context, alphabet: Alphabet) -> list:
     """Spine of the bracketing of ``w`` isolating the subword ``ctx`` holds."""
     core = ctx.core
     if type(core) is Hole:
-        if core.d_power != 0:
-            raise ValueError("special bracketing needs a bare context")
         i = len(ctx.before)
         return _descend(w.primes, i, len(w.primes) - len(ctx.after), alphabet)
     t = len(ctx.before)

@@ -24,9 +24,11 @@ argument).  They are found by lookup, not by comparing every pair of
 lifts: inclusions by looking up every subword run of a lifted leading word
 (top level and nested) in the table ``by_leading`` that matching uses, and
 intersections by looking up every proper suffix of a lifted leading word
-in a table of the proper prefixes of all of them.  Compositions subtract
-the two normalized rule multiples; in Lie mode each side is the isolating
-special bracketing, so the subtracted elements stay in the Lie subspace.
+in a table of the proper prefixes of all of them.  A composition is the
+difference of the two lifted rules' normalized multiples in bare contexts
+(D around a rule is one of its lifts): substitutions in associative mode,
+isolating special bracketings in Lie mode, so that there the subtracted
+elements stay in the Lie subspace.
 
 Reduction in associative mode eliminates the deg-lex-greatest reducible
 monomial by subtracting the context multiple of the matched lifted rule.
@@ -83,7 +85,6 @@ from .algebra import (
     divide,
     expansion,
     leading,
-    multiply,
     narrow,
     subst_poly,
 )
@@ -618,29 +619,16 @@ class RewriteSystem:
                 "ambiguity word %r is not Lyndon-Shirshov" % (amb.word,)
             )
         if amb.kind == "intersection":
-            a = amb.right.leading_word.primes[amb.overlap :]
-            b = amb.left.leading_word.primes[: len(amb.left.leading_word.primes) - amb.overlap]
-            if mode == "assoc":
-                side_l = multiply(core_l, Poly.word(Word(a))).terms
-                side_r = multiply(Poly.word(Word(b)), core_r).terms
-            else:
-                side_l = special_terms(
-                    config, Context((), Hole(0), a), left.leading_word, core_l.terms
-                )
-                side_r = special_terms(
-                    config, Context(b, Hole(0), ()), right.leading_word, core_r.terms
-                )
+            ctx_l = Context((), Hole(0), right.leading_word.primes[amb.overlap :])
+            ctx_r = Context(left.leading_word.primes[: -amb.overlap], Hole(0), ())
         else:
-            if mode == "assoc":
-                side_l = dict(core_l.terms)
-                side_r = subst_poly(config, amb.context, core_r).terms
-            else:
-                side_l = special_terms(
-                    config, IDENTITY_CONTEXT, left.leading_word, core_l.terms
-                )
-                side_r = special_terms(
-                    config, amb.context, right.leading_word, core_r.terms
-                )
+            ctx_l, ctx_r = IDENTITY_CONTEXT, amb.context
+        if mode == "assoc":
+            side_l = subst_poly(config, ctx_l, core_l).terms
+            side_r = subst_poly(config, ctx_r, core_r).terms
+        else:
+            side_l = special_terms(config, ctx_l, left.leading_word, core_l.terms)
+            side_r = special_terms(config, ctx_r, right.leading_word, core_r.terms)
         # side_l is a fresh dict: scale it only off 1, then subtract in place.
         lc = narrow(left.leading_coeff)
         result = side_l if lc == 1 else {w: divide(c, lc) for w, c in side_l.items()}

@@ -110,6 +110,13 @@ from .rewriting import (
 from .words import NaLeaf, NaOp, NaPair, OpApp, Prime, Word, iter_subword_runs
 
 
+def _overtaken(lift: int, breadth: int) -> bool:
+    """Whether, at λ ≠ 0, the ``lift``-lift of g(w), w of this breadth,
+    leads with w's primes each shifted by ``lift`` instead of D^{lift+1}(P(w)):
+    degree deg(w) + lift·breadth against deg(w) + lift + 2, broader on a tie."""
+    return lift * (breadth - 1) >= 2
+
+
 class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
@@ -209,7 +216,7 @@ class DrblSystem:
         reduced lift leads with another word: the family does not close
         the system there.
         """
-        if self.config.weight == 0 or lift * (u.breadth - 1) < 2:
+        if self.config.weight == 0 or not _overtaken(lift, u.breadth):
             raise ValueError(
                 "the %d-lift of g(%r) keeps its leading word" % (lift, u)
             )
@@ -300,7 +307,7 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
         completion = []
         for u in params:
             for i in range(1, max_degree - u.degree - 1):
-                if i * (u.breadth - 1) >= 2:
+                if _overtaken(i, u.breadth):
                     rule = sys.completion_rule(u, i)
                     if rule is not None:
                         completion.append(rule)
@@ -333,7 +340,7 @@ def _find_match(sys: DrblSystem, u: Word):
             if p.d_power >= 1 and type(p.head) is OpApp:
                 w = p.head.args[0]
                 k = p.d_power
-                if not weighted or (k - 1) * (w.breadth - 1) < 2:
+                if not weighted or not _overtaken(k - 1, w.breadth):
                     return ("section", w), k - 1, build()
                 if sys.completion_rule(w, k - 1) is not None:
                     return ("completion", w, k - 1), 0, build()
@@ -351,7 +358,7 @@ def _find_match(sys: DrblSystem, u: Word):
         if weighted and n >= 2 and run_hit is None:
             bound = min(p.d_power for p in run)
             for i in range(1, bound + 1):
-                if i * (n - 1) < 2:
+                if not _overtaken(i, n):
                     continue
                 w = Word(tuple(p.shifted(-i) for p in run))
                 if is_alsw_hereditary(w, alphabet):

@@ -343,10 +343,7 @@ def format_context(ctx: Context) -> str:
 def _context_pieces(ctx: Context):
     pieces = [format_prime(p) for p in ctx.before]
     core = ctx.core
-    if type(core) is Hole:
-        pieces.append(_d_wrap(core.d_power, "*"))
-    else:
-        pieces.append(_format_arghole(core))
+    pieces.append("*" if type(core) is Hole else _format_arghole(core))
     pieces.extend(format_prime(p) for p in ctx.after)
     return pieces
 

@@ -19,10 +19,10 @@ The lex order on words ranks the empty word above every nonempty word, so
 a proper prefix is greater than its extensions; it is the order underlying
 Lyndon-Shirshov theory here.
 
-A ``Context`` is a word with exactly one hole.  Holes carry their own
-``D`` wrapping; a context whose hole is unwrapped is called bare, and only
-bare holes admit substitution of arbitrary words.  Contexts reach inside
-operator arguments at arbitrary depth as well as contiguous top-level runs.
+A ``Context`` is a word with one bare hole, into which any word splices;
+D around a substituted rule is the rule's D-lift, never a wrapped hole.
+Contexts reach inside operator arguments at arbitrary depth as well as
+contiguous top-level runs.
 
 Nonassociative words (``NaLeaf``/``NaPair``) are fully bracketed binary
 trees over primes whose operator arguments are again bracketed; they are
@@ -302,24 +302,23 @@ def lex_cmp(u, v, alphabet: Alphabet) -> int:
 
 
 class Hole:
-    """The hole itself, wrapped in ``d_power`` applications of D."""
+    """The hole of a context: one object, ``Hole(0)``, equal only to itself."""
 
-    __slots__ = ("d_power", "_hash")
+    __slots__ = ()
 
-    def __init__(self, d_power: int = 0):
-        if d_power < 0:
-            raise ValueError("negative D power")
-        self.d_power = d_power
-        self._hash = hash(("hole", d_power))
-
-    def __eq__(self, other):
-        return type(other) is Hole and self.d_power == other.d_power
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, d_power: int = 0):
+        if d_power:
+            raise ValueError(
+                "holes are bare: apply D^%d to the rule instead, that is, "
+                "substitute its D-lift" % d_power
+            )
+        return _HOLE
 
     def __repr__(self):
-        return "D^%d(*)" % self.d_power if self.d_power else "*"
+        return "*"
+
+
+_HOLE = object.__new__(Hole)
 
 
 class ArgHole:
@@ -380,60 +379,8 @@ class Context:
         return self._hash
 
     @property
-    def hole_d_power(self) -> int:
-        """D power sitting directly on the innermost hole."""
-        core = self.core
-        while type(core) is ArgHole:
-            core = core.inner.core
-        return core.d_power
-
-    @property
-    def is_bare(self) -> bool:
-        return self.hole_d_power == 0
-
-    @property
     def is_identity(self) -> bool:
-        return (
-            not self.before
-            and not self.after
-            and type(self.core) is Hole
-            and self.core.d_power == 0
-        )
-
-    @property
-    def degree(self) -> int:
-        """Degree with the hole counting zero."""
-        d = sum(p.degree for p in self.before) + sum(p.degree for p in self.after)
-        core = self.core
-        if type(core) is Hole:
-            return d + core.d_power
-        return (
-            d
-            + core.d_power
-            + 1
-            + sum(a.degree for a in core.args_before)
-            + sum(a.degree for a in core.args_after)
-            + core.inner.degree
-        )
-
-    def bare(self) -> "Context":
-        """The same context with the innermost hole's D power stripped."""
-        core = self.core
-        if type(core) is Hole:
-            if core.d_power == 0:
-                return self
-            return Context(self.before, Hole(0), self.after)
-        return Context(
-            self.before,
-            ArgHole(
-                core.d_power,
-                core.name,
-                core.args_before,
-                core.inner.bare(),
-                core.args_after,
-            ),
-            self.after,
-        )
+        return not self.before and not self.after and self.core is _HOLE
 
     def __repr__(self):
         from .syntax import format_context
@@ -441,25 +388,14 @@ class Context:
         return format_context(self)
 
 
-IDENTITY_CONTEXT = Context((), Hole(0), ())
+IDENTITY_CONTEXT = Context((), _HOLE, ())
 
 
 def substitute(ctx: Context, u: Word) -> Word:
-    """Fill the hole of ``ctx`` with ``u``.
-
-    A D-wrapped hole absorbs into the substituted prime, so it only accepts
-    one-prime words; a bare hole splices any word into the sequence.
-    """
+    """Fill the hole of ``ctx`` with ``u``, splicing its primes in."""
     core = ctx.core
-    if type(core) is Hole:
-        if core.d_power == 0:
-            mid = u.primes
-        else:
-            if u.breadth != 1:
-                raise ValueError(
-                    "a D-wrapped hole only accepts a one-prime word"
-                )
-            mid = (u.primes[0].shifted(core.d_power),)
+    if core is _HOLE:
+        mid = u.primes
     else:
         inner = substitute(core.inner, u)
         mid = (
@@ -484,7 +420,7 @@ def occurrences(w: Word, p: Word):
     m = len(target)
     for i in range(len(primes) - m + 1):
         if primes[i : i + m] == target:
-            out.append(Context(primes[:i], Hole(0), primes[i + m :]))
+            out.append(Context(primes[:i], _HOLE, primes[i + m :]))
     for t, prime in enumerate(primes):
         head = prime.head
         if type(head) is OpApp:
@@ -519,7 +455,7 @@ def iter_subword_runs(w: Word) -> Iterator[tuple[tuple, "object"]]:
             run = primes[i:j]
 
             def build(i=i, j=j):
-                return Context(primes[:i], Hole(0), primes[j:])
+                return Context(primes[:i], _HOLE, primes[j:])
 
             yield run, build
     for t, prime in enumerate(primes):

@@ -325,10 +325,6 @@ def test_subst_poly_linear_and_d_wrapped():
     p = parse_poly("x + P(x)", A2)
     bare = Context((parse_word("y", A2).primes[0],), Hole(0), ())
     assert subst_poly(c, bare, p) == parse_poly("y x + y P(x)", A2)
-    wrapped = Context((), Hole(2), (parse_word("y", A2).primes[0],))
-    assert subst_poly(c, wrapped, p) == multiply(
-        apply_D(c, p, 2), parse_poly("y", A2)
-    )
 
 
 def test_subst_poly_respects_leading_in_bare_contexts():

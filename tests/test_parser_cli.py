@@ -341,6 +341,30 @@ def test_cli_refuses_generators_over_the_cap_before_building_them(
     )
 
 
+HUGE_INDEX = "x" + "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("nf", "--max-deg", "2", HUGE_INDEX), ("bracket", "x1 " + HUGE_INDEX)],
+    ids=["nf", "bracket"],
+)
+def test_cli_refuses_an_index_of_thousands_of_digits_by_the_cap(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("at most %d are supported" % MAX_GENS)
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("index", ["0001", "0" * 5000 + "1"])
+def test_cli_index_with_leading_zeros_is_an_unknown_symbol(capsys, index):
+    rc, out, err = run_cli(capsys, "nf", "--max-deg", "2", "x" + index)
+    assert rc == 2 and out == ""
+    assert err == "error: unknown symbol 'x%s' (at position 0)\n" % index
+
+
 def test_cli_accepts_generators_up_to_the_cap(capsys):
     rc, out, err = run_cli(capsys, "lyndon", "--gens", str(MAX_GENS), "--max-deg", "1")
     assert rc == 0 and err == ""

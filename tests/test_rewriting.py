@@ -25,16 +25,18 @@ from shirshov import (
     leading,
     lie_expand,
     make_rule,
+    multiply,
     parse_poly,
     parse_word,
     shirshov_bracket,
     special_expand,
+    subst_poly,
 )
 from shirshov.cli import make_alphabet
 from shirshov.reference import oracle_ambiguities
 from shirshov.rewriting import collector_paused
 from shirshov.rewriting import reduce as reduce_once
-from shirshov.words import Context, Hole, enumerate_words
+from shirshov.words import ArgHole, Context, Hole, Word, enumerate_words
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -209,6 +211,44 @@ def test_indexed_ambiguity_search_matches_all_pairs_oracle(gens, weight):
     for n in range(4, top + 1):
         for s1_only in (False, True):
             assert_same_ambiguities(drbl.system(n, s1_only=s1_only))
+
+
+@pytest.mark.parametrize(
+    "weight, total", ((0, 76), (Fraction(1, 2), 49))
+)
+def test_assoc_compositions_match_the_product_formula(weight, total):
+    # both sides are context multiples; this is the same composition
+    # spelled as products of rule lifts with words, and as the lift itself
+    sys_ = DrblSystem(AlgebraConfig(make_alphabet(3), weight)).system(6)
+    ambs = sys_.find_ambiguities()
+    kinds = Counter(
+        "nested"
+        if a.kind == "inclusion" and type(a.context.core) is ArgHole
+        else a.kind
+        for a in ambs
+    )
+    assert len(ambs) == total
+    assert kinds["intersection"] == 1 and kinds["nested"] == 42
+    assert any(a.left.lift or a.right.lift for a in ambs)
+    for amb in ambs:
+        left, right = amb.left, amb.right
+        core_l = sys_.core(left.rule_index, left.lift)
+        core_r = sys_.core(right.rule_index, right.lift)
+        if amb.kind == "intersection":
+            lp = left.leading_word.primes
+            a = Word(right.leading_word.primes[amb.overlap :])
+            b = Word(lp[: len(lp) - amb.overlap])
+            side_l = multiply(core_l, Poly.word(a))
+            side_r = multiply(Poly.word(b), core_r)
+        else:
+            side_l = core_l
+            side_r = subst_poly(sys_.config, amb.context, core_r)
+        want = side_l.scale(1 / left.leading_coeff) - side_r.scale(
+            1 / right.leading_coeff
+        )
+        got = sys_.composition(amb, "assoc")
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_inclusion_positions_follow_occurrence_order():

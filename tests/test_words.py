@@ -112,17 +112,16 @@ def test_substitute_bare_hole_splices():
     ctx = Context((Prime(0, "x"),), Hole(0), (Prime(0, "y"),))
     w = substitute(ctx, parse_word("P(x) y", A2))
     assert w == parse_word("x P(x) y y", A2)
-    assert ctx.is_bare and not ctx.is_identity
+    assert not ctx.is_identity
 
 
 def test_substitute_wrapped_hole_requires_one_prime():
-    ctx = Context((), Hole(2), (Prime(0, "y"),))
-    assert ctx.hole_d_power == 2
-    w = substitute(ctx, parse_word("P(x)", A2))
+    # holes are bare: D^2 around the filler is written into the filler
+    with pytest.raises(ValueError, match="D-lift"):
+        Context((), Hole(2), (Prime(0, "y"),))
+    ctx = Context((), Hole(0), (Prime(0, "y"),))
+    w = substitute(ctx, parse_word("D^2(P(x))", A2))
     assert w == parse_word("D^2(P(x)) y", A2)
-    with pytest.raises(ValueError):
-        substitute(ctx, parse_word("x y", A2))
-    assert ctx.bare().hole_d_power == 0
 
 
 def test_occurrences_top_level_and_nested():
@@ -143,8 +142,6 @@ def test_occurrences_top_level_and_nested():
     occ = occurrences(big, inner)
     assert len(occ) == 1
     assert substitute(occ[0], inner) == big
-    # the nested context carries the outer prime's D power
-    assert occ[0].hole_d_power == 0
 
 
 def test_occurrences_of_multi_prime_run():
@@ -165,6 +162,13 @@ def test_enumerate_words_counts_small():
         assert ks == sorted(ks)
     # spot the degree-2 stratum exactly (ascending: breadth 1 before 2)
     assert [repr(w) for w in by_deg[2]] == ["D(x)", "P(x)", "x * x"]
+
+
+def test_only_bare_holes():
+    assert Hole(0) is Hole(0)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="D-lift"):
+            Hole(k)
 
 
 def test_context_equality_and_hash():
@@ -191,8 +195,8 @@ def test_equal_words_built_by_different_routes_are_one_object():
     target = Word((Prime(1, OpApp("P", (Word((x, y)),))), y))
     assert Word([Prime(1, OpApp("P", [Word([x, y])])), y]) is target
     assert concat(parse_word("D(P(x y))", A2), Word((y,))) is target
-    ctx = Context((), Hole(1), (y,))
-    assert substitute(ctx, parse_word("P(x y)", A2)) is target
+    ctx = Context((), Hole(0), (y,))
+    assert substitute(ctx, parse_word("D(P(x y))", A2)) is target
     p = parse_word("P(x y)", A2).primes[0]
     assert Word((p.shifted(1), y)) is target
     assert p.shifted(1) is target.primes[0]
