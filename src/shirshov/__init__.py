@@ -6,8 +6,8 @@ Lyndon-Shirshov combinatorics and special bracketings (``lyndon``),
 expression parsing and printing (``syntax``), the generic
 composition-diamond rewriting engine (``rewriting``), the concrete
 Rota-Baxter rule system with fast normal forms and basis enumeration
-(``rota_baxter``), naive test oracles (``reference``), and the command
-line (``cli``).
+(``rota_baxter``), the exact quotient-dimension oracle (``reference``), and
+the command line (``cli``).
 """
 
 from .algebra import (

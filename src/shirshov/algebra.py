@@ -24,8 +24,7 @@ a one-prime word just increments that prime's D counter.  On a word of
 breadth n the law expands in closed form: summing over nonempty subsets T
 of positions, the term bumps the D power at each position in T and carries
 coefficient weight^(|T|-1).  ``apply_D`` uses that closed form; the
-recursive two-factor rule is kept in :mod:`shirshov.reference` as an
-independent oracle.
+test suite checks it against the recursive two-factor rule.
 
 ``d_power_leading`` predicts the deg-lex leading word and coefficient of
 ``D^i(u)`` without expanding: with weight zero only the first prime gets
@@ -338,11 +337,11 @@ def _int_operator(name: str, args: list, d_power: int) -> dict:
     return out
 
 
-def subst_poly(config: AlgebraConfig, ctx: Context, p: Poly) -> Poly:
+def subst_poly(ctx: Context, p: Poly) -> Poly:
     """Substitute a polynomial into a context, linearly.
 
     The hole is bare, so filling it is one-to-one on words and no terms
     merge.  To put ``D^k`` around ``p``, substitute its lift:
-    ``subst_poly(config, ctx, apply_D(config, p, k))``.
+    ``subst_poly(ctx, apply_D(config, p, k))``.
     """
     return Poly({substitute(ctx, w): c for w, c in p.terms.items()})

@@ -4,14 +4,16 @@ Subcommands:
 
 * ``nf``         — normal form of an expression (lie or assoc mode)
 * ``basis``      — linear basis of the free system, by degree
-* ``lyndon``     — Lyndon-Shirshov words over plain generators
+* ``lyndon``     — Lyndon-Shirshov words over the generators and their
+  D-powers, without P
 * ``bracket``    — standard bracketing of a Lyndon-Shirshov word
 * ``check-gsb``  — reduce all compositions of a rule system
 * ``oracle-dim`` — exact quotient dimensions per degree
 
 Generators are named x1, x2, … and ordered descending by index (x1 is the
-greatest).  Rationals are read and printed as p or p/q.  Output is
-deterministic: identical invocations produce byte-identical text.
+greatest).  Rationals are read as p, p/q or a decimal without an exponent,
+and printed as p or p/q.  Output is deterministic: identical invocations
+produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -69,10 +71,13 @@ def _infer_gens(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("not a rational: %r" % text)
+    # no exponent: Fraction("1e10000000") builds its power of ten in full
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError("not a rational: %r" % text)
 
 
 def _positive_int(text: str) -> int:

@@ -475,7 +475,7 @@ class RewriteSystem:
 
     def _eliminate(self, working, u, entry, ctx, log):
         c = working[u]
-        multiple = subst_poly(self.config, ctx, self.core(entry.rule_index, entry.lift))
+        multiple = subst_poly(ctx, self.core(entry.rule_index, entry.lift))
         factor = c / entry.leading_coeff
         multiple = multiple.scale(factor)
         if multiple.terms.get(u) != c:
@@ -540,9 +540,9 @@ class RewriteSystem:
         nested runs by (prime, argument), outside in.  The result is sorted
         by a total order on (word, kind, left, right, position), so it does
         not depend on the order of discovery.  The search runs once per
-        system; each call returns a fresh list.  The test oracle
-        ``reference.oracle_ambiguities`` finds the same list by comparing
-        every pair of lifts.
+        system; each call returns a fresh list.  The test suite's
+        ``oracle_ambiguities`` finds the same list by comparing every pair
+        of lifts.
         """
         if self._ambiguities is None:
             self._ambiguities = tuple(self._search_ambiguities())
@@ -624,8 +624,8 @@ class RewriteSystem:
         else:
             ctx_l, ctx_r = IDENTITY_CONTEXT, amb.context
         if mode == "assoc":
-            side_l = subst_poly(config, ctx_l, core_l).terms
-            side_r = subst_poly(config, ctx_r, core_r).terms
+            side_l = subst_poly(ctx_l, core_l).terms
+            side_r = subst_poly(ctx_r, core_r).terms
         else:
             side_l = special_terms(config, ctx_l, left.leading_word, core_l.terms)
             side_r = special_terms(config, ctx_r, right.leading_word, core_r.terms)

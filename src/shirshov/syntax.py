@@ -415,7 +415,7 @@ def format_poly(p: Poly, config: AlgebraConfig | None = None) -> str:
     return "".join(pieces)
 
 
-def format_combination(terms, config: AlgebraConfig | None = None) -> str:
+def format_combination(terms) -> str:
     """Format a sequence of (coefficient, bracketed word) pairs."""
     terms = list(terms)
     if not terms:
@@ -441,5 +441,5 @@ def format_term(t, config: AlgebraConfig | None = None) -> str:
         return format_context(t)
     terms = getattr(t, "terms", None)
     if isinstance(terms, tuple):
-        return format_combination(terms, config)
+        return format_combination(terms)
     raise TypeError("cannot format %r" % type(t).__name__)

@@ -1,33 +1,48 @@
 """Oracles that serve only the test suite.
 
 Each recomputes, the slow and obvious way, a value the package computes
-another way.  The package never imports this module.
+another way.  The package never imports this module.  Word counts come by
+exhaustive rotation filtering, the differential by the recursive two-factor
+rule, standard bracketings by trying every binary tree, section and
+Rota-Baxter rules by expanding each bracketing afresh, ambiguities by
+comparing every pair of lifted leading words, and the ideal rows of
+``reference.oracle_quotient_dim`` by one ``occurrences`` scan per ALSW word
+and lift (``naive_ideal_rows``).
 
 ``special_template`` builds the isolating bracketing of
 ``lyndon.special_bracket`` by plain recursion over the word, with a mark
 at the isolated subword.  It finds each standard split itself, as the
-longest proper suffix that passes the rotation test of
-``reference._oracle_is_alsw``, and shares no code with the package's
-spine (``lyndon._spine``, ``_descend``, ``_graft``, ``_standard_split``);
-only the subtrees off the path to the mark are the package's
-``shirshov_bracket`` and ``ls_factorization``, which have oracle tests of
-their own.  ``oracle_special_expand`` expands that template over
-``Fraction`` polynomials: every node, on the path or off it, with
-``commutator``, ``apply_operator`` and ``apply_D``, and no memo.  The
-package computes the spine alone, in ``int``s while integral, and reads
-the other subtrees from the alphabet's memo.
+longest proper suffix that passes the rotation test of ``_oracle_is_alsw``,
+and shares no code with the package's spine (``lyndon._spine``,
+``_descend``, ``_graft``, ``_standard_split``); only the subtrees off the
+path to the mark are the package's ``shirshov_bracket`` and
+``ls_factorization``, which have oracle tests of their own.
+``expand_template`` expands a bracketing over ``Fraction`` polynomials:
+every node, on the path or off it, with ``commutator``, ``apply_operator``
+and ``apply_D``, and no memo.  With a core at the mark it is
+``oracle_special_expand``; with no mark it is the unmemoised
+``lie_expand`` behind the rule oracles.  The package computes the spine
+alone, in ``int``s while integral, and reads the other subtrees from the
+alphabet's memo.
 """
+
+from itertools import product
 
 from shirshov.algebra import (
     AlgebraConfig,
     Poly,
     apply_D,
     apply_operator,
+    as_fractions,
     commutator,
+    leading,
+    multiply,
 )
-from shirshov.lyndon import ls_factorization, shirshov_bracket
-from shirshov.reference import _oracle_is_alsw
+from shirshov.lyndon import is_alsw, ls_factorization, shirshov_bracket, special_expand
+from shirshov.reference import _alsws, _ideal_rows
+from shirshov.rewriting import Ambiguity
 from shirshov.words import (
+    Alphabet,
     Context,
     Hole,
     NaLeaf,
@@ -35,8 +50,137 @@ from shirshov.words import (
     NaPair,
     Prime,
     Word,
+    occurrences,
     substitute,
+    underlying_word,
 )
+
+
+def oracle_lyndon_count(q: int, n: int) -> int:
+    """Length-n words over q letters strictly greater than all rotations.
+
+    Pure integer-tuple filter; the count is invariant under relabeling, so
+    the tuple order stands in for any total order on q letters.
+    """
+    if q > 4 or n > 10:
+        raise ValueError("oracle bound exceeded: q <= 4, n <= 10")
+    count = 0
+    for w in product(range(q), repeat=n):
+        if all(w > w[k:] + w[:k] for k in range(1, n)):
+            count += 1
+    return count
+
+
+def derivation_recursive(config: AlgebraConfig, u: Word) -> Poly:
+    """The differential by the two-factor rule, splitting off the first prime.
+
+    D(p·v) = D(p)·v + p·D(v) + weight·D(p)·D(v); a single prime just gains
+    one D application.  Independent of the closed-form subset expansion.
+    """
+    primes = u.primes
+    head = Poly.word(Word((primes[0].shifted(1),)))
+    if len(primes) == 1:
+        return head
+    rest = Word(primes[1:])
+    d_rest = derivation_recursive(config, rest)
+    out = multiply(head, Poly.word(rest))
+    out = out + multiply(Poly.word(Word(primes[:1])), d_rest)
+    if config.weight:
+        out = out + multiply(head, d_rest).scale(config.weight)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive bracketing search.
+
+
+def _oracle_lex_greater(ps, qs, alphabet: Alphabet) -> bool:
+    """ps > qs in the lex order with proper prefixes greater."""
+    for p, q in zip(ps, qs):
+        if p == q:
+            continue
+        return alphabet.prime_key(p) > alphabet.prime_key(q)
+    return len(ps) < len(qs)
+
+
+def _oracle_is_alsw(u: Word, alphabet: Alphabet) -> bool:
+    primes = u.primes
+    return all(
+        _oracle_lex_greater(primes, primes[k:] + primes[:k], alphabet)
+        for k in range(1, len(primes))
+    )
+
+
+def _all_trees(items):
+    """Every full binary tree over the given ordered leaves."""
+    if len(items) == 1:
+        yield items[0]
+        return
+    for k in range(1, len(items)):
+        for left in _all_trees(items[:k]):
+            for right in _all_trees(items[k:]):
+                yield NaPair(left, right)
+
+
+def _tree_ok(t, alphabet: Alphabet) -> bool:
+    """NLSW conditions: underlying words ALSW at every node, and for a node
+    (v, w) whose left child is (v1, v2), v2 is lex-no-greater than w."""
+    if type(t) is NaLeaf:
+        head = t.head
+        if type(head) is NaOp:
+            return all(_tree_ok(a, alphabet) for a in head.args)
+        return True
+    if not _oracle_is_alsw(underlying_word(t), alphabet):
+        return False
+    if not (_tree_ok(t.left, alphabet) and _tree_ok(t.right, alphabet)):
+        return False
+    if type(t.left) is NaPair:
+        v2 = underlying_word(t.left.right).primes
+        w = underlying_word(t.right).primes
+        if _oracle_lex_greater(v2, w, alphabet):
+            return False
+    return True
+
+
+def oracle_all_bracketings(u: Word, alphabet: Alphabet):
+    """The unique binary bracketing of an ALSW passing the NLSW conditions.
+
+    Tries every bracketing; raises if none or more than one passes, either
+    of which falsifies the uniqueness claim under test.
+    """
+    if len(u.primes) > 8:
+        raise ValueError("oracle bound exceeded: length <= 8")
+    if not _oracle_is_alsw(u, alphabet):
+        raise ValueError("not a Lyndon-Shirshov word: %r" % (u,))
+    leaves = []
+    for p in u.primes:
+        head = p.head
+        if type(head) is str:
+            leaves.append(NaLeaf(p.d_power, head))
+        else:
+            leaves.append(
+                NaLeaf(
+                    p.d_power,
+                    NaOp(
+                        head.name,
+                        tuple(
+                            oracle_all_bracketings(a, alphabet)
+                            for a in head.args
+                        ),
+                    ),
+                )
+            )
+    found = [t for t in _all_trees(leaves) if _tree_ok(t, alphabet)]
+    if len(found) != 1:
+        raise AssertionError(
+            "expected exactly one standard bracketing of %r, found %d"
+            % (u, len(found))
+        )
+    return found[0]
+
+
+# ---------------------------------------------------------------------------
+# Bracketings expanded afresh: isolating templates, section and Rota-Baxter rules.
 
 
 class _Mark:
@@ -128,8 +272,14 @@ def fill_mark(template, node):
     )
 
 
-def expand_template(config: AlgebraConfig, template, core: Poly) -> Poly:
-    """Expansion of ``template`` with ``core`` at ``MARK``, node by node."""
+def expand_template(config: AlgebraConfig, template, core: Poly | None = None) -> Poly:
+    """Expansion of ``template`` with ``core`` at ``MARK``, node by node.
+
+    Without a mark this is ``algebra.lie_expand`` from scratch: bracket
+    nodes become commutators, operator heads apply the operator to the
+    expansions of their arguments, and the D power on a leaf lifts through
+    the whole expansion via the weighted differential.  Nothing is memoised.
+    """
     if template is MARK:
         return core
     if type(template) is NaPair:
@@ -149,3 +299,141 @@ def expand_template(config: AlgebraConfig, template, core: Poly) -> Poly:
 def oracle_special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> Poly:
     """``special_expand`` without its certificate, by ``expand_template``."""
     return expand_template(config, special_template(config, ctx, v), core)
+
+
+def oracle_section_rule(config: AlgebraConfig, operator: str, u: Word) -> Poly:
+    """g(u) = D(P([u])) − [u], expanding [u] afresh and applying P, then D."""
+    bu = expand_template(config, shirshov_bracket(u, config.alphabet))
+    return apply_D(config, apply_operator(operator, bu)) - bu
+
+
+def oracle_rota_baxter_rule(
+    config: AlgebraConfig, operator: str, u: Word, v: Word
+) -> Poly:
+    """f(u,v) = [P[u], P[v]] − P([u, P[v]]) − P([P[u], v]) − λP([u, v]).
+
+    [u] and [v] are expanded afresh, and every operator and commutator is
+    applied to ``Fraction`` polynomials.
+    """
+    bu = expand_template(config, shirshov_bracket(u, config.alphabet))
+    bv = expand_template(config, shirshov_bracket(v, config.alphabet))
+    pu = apply_operator(operator, bu)
+    pv = apply_operator(operator, bv)
+    return (
+        commutator(pu, pv)
+        - apply_operator(operator, commutator(bu, pv))
+        - apply_operator(operator, commutator(pu, bv))
+        - apply_operator(operator, commutator(bu, bv)).scale(config.weight)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Ambiguities by an all-pairs scan.
+
+
+def oracle_ambiguities(system) -> list[Ambiguity]:
+    """``RewriteSystem.find_ambiguities`` by comparing every pair of lifts.
+
+    For each ordered pair of lifted leading words: every proper suffix of
+    the left one that equals a proper prefix of the right one, kept when
+    the glued word fits the bound, and every ``occurrences`` of the right
+    one inside the left one, skipping a lift in itself at the identity
+    context.  Sorted by the same total order as the engine.
+    """
+    out = []
+    max_degree = system.max_degree
+    for left in system.lifted:
+        vl = left.leading_word
+        lp = vl.primes
+        for right in system.lifted:
+            vr = right.leading_word
+            rp = vr.primes
+            for k in range(1, min(len(lp), len(rp))):
+                if lp[-k:] != rp[:k]:
+                    continue
+                w = Word(lp + rp[k:])
+                if w.degree <= max_degree:
+                    out.append(
+                        Ambiguity(
+                            "intersection", left, right, w,
+                            overlap=k, position=k,
+                        )
+                    )
+            if vr.degree <= vl.degree:
+                for pos, ctx in enumerate(occurrences(vl, vr)):
+                    if (
+                        ctx.is_identity
+                        and left.rule_index == right.rule_index
+                        and left.lift == right.lift
+                    ):
+                        continue
+                    out.append(
+                        Ambiguity(
+                            "inclusion", left, right, vl,
+                            context=ctx, position=pos,
+                        )
+                    )
+    key = system.config.alphabet.key
+    out.sort(
+        key=lambda a: (
+            key(a.word),
+            a.kind,
+            a.left.rule_index,
+            a.left.lift,
+            a.right.rule_index,
+            a.right.lift,
+            a.position,
+        )
+    )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The ideal rows of the quotient oracle.
+
+
+def oracle_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=None):
+    """The ideal rows that ``oracle_quotient_dim`` eliminates, as a list.
+
+    One row per rule, D-lift whose leading fits the bound, and occurrence
+    of that leading inside an ALSW word: the isolating bracketing filled
+    with the lifted rule.  Rows come lift by lift (rules in order, lifts
+    upward), then by ALSW word, then by occurrence in ``occurrences``
+    order.  ``letters`` is as for
+    ``reference.oracle_quotient_dim``.
+    """
+    alsws = _alsws(config, max_degree, letters)
+    return [
+        Poly(as_fractions(row))
+        for row in _ideal_rows(config, rules, max_degree, alsws)
+    ]
+
+
+def naive_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=None):
+    """``oracle_ideal_rows`` by one ``occurrences`` scan per ALSW word and lift.
+
+    Each lift is expanded from the rule afresh.  Kept as the test suite's
+    cross-check of the indexed search.
+    """
+    alphabet = config.alphabet
+    alsws = _alsws(config, max_degree, letters)
+    out = []
+    for rule in rules:
+        poly = getattr(rule, "poly", rule)
+        lift = 0
+        while True:
+            core = apply_D(config, poly, lift)
+            v, _ = leading(config, core)
+            if v.degree > max_degree:
+                break
+            if not is_alsw(v, alphabet):
+                raise AssertionError(
+                    "lifted rule leading %r is not Lyndon-Shirshov" % (v,)
+                )
+            for w in alsws:
+                if w.degree < v.degree:
+                    continue
+                for ctx in occurrences(w, v):
+                    out.append(special_expand(config, ctx, v, core))
+            lift += 1
+    return out

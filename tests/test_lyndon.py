@@ -38,12 +38,14 @@ from shirshov.words import (
     enumerate_words,
     iter_subword_runs,
 )
-from shirshov.reference import (
+from oracles import (
     _oracle_is_alsw,
+    fill_mark,
     oracle_all_bracketings,
     oracle_lyndon_count,
+    oracle_special_expand,
+    special_template,
 )
-from oracles import fill_mark, oracle_special_expand, special_template
 
 
 A1 = Alphabet(("x",), (("P", 1),))

@@ -23,12 +23,12 @@ from shirshov import (
 )
 from shirshov.cli import main, make_alphabet
 from shirshov.words import Prime
-from shirshov.reference import (
+from shirshov.reference import oracle_quotient_dim
+from oracles import (
     naive_ideal_rows,
     oracle_all_bracketings,
     oracle_ideal_rows,
     oracle_lyndon_count,
-    oracle_quotient_dim,
 )
 
 

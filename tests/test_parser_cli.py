@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,8 +34,8 @@ from shirshov import (
 )
 import shirshov.cli
 from shirshov.cli import MAX_GENS, main, make_alphabet
-from shirshov.reference import oracle_lie_expand
 from shirshov.words import enumerate_words
+from oracles import expand_template as oracle_lie_expand
 
 
 X1 = make_alphabet(1)
@@ -550,6 +551,25 @@ def test_cli_flag_validation(capsys):
     )
     assert run.returncode == 2 and run.stdout == ""
     assert "error:" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_cli_lambda_refuses_an_exponent(capsys):
+    # Fraction("1e10000000") would build 10**10000000 before any work
+    for weight in ("1e10000000", "1E5", "2.5e-1"):
+        argv = ["nf", "--lambda", weight, "--max-deg", "3", "x1"]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert out == "" and "--lambda: not a rational: %r" % weight in err, err
+        assert elapsed < 5, elapsed
+    # integers, p/q and decimals are still read
+    for weight, want in (("1", "1"), ("3/2", "3/2"), ("0.5", "1/2")):
+        rc = main(["check-gsb", "--system", "s1", "--lambda", weight, "--max-deg", "3"])
+        out, _ = capsys.readouterr()
+        assert rc == 0 and "lambda=%s " % want in out, out
 
 
 @pytest.mark.parametrize("max_deg", ["3", "9"], ids=["at-exit", "in-print"])
