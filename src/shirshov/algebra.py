@@ -42,8 +42,6 @@ from itertools import combinations, product
 from .words import (
     Alphabet,
     Context,
-    NaLeaf,
-    NaOp,
     NaPair,
     OpApp,
     Prime,
@@ -242,34 +240,22 @@ def lie_expand(config: AlgebraConfig, t) -> Poly:
 
 
 def expansion(alphabet: Alphabet, t) -> dict[Word, int]:
-    """The memoised integer expansion of ``t``; callers must not mutate it."""
-    return _memo_entry(alphabet._expansions, t)[1]
+    """The memoised integer expansion of ``t``; callers must not mutate it.
 
-
-def _memo_entry(memo: dict, t) -> tuple:
-    """(stored node, expansion) of ``t``, filling the memo on a miss.
-
-    A node is stored with its children replaced by their stored nodes, so
-    the memo holds each bracketing once however many equal trees callers
-    pass (every parsed expression is a new tree).
+    Bracketed words are interned, so equal trees are one node and the memo
+    holds each bracketing once, keyed by the node itself.
     """
+    memo = alphabet._expansions
     got = memo.get(t)
     if got is None:
         if type(t) is NaPair:
-            left, lp = _memo_entry(memo, t.left)
-            right, rp = _memo_entry(memo, t.right)
-            if left is not t.left or right is not t.right:
-                t = NaPair(left, right)
-            got = (t, _int_commutator(lp, rp))
+            left, right = expansion(alphabet, t.left), expansion(alphabet, t.right)
+            got = _int_commutator(left, right)
         elif type(t.head) is str:
-            got = (t, {Word((Prime(t.d_power, t.head),)): 1})
+            got = {Word((Prime(t.d_power, t.head),)): 1}
         else:
-            head = t.head
-            args = [_memo_entry(memo, a) for a in head.args]
-            nodes = tuple(a for a, _ in args)
-            if any(a is not b for a, b in zip(nodes, head.args)):
-                t = NaLeaf(t.d_power, NaOp(head.name, nodes))
-            got = (t, _int_operator(head.name, [e for _, e in args], t.d_power))
+            args = [expansion(alphabet, a) for a in t.head.args]
+            got = _int_operator(t.head.name, args, t.d_power)
         memo[t] = got
     return got
 

@@ -243,9 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
         "differential Lie Rota-Baxter algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    weight = argparse.ArgumentParser(add_help=False)
+    weight.add_argument(
+        "--lambda",
+        dest="weight",
+        type=_fraction,
+        default=Fraction(0),
+        help="weight λ as p, p/q or a decimal",
+    )
 
-    p = sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
+    p = sub.add_parser("nf", parents=[weight], help="normal form of an expression")
     p.add_argument("--mode", choices=("lie", "assoc"), default="lie")
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.add_argument(
@@ -256,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_nf)
 
-    p = sub.add_parser("basis", help="linear basis by degree")
+    p = sub.add_parser("basis", parents=[weight], help="linear basis by degree")
     p.add_argument("--gens", type=_positive_int, required=True)
-    p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_basis)
@@ -272,16 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(func=_cmd_bracket)
 
-    p = sub.add_parser("check-gsb", help="reduce all compositions")
+    p = sub.add_parser("check-gsb", parents=[weight], help="reduce all compositions")
     p.add_argument("--system", choices=("drbl", "s1"), required=True)
     p.add_argument("--gens", type=_positive_int, default=2)
-    p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_check_gsb)
 
-    p = sub.add_parser("oracle-dim", help="exact quotient dimensions")
+    p = sub.add_parser("oracle-dim", parents=[weight], help="exact quotient dimensions")
     p.add_argument("--gens", type=_positive_int, required=True)
-    p.add_argument("--lambda", dest="weight", type=_fraction, default=Fraction(0))
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_oracle_dim)
 
@@ -289,6 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-p/q" for an option, its negative numbers having no "/"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--lambda" and re.fullmatch(r"-\d+/\d+", argv[i]):
+            argv[i - 1 : i + 1] = ["--lambda=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)

@@ -185,7 +185,7 @@ class ReductionStep:
     tag such as ``("section", u)`` when the step comes from ``drbl_nf``.
     """
 
-    rule_index: int
+    rule_index: int | tuple
     lift: int
     context: Context
     coefficient: Fraction

@@ -44,12 +44,12 @@ and the eagerly instantiated systems handed to the generic engine.  The
 fast path ``drbl_nf`` is the engine's Lie loop ``rewriting.lie_reduce``
 with ``_find_match`` as matcher and lifts cached by rule tag.  The
 standard bracketing [u] is made of the bracketings of u's sub-parameters
-(its standard factors and the arguments of its P-letters), and
-``shirshov_bracket`` shares those nodes, so the alphabet's memo of
-bracket expansions (``algebra.lie_expand``, shared with the parser and
-with ``drbl_nf``'s peel) expands every subtree once, a pair as the
-commutator of its children's expansions and a leaf as P of its argument's
-expansion followed by D^k.  Section and Rota-Baxter rules read [u]
+(its standard factors and the arguments of its P-letters), which are
+interned nodes, so the alphabet's memo of bracket expansions
+(``algebra.lie_expand``, shared with the parser and with ``drbl_nf``'s
+peel) expands every subtree once, a pair as the commutator of its
+children's expansions and a leaf as P of its argument's expansion
+followed by D^k.  Section and Rota-Baxter rules read [u]
 through it, and completion rules through the section rules.  g(u) is
 then built in one pass: each term c·m of [u] gives c·D(P(m)), and after
 all of those come the terms −c·m.  Nothing cancels, since the first kind

@@ -367,7 +367,8 @@ def structural_key(w: Word):
 
     Generators with a numeric suffix rank descending by index (x1 above x2);
     other names rank by reversed character order (x above y).  Used by plain
-    reprs and as the fallback printer order when no configuration is given.
+    reprs and as the fallback printer order when no configuration is given:
+    those always print in the deg-lex order, whatever the alphabet's order.
     """
     return (w.degree, w.breadth) + tuple(
         _structural_prime_key(p) for p in w.primes

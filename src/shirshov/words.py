@@ -28,17 +28,19 @@ Nonassociative words (``NaLeaf``/``NaPair``) are fully bracketed binary
 trees over primes whose operator arguments are again bracketed; they are
 the carrier for Lie-side computations.
 
-``OpApp``, ``Prime`` and ``Word`` are hash-consed (Filliâtre-Conchon,
-*Type-safe modular hash-consing*, 2006): constructing one is a lookup in
+Every term object is hash-consed (Filliâtre-Conchon, *Type-safe modular
+hash-consing*, 2006): ``OpApp``, ``Prime`` and ``Word``, the contexts
+``Context`` and ``ArgHole``, and the bracketed ``NaOp``, ``NaLeaf`` and
+``NaPair``; ``Hole`` is one shared object.  Constructing one is a lookup in
 a weak intern table, keyed by its parts, that returns the existing object
-when there is one.  So two equal words are one object, and equality and
+when there is one.  So two equal terms are one object, and equality and
 hashing are identity, done in C.  The tables hold their objects weakly, so
-a word lives only as long as something else refers to it, and nothing
+a term lives only as long as something else refers to it, and nothing
 carries over from one computation to the next.  Identity hashes differ
-from run to run, so no output may depend on hash order: no set of words
+from run to run, so no output may depend on hash order: no set of terms
 is ever iterated, and dicts iterate in insertion order.  Copying or
 unpickling an interned object constructs it again, so it yields the same
-object.  The tables take no lock: construct words from one thread only.
+object.  The tables take no lock: construct terms from one thread only.
 """
 
 from __future__ import annotations
@@ -67,11 +69,23 @@ def _file(table: dict, key, obj) -> None:
     table[key] = ref
 
 
-# Intern tables, keyed by parts the object holds anyway, so a lookup builds
-# no key tuple; those parts hash by identity or by a cached string hash.
+def _lookup(table: dict, key):
+    """The live object filed under ``key``, or None."""
+    ref = table.get(key)
+    return None if ref is None else ref()
+
+
+# Intern tables.  The hottest, for words, primes and operator applications,
+# are keyed by parts the object holds anyway, so a lookup builds no key
+# tuple; the rest are keyed by the tuple of the object's slots.
 _WORDS: dict[tuple, _Ref] = {}  # primes tuple -> Word
 _PRIMES: dict[int, dict] = {}  # d_power -> {head: Prime}
 _OPAPPS: dict[str, dict] = {}  # name -> {args tuple: OpApp}
+_ARGHOLES: dict[tuple, _Ref] = {}
+_CONTEXTS: dict[tuple, _Ref] = {}
+_NAOPS: dict[tuple, _Ref] = {}
+_NALEAVES: dict[tuple, _Ref] = {}
+_NAPAIRS: dict[tuple, _Ref] = {}
 
 
 class OpApp:
@@ -228,9 +242,8 @@ class Alphabet:
         self._hereditary_cache: dict[Word, bool] = {}
         self._split_cache: dict[Word, int] = {}
         self._bracket_cache: dict[Word, object] = {}
-        # Filled by ``algebra.expansion``: per bracketed node, the stored
-        # node and its integer expansion.
-        self._expansions: dict[object, tuple] = {}
+        # Filled by ``algebra.expansion``: bracketed node -> integer expansion.
+        self._expansions: dict[object, dict] = {}
 
     def arity(self, name: str) -> int:
         return self._arity[name]
@@ -324,63 +337,43 @@ _HOLE = object.__new__(Hole)
 class ArgHole:
     """A prime whose operator has the hole inside one argument."""
 
-    __slots__ = ("d_power", "name", "args_before", "inner", "args_after", "_hash")
+    __slots__ = ("d_power", "name", "args_before", "inner", "args_after", "__weakref__")
 
-    def __init__(self, d_power, name, args_before, inner, args_after):
-        self.d_power = d_power
-        self.name = name
-        self.args_before = tuple(args_before)
-        self.inner = inner
-        self.args_after = tuple(args_after)
-        self._hash = hash(
-            (d_power, name, self.args_before, inner, self.args_after)
+    def __new__(cls, d_power, name, args_before, inner, args_after):
+        key = (d_power, name, tuple(args_before), inner, tuple(args_after))
+        self = _lookup(_ARGHOLES, key)
+        if self is None:
+            self = object.__new__(cls)
+            self.d_power, self.name, self.args_before, self.inner, self.args_after = key
+            _file(_ARGHOLES, key, self)
+        return self
+
+    def __reduce__(self):
+        return ArgHole, (
+            self.d_power, self.name, self.args_before, self.inner, self.args_after
         )
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is ArgHole
-            and self._hash == other._hash
-            and self.d_power == other.d_power
-            and self.name == other.name
-            and self.args_before == other.args_before
-            and self.inner == other.inner
-            and self.args_after == other.args_after
-        )
-
-    def __hash__(self):
-        return self._hash
 
 
 class Context:
     """A word shape with exactly one hole; substitution fills the hole."""
 
-    __slots__ = ("before", "core", "after", "_hash")
+    __slots__ = ("before", "core", "after", "__weakref__")
 
-    def __init__(self, before, core, after):
-        self.before = tuple(before)
-        self.core = core
-        self.after = tuple(after)
-        self._hash = hash((self.before, core, self.after))
+    def __new__(cls, before, core, after):
+        key = (tuple(before), core, tuple(after))
+        self = _lookup(_CONTEXTS, key)
+        if self is None:
+            self = object.__new__(cls)
+            self.before, self.core, self.after = key
+            _file(_CONTEXTS, key, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Context
-            and self._hash == other._hash
-            and self.before == other.before
-            and self.core == other.core
-            and self.after == other.after
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Context, (self.before, self.core, self.after)
 
     @property
     def is_identity(self) -> bool:
-        return not self.before and not self.after and self.core is _HOLE
+        return self is IDENTITY_CONTEXT
 
     def __repr__(self):
         from .syntax import format_context
@@ -537,49 +530,37 @@ def _arg_tuples(words_by_deg, arity, budget):
 class NaOp:
     """Operator head whose arguments are bracketed words."""
 
-    __slots__ = ("name", "args", "_hash")
+    __slots__ = ("name", "args", "__weakref__")
 
-    def __init__(self, name, args):
-        self.name = name
-        self.args = tuple(args)
-        self._hash = hash((name,) + self.args)
+    def __new__(cls, name, args):
+        key = (name, tuple(args))
+        self = _lookup(_NAOPS, key)
+        if self is None:
+            self = object.__new__(cls)
+            self.name, self.args = key
+            _file(_NAOPS, key, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is NaOp
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return NaOp, (self.name, self.args)
 
 
 class NaLeaf:
     """Bracketed-word leaf: ``D^d_power`` over a generator or NaOp head."""
 
-    __slots__ = ("d_power", "head", "_hash")
+    __slots__ = ("d_power", "head", "__weakref__")
 
-    def __init__(self, d_power, head):
-        self.d_power = d_power
-        self.head = head
-        self._hash = hash((d_power, head))
+    def __new__(cls, d_power, head):
+        key = (d_power, head)
+        self = _lookup(_NALEAVES, key)
+        if self is None:
+            self = object.__new__(cls)
+            self.d_power, self.head = key
+            _file(_NALEAVES, key, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is NaLeaf
-            and self._hash == other._hash
-            and self.d_power == other.d_power
-            and self.head == other.head
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return NaLeaf, (self.d_power, self.head)
 
     def __repr__(self):
         from .syntax import format_naword
@@ -590,25 +571,19 @@ class NaLeaf:
 class NaPair:
     """Bracket node of two bracketed words."""
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "__weakref__")
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self._hash = hash((left, right))
+    def __new__(cls, left, right):
+        key = (left, right)
+        self = _lookup(_NAPAIRS, key)
+        if self is None:
+            self = object.__new__(cls)
+            self.left, self.right = key
+            _file(_NAPAIRS, key, self)
+        return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is NaPair
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return NaPair, (self.left, self.right)
 
     def __repr__(self):
         from .syntax import format_naword

@@ -293,17 +293,15 @@ def test_the_memo_holds_each_bracketing_once():
     alphabet = Alphabet(("x", "y"), (("P", 1),))
     c = AlgebraConfig(alphabet)
     inner = parse_term("[x [P(y) x]]", alphabet)
+    assert parse_term("[x [P(y) x]]", alphabet) is inner
     lie_expand(c, inner)
+    # the nodes x, y, P(y), [P(y) x] and ``inner`` itself
+    assert len(alphabet._expansions) == 5
     outer = parse_term("[y P([x [P(y) x]])]", alphabet)
+    # an equal subtree of a later tree is the node already stored
+    assert outer.right.head.args[0] is inner
     lie_expand(c, outer)
-    stored = {n: n for n in alphabet._expansions}
-    # equal subtrees of a later tree are not kept: its stored node is built
-    # on the nodes stored first
-    assert stored[outer] is not outer
-    assert stored[outer].right.head.args[0] is stored[inner]
-    assert stored[outer].left is inner.right.left.head.args[0]
-    # ``inner`` repeats the leaf x, so it is stored rebuilt on its first x
-    assert stored[inner].right.right is inner.left
+    assert len(alphabet._expansions) == 7
 
 
 def test_alphabets_do_not_share_expansions():
@@ -316,8 +314,8 @@ def test_alphabets_do_not_share_expansions():
     got = lie_expand(AlgebraConfig(b), t)
     assert got == lie_expand(AlgebraConfig(a), t)
     assert a._expansions.keys() == b._expansions.keys()
-    for n, (_, terms) in a._expansions.items():
-        assert b._expansions[n][1] is not terms
+    for n, terms in a._expansions.items():
+        assert b._expansions[n] is not terms
 
 
 def test_subst_poly_linear_and_d_wrapped():

@@ -572,6 +572,31 @@ def test_cli_lambda_refuses_an_exponent(capsys):
         assert rc == 0 and "lambda=%s " % want in out, out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--lambda", "-1/2", "--max-deg", "4", "[D(x1) P(x1)]"],
+        ["basis", "--gens", "1", "--lambda", "-1/2", "--max-deg", "3", "--json"],
+        ["check-gsb", "--system", "s1", "--gens", "1", "--lambda", "-1/2",
+         "--max-deg", "4"],
+        ["oracle-dim", "--gens", "1", "--lambda", "-1/2", "--max-deg", "4"],
+    ],
+    ids=["nf", "basis", "check-gsb", "oracle-dim"],
+)
+def test_cli_lambda_reads_a_negative_fraction_after_a_space(capsys, argv):
+    # argparse alone takes -1/2 for an option: its negative numbers have no /
+    i = argv.index("--lambda")
+    joined = argv[:i] + ["--lambda=-1/2"] + argv[i + 2 :]
+    want = run_cli(capsys, *joined)
+    assert want[0] == 0 and want[1] and not want[2]
+    assert run_cli(capsys, *argv) == want
+    # the exponent form is still refused
+    exponent = argv[: i + 1] + ["-5e-1"] + argv[i + 2 :]
+    with pytest.raises(SystemExit) as exc:
+        main(exponent)
+    assert exc.value.code == 2 and "--lambda" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_deg", ["3", "9"], ids=["at-exit", "in-print"])
 def test_cli_closed_stdout_exits_2_without_a_traceback(max_deg):
     # 174 bytes fit the stdout buffer, so the pipe breaks on the final flush;

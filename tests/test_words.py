@@ -2,9 +2,13 @@
 
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,18 @@ from shirshov import (
     parse_word,
 )
 from shirshov import words
-from shirshov.words import Hole, concat, lex_cmp, substitute, underlying_word
+from shirshov.cli import make_alphabet
+from shirshov.words import (
+    ArgHole,
+    Hole,
+    NaLeaf,
+    NaOp,
+    NaPair,
+    concat,
+    lex_cmp,
+    substitute,
+    underlying_word,
+)
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -187,6 +202,11 @@ def _table_sizes():
         len(words._WORDS),
         sum(len(t) for t in words._PRIMES.values()),
         sum(len(t) for t in words._OPAPPS.values()),
+        len(words._ARGHOLES),
+        len(words._CONTEXTS),
+        len(words._NAOPS),
+        len(words._NALEAVES),
+        len(words._NAPAIRS),
     )
 
 
@@ -212,10 +232,38 @@ def test_equal_words_built_by_different_routes_are_one_object():
 
 def test_interned_objects_survive_copy_and_pickle_as_themselves():
     w = parse_word("D^2(P(x P(y))) x", A2)
-    for obj in (w, w.primes[0], w.primes[0].head):
+    [nested] = occurrences(parse_word("x P(y P(x y))", A2), parse_word("x y", A2))
+    assert type(nested.core.inner.core) is ArgHole
+    t = parse_term("[x D(P([x y]))]", A2)
+    for obj in (w, w.primes[0], w.primes[0].head, nested, t, t.right, t.right.head):
         assert copy.copy(obj) is obj
         assert copy.deepcopy(obj) is obj
         assert pickle.loads(pickle.dumps(obj)) is obj
+
+
+def test_a_pickle_from_another_hash_seed_loads_as_the_interned_objects():
+    # a hash cached in the object would travel with the pickle and go stale
+    dump = "\n".join([
+        "import pickle, sys",
+        "from shirshov import occurrences, parse_term, parse_word",
+        "from shirshov.cli import make_alphabet",
+        "A = make_alphabet(2)",
+        "t = parse_term('[x1 P([x1 x2])]', A)",
+        "[ctx] = occurrences(parse_word('x1 P(x1 x2) x2', A), parse_word('x1 x2', A))",
+        "sys.stdout.write(pickle.dumps((t, ctx)).hex())",
+    ])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", dump],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+    )
+    t, ctx = pickle.loads(bytes.fromhex(run.stdout))
+    A = make_alphabet(2)
+    assert parse_term("[x1 P([x1 x2])]", A) is t
+    [fresh] = occurrences(parse_word("x1 P(x1 x2) x2", A), parse_word("x1 x2", A))
+    assert fresh is ctx
 
 
 def test_invalid_constructions_raise_and_intern_nothing():
@@ -273,11 +321,21 @@ def test_word_is_not_equal_to_its_primes():
 
 
 def test_identity_is_equality():
-    assert "__eq__" not in vars(Word)
-    assert "__eq__" not in vars(Prime)
-    assert "__eq__" not in vars(OpApp)
-    for cls in (Word, Prime, OpApp):
+    for cls in (Word, Prime, OpApp, Context, ArgHole, NaOp, NaLeaf, NaPair):
+        assert "__eq__" not in vars(cls)
         assert "_hash" not in cls.__slots__
     u = parse_word("P(x) y", A2)
     v = parse_word("P(x) y", A2)
     assert u is v and hash(u) == object.__hash__(u)
+    x, y = Prime(0, "x"), Prime(0, "y")
+    builders = (
+        lambda: Context((x,), Hole(0), [y]),
+        lambda: ArgHole(1, "P", (), Context((), Hole(0), (y,)), [parse_word("x", A2)]),
+        lambda: NaOp("P", [NaLeaf(0, "x")]),
+        lambda: NaLeaf(2, NaOp("P", (NaLeaf(0, "x"),))),
+        lambda: NaPair(NaLeaf(0, "x"), NaPair(NaLeaf(0, "x"), NaLeaf(0, "y"))),
+    )
+    for build in builders:
+        u = build()
+        v = build()
+        assert u is v and hash(u) == object.__hash__(u)
