@@ -294,10 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes "-p/q" for an option, its negative numbers having no "/"
+    # argparse takes "-p/q" for an option, its negative numbers having no "/";
+    # no other option starts with "--l", so any such prefix means --lambda
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--lambda" and re.fullmatch(r"-\d+/\d+", argv[i]):
-            argv[i - 1 : i + 1] = ["--lambda=" + argv[i]]
+        flag = argv[i - 1]
+        if (
+            len(flag) > 2
+            and "--lambda".startswith(flag)
+            and re.fullmatch(r"-\d+/\d+", argv[i])
+        ):
+            argv[i - 1 : i + 1] = [flag + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)

@@ -12,10 +12,12 @@ of the leading words ``d_power_leading(m, i)`` over the monomials ``m`` of
 one ``d_power_leading`` gives.  No two terms can cancel there.  The top
 word of ``D^i(m)`` is an injective shift of ``m``, so two monomials never
 share it; and if the greatest top word equalled a lower word of another
-monomial's lift, that monomial's top word would be greater still.  The lifted polynomials themselves (cores)
-are expanded only when a reduction or composition uses them.  All
-matching, ambiguity enumeration and reduction work from these true lifted
-leadings.
+monomial's lift, that monomial's top word would be greater still.  The
+lifted polynomials themselves (cores) are expanded only when a reduction
+or composition uses them, and a deferred rule (``Rule.deferred``, as the
+section rules of ``rota_baxter`` are) gives its lift leadings in closed
+form, so its own polynomial is built only then too.  All matching,
+ambiguity enumeration and reduction work from these true lifted leadings.
 
 Ambiguities are the classical two kinds: intersections (proper two-sided
 overlap of two lifted leading words) and inclusions (one lifted leading
@@ -60,11 +62,11 @@ long-lived dicts, tuples and words, and the collector keeps rescanning
 them: building the degree-9 section-rule engine set off about 600
 collections, four of them full, which took over a quarter of the time
 and freed nothing.  The pause is safe because the engine's data holds no
-reference cycles (the lift caches reach their rules without a reference
-back to their owner), so reference counting frees all of it; a cycle
-made elsewhere meanwhile is collected once the collector runs again.
-The pause is process-wide: like the intern tables of ``words``, it
-assumes one thread.
+reference cycles (the lift caches reach their rules, and deferred rules
+their builders, without a reference back to their owner), so reference
+counting frees all of it; a cycle made elsewhere meanwhile is collected
+once the collector runs again.  The pause is process-wide: like the
+intern tables of ``words``, it assumes one thread.
 """
 
 from __future__ import annotations
@@ -120,22 +122,64 @@ def collector_paused():
             gc.enable()
 
 
-@dataclass(frozen=True)
 class Rule:
     """A monic rewriting rule with a provenance tag for its family.
 
     ``lead`` is the rule's deg-lex leading word when its builder knows it
     (``make_rule`` and the ``rota_baxter`` families do), else None.  It is
-    not compared: it only saves ``lift_leadings`` one ranking.
+    not compared: it only saves ``lift_leadings`` one ranking.  A rule made
+    by ``Rule.deferred`` builds its polynomial on the first read of
+    ``poly`` and gives its lift leadings in closed form (``leadings``), so
+    an engine can index it without expanding it.  Rules compare, hash and
+    print by (poly, origin) alone, deferred or not.
     """
 
-    poly: Poly
-    origin: tuple = ("rule",)
-    lead: Word | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_poly", "_build", "origin", "lead", "leadings")
 
-    def __post_init__(self):
-        if not self.poly:
+    def __init__(
+        self, poly: Poly, origin: tuple = ("rule",), lead: Word | None = None
+    ):
+        if not poly:
             raise ValueError("rules must be nonzero")
+        self._poly = poly
+        self._build = None
+        self.origin = origin
+        self.lead = lead
+        self.leadings = None
+
+    @classmethod
+    def deferred(cls, build, origin: tuple, lead: Word, leadings) -> "Rule":
+        """A rule whose polynomial ``build()`` makes on first read.
+
+        ``leadings(config, max_degree)`` must yield what ``lift_leadings``
+        would find in the built polynomial.  Neither callable may hold the
+        rule's owner (see the module docstring).
+        """
+        rule = cls.__new__(cls)
+        rule._poly = None
+        rule._build = build
+        rule.origin = origin
+        rule.lead = lead
+        rule.leadings = leadings
+        return rule
+
+    @property
+    def poly(self) -> Poly:
+        if self._poly is None:
+            self._poly = self._build()
+            self._build = None
+        return self._poly
+
+    def __eq__(self, other):
+        if type(other) is not Rule:
+            return NotImplemented
+        return self.origin == other.origin and self.poly == other.poly
+
+    def __hash__(self):
+        return hash((self.poly, self.origin))
+
+    def __repr__(self):
+        return "Rule(poly=%r, origin=%r)" % (self.poly, self.origin)
 
 
 def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> Rule:
@@ -257,7 +301,12 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
     deg-lex greatest monomial of the winning group, and only a group that
     wins is ranked.  The group of ``rule.lead`` needs no ranking at all:
     the greatest word of the polynomial is the greatest of its group.
+    A deferred rule gives its own (``Rule.leadings``), so its polynomial
+    is not built here.
     """
+    if rule.leadings is not None:
+        yield from rule.leadings(config, max_degree)
+        return
     key = config.alphabet.key
     weighted = config.weight != 0
     terms = rule.poly.terms
@@ -390,9 +439,8 @@ class RewriteSystem:
             for lift, lead, lc in lift_leadings(config, rule, max_degree):
                 entry = LiftedRule(idx, lift, lead, lc)
                 self.lifted.append(entry)
+                # appended in (rule index, lift) order, the order match prefers
                 self.by_leading.setdefault(lead, []).append(entry)
-        for entries in self.by_leading.values():
-            entries.sort(key=lambda e: (e.rule_index, e.lift))
 
     # -- matching ----------------------------------------------------------
 

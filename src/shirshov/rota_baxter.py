@@ -51,14 +51,22 @@ peel) expands every subtree once, a pair as the commutator of its
 children's expansions and a leaf as P of its argument's expansion
 followed by D^k.  Section and Rota-Baxter rules read [u]
 through it, and completion rules through the section rules.  g(u) is
-then built in one pass: each term c·m of [u] gives c·D(P(m)), and after
-all of those come the terms −c·m.  Nothing cancels, since the first kind
-has degree deg(u)+2 and the second degree deg(u), and D(P(m)) only raises
-the D-power of the single prime P(m).  Its leading term is D(P(u)) with
-coefficient 1, known without ranking a term: by Shirshov's lemma
-[u] = u + (terms deg-lex below u), the D(P(m)) terms outrank every −c·m
-on degree, and among them D(P(u)) is greatest because the prime order is
-monotone in the argument.  f(u,v) is read from the same memo: each of
+built in one pass, on the first read of its polynomial: each term c·m of
+[u] gives c·D(P(m)), and after all of those come the terms −c·m.  Nothing
+cancels, since the first kind has degree deg(u)+2 and the second degree
+deg(u), and D(P(m)) only raises the D-power of the single prime P(m).
+Its leading term is D(P(u)) with coefficient 1, known without ranking a
+term: by Shirshov's lemma [u] = u + (terms deg-lex below u), the D(P(m))
+terms outrank every −c·m on degree, and among them D(P(u)) is greatest
+because the prime order is monotone in the argument.  The same lemma
+gives the top of the −c·m terms, u with coefficient −1, and the terms of
+each kind share one degree and one breadth (1, and breadth(u)).  So
+``rewriting.lift_leadings`` of g(u) needs only these two words, and
+``section_rule`` hands it them in closed form (``_section_leadings``):
+an engine indexes every section rule's lifts without building one, and
+expands [u] only for the rules a reduction or composition reads.  The
+deferred builder holds the alphabet, never the ``DrblSystem``, so no
+reference cycle forms.  f(u,v) is read from the same memo: each of
 its four terms is the expansion of a bracketed node, [P([u]) P([v])],
 P([[u] P([v])]), P([P([u]) [v]]) and P([[u] [v]]), so P([u]) is expanded
 once per parameter and the pair nodes once per pair, in integers.  Its
@@ -66,6 +74,7 @@ leading term is P(u)·P(v) with coefficient 1: the terms of breadth 2 are
 P(a)·P(b) and P(b)·P(a) for a in [u] and b in [v], and u, which is
 greater than v, is not a word of [v].  Every rule is built with its
 leading word, so ``rewriting.lift_leadings`` ranks no term of its group.
+Rota-Baxter and completion rules are built eagerly.
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -80,6 +89,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algebra import (
     AlgebraConfig,
@@ -89,6 +99,7 @@ from .algebra import (
     apply_operator,
     as_fraction,
     commutator,
+    d_power_leading,
     expansion,
     lie_expand,
 )
@@ -115,6 +126,42 @@ def _overtaken(lift: int, breadth: int) -> bool:
     leads with w's primes each shifted by ``lift`` instead of D^{lift+1}(P(w)):
     degree deg(w) + lift·breadth against deg(w) + lift + 2, broader on a tie."""
     return lift * (breadth - 1) >= 2
+
+
+def _check_parameter(u: Word, alphabet) -> None:
+    if not is_alsw_hereditary(u, alphabet):
+        raise ValueError("parameter %r is not a Lyndon-Shirshov word" % (u,))
+
+
+def _section_poly(alphabet, op: str, u: Word) -> Poly:
+    """g(u) in one pass over [u]: c·D(P(m)) for each term c·m, then −c·m."""
+    bu = expansion(alphabet, shirshov_bracket(u, alphabet))
+    terms = {
+        Word((Prime(1, OpApp(op, (m,))),)): as_fraction(c) for m, c in bu.items()
+    }
+    terms.update((m, as_fraction(-c)) for m, c in bu.items())
+    return Poly(terms)
+
+
+def _section_leadings(u: Word, top: Word, config: AlgebraConfig, max_degree: int):
+    """``rewriting.lift_leadings`` of g(u), whose top word is D(P(u)).
+
+    The terms of g(u) fall in two (degree, breadth) groups, led by D(P(u))
+    with coefficient 1 and by u with coefficient −1 (see the module
+    docstring).  The i-lift leads with D^{i+1}(P(u)), or at λ ≠ 0 with u's
+    primes each shifted by i once ``_overtaken(i, breadth(u))``.
+    """
+    weighted = config.weight != 0
+    n = u.breadth
+    lift = 0
+    while True:
+        overtaken = weighted and _overtaken(lift, n)
+        word = u if overtaken else top
+        if word.degree + lift * (n if overtaken else 1) > max_degree:
+            return
+        lead, lc = d_power_leading(config, word, lift)
+        yield lift, lead, -lc if overtaken else lc
+        lift += 1
 
 
 class DrblSystem:
@@ -149,28 +196,30 @@ class DrblSystem:
 
     def _bracket(self, u: Word):
         """The standard bracketing [u] of a parameter."""
-        alphabet = self.config.alphabet
-        if not is_alsw_hereditary(u, alphabet):
-            raise ValueError("parameter %r is not a Lyndon-Shirshov word" % (u,))
-        return shirshov_bracket(u, alphabet)
+        _check_parameter(u, self.config.alphabet)
+        return shirshov_bracket(u, self.config.alphabet)
 
     def _operated(self, t):
         """The bracketed node P(t)."""
         return NaLeaf(0, NaOp(self.operator, (t,)))
 
     def section_rule(self, u: Word) -> Rule:
-        """g(u): applying D undoes P, modulo lower terms."""
+        """g(u): applying D undoes P, modulo lower terms.
+
+        Deferred: its polynomial is built on first read, and its lift
+        leadings come in closed form from its two top words.
+        """
         got = self._section.get(u)
         if got is None:
-            bu = expansion(self.config.alphabet, self._bracket(u))
-            op = self.operator
-            terms = {
-                Word((Prime(1, OpApp(op, (m,))),)): as_fraction(c)
-                for m, c in bu.items()
-            }
-            terms.update((m, as_fraction(-c)) for m, c in bu.items())
-            lead = Word((Prime(1, OpApp(op, (u,))),))
-            got = Rule(Poly(terms), ("section", u), lead)
+            alphabet = self.config.alphabet
+            _check_parameter(u, alphabet)
+            lead = Word((Prime(1, OpApp(self.operator, (u,))),))
+            got = Rule.deferred(
+                partial(_section_poly, alphabet, self.operator, u),
+                ("section", u),
+                lead,
+                partial(_section_leadings, u, lead),
+            )
             self._section[u] = got
         return got
 

@@ -584,17 +584,20 @@ def test_cli_lambda_refuses_an_exponent(capsys):
     ids=["nf", "basis", "check-gsb", "oracle-dim"],
 )
 def test_cli_lambda_reads_a_negative_fraction_after_a_space(capsys, argv):
-    # argparse alone takes -1/2 for an option: its negative numbers have no /
+    # argparse alone takes -1/2 for an option: its negative numbers have no /;
+    # it also takes any unambiguous prefix of --lambda for the option
     i = argv.index("--lambda")
     joined = argv[:i] + ["--lambda=-1/2"] + argv[i + 2 :]
     want = run_cli(capsys, *joined)
     assert want[0] == 0 and want[1] and not want[2]
-    assert run_cli(capsys, *argv) == want
-    # the exponent form is still refused
-    exponent = argv[: i + 1] + ["-5e-1"] + argv[i + 2 :]
-    with pytest.raises(SystemExit) as exc:
-        main(exponent)
-    assert exc.value.code == 2 and "--lambda" in capsys.readouterr().err
+    for flag in ("--lambda", "--lam", "--l"):
+        spelled = argv[:i] + [flag] + argv[i + 1 :]
+        assert run_cli(capsys, *spelled) == want, flag
+        # the exponent form is still refused
+        exponent = spelled[: i + 1] + ["-5e-1"] + spelled[i + 2 :]
+        with pytest.raises(SystemExit) as exc:
+            main(exponent)
+        assert exc.value.code == 2 and "--lambda" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_deg", ["3", "9"], ids=["at-exit", "in-print"])

@@ -28,12 +28,13 @@ from shirshov import (
     multiply,
     parse_poly,
     parse_word,
+    s1_rules,
     shirshov_bracket,
     special_expand,
     subst_poly,
 )
 from shirshov.cli import make_alphabet
-from shirshov.rewriting import collector_paused
+from shirshov.rewriting import collector_paused, lift_leadings
 from shirshov.rewriting import reduce as reduce_once
 from shirshov.words import ArgHole, Context, Hole, Word, enumerate_words
 from oracles import oracle_ambiguities
@@ -135,6 +136,63 @@ def test_every_rule_family_stores_its_monic_leading_word(gens, weight):
     got = RewriteSystem(c, bare, 7).lifted
     assert got == sys_.lifted
     assert [type(e.leading_coeff) for e in got] == [Fraction] * len(got)
+
+
+@pytest.mark.parametrize("gens, degree", ((1, 9), (2, 7), (3, 6)))
+@pytest.mark.parametrize("weight", (0, 1, 2, Fraction(1, 2), -1), ids=str)
+def test_closed_form_section_lift_leadings_match_the_built_polynomial(
+    gens, degree, weight
+):
+    # a section rule's lifts lead as the generic grouping of its terms says,
+    # coefficient types included, also past the bound its engine would use
+    c = AlgebraConfig(make_alphabet(gens), Fraction(weight))
+    rules = s1_rules(DrblSystem(c), degree)
+    assert rules and all(r.leadings is not None for r in rules)
+    for rule in rules:
+        closed = list(lift_leadings(c, rule, degree + 2))
+        generic = list(lift_leadings(c, Rule(rule.poly, rule.origin), degree + 2))
+        assert closed == generic, rule.origin
+        assert [type(lc) for _, _, lc in closed] == [Fraction] * len(closed)
+
+
+def test_the_section_rule_engine_expands_no_bracket():
+    alphabet = make_alphabet(2)
+    drbl = DrblSystem(AlgebraConfig(alphabet, Fraction(1)))
+    engine = drbl.system(9, s1_only=True)
+    assert (len(engine.rules), len(engine.lifted)) == (7220, 8970)
+    assert not alphabet._expansions
+    # the first read of a rule's polynomial expands its bracket
+    rule = engine.rules[-1]
+    assert leading(drbl.config, rule.poly) == (rule.lead, Fraction(1))
+    assert alphabet._expansions
+    # an unread rule compares, hashes and prints as the eager one
+    eager = make_rule(drbl.config, rule.poly, rule.origin)
+
+    def unread():
+        return DrblSystem(drbl.config).section_rule(rule.origin[1])
+
+    assert unread() == eager and eager == unread()
+    assert hash(unread()) == hash(eager)
+    assert repr(unread()) == repr(eager)
+
+
+@pytest.mark.parametrize("weight", (0, 1))
+def test_engines_hold_no_reference_cycles(weight):
+    # dropping the system frees everything by reference counting, read
+    # rules and unread ones alike, so pausing the collector loses nothing
+    gc.collect()
+    drbl = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight)))
+    for s1_only in (True, False):
+        engine = drbl.system(7, s1_only=s1_only)
+        for rule in engine.rules[::3]:
+            rule.poly
+        engine.core(0, 1)
+    nf = drbl_nf(parse_poly("D^2(P([x1 x2]))", engine.config.alphabet), drbl)
+    assert not nf.is_zero()
+    probe = weakref.ref(drbl)
+    del drbl, engine, rule, nf
+    assert probe() is None
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("weight", (0, 1))

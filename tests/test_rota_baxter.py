@@ -530,6 +530,9 @@ def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
             rules = s1_rules(sys_, 7)
         else:
             rules = instantiate_rules(sys_, 7)
+        # a section rule expands [u] on the first read of its polynomial
+        for r in rules:
+            r.poly
         params = enumerate_alsw(sys_.config, 5)
         nodes = set()
         for u in params:
@@ -548,7 +551,8 @@ def test_each_bracketed_subtree_is_expanded_once(monkeypatch):
         for u in params:
             lie_expand(sys_.config, shirshov_bracket(u, alphabet))
         again = make_sys(alphabet, weight)
-        s1_rules(again, 7)
+        for r in s1_rules(again, 7):
+            r.poly
         for u, v in pairs:
             again.rota_baxter_rule(u, v)
         assert not calls
