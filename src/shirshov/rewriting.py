@@ -15,9 +15,10 @@ share it; and if the greatest top word equalled a lower word of another
 monomial's lift, that monomial's top word would be greater still.  The
 lifted polynomials themselves (cores) are expanded only when a reduction
 or composition uses them, and a deferred rule (``Rule.deferred``, as the
-section rules of ``rota_baxter`` are) gives its lift leadings in closed
-form, so its own polynomial is built only then too.  All matching,
-ambiguity enumeration and reduction work from these true lifted leadings.
+section rules of ``rota_baxter`` are) hands ``lift_leadings`` the top
+term of each of its groups, so its own polynomial is built only then
+too.  All matching, ambiguity enumeration and reduction work from these
+true lifted leadings.
 
 Ambiguities are the classical two kinds: intersections (proper two-sided
 overlap of two lifted leading words) and inclusions (one lifted leading
@@ -129,12 +130,13 @@ class Rule:
     (``make_rule`` and the ``rota_baxter`` families do), else None.  It is
     not compared: it only saves ``lift_leadings`` one ranking.  A rule made
     by ``Rule.deferred`` builds its polynomial on the first read of
-    ``poly`` and gives its lift leadings in closed form (``leadings``), so
-    an engine can index it without expanding it.  Rules compare, hash and
-    print by (poly, origin) alone, deferred or not.
+    ``poly``; its ``tops`` hold the top term of each (degree, breadth)
+    group, all that ``lift_leadings`` reads, so an engine can index it
+    without expanding it.  Rules compare, hash and print by (poly, origin)
+    alone, deferred or not.
     """
 
-    __slots__ = ("_poly", "_build", "origin", "lead", "leadings")
+    __slots__ = ("_poly", "_build", "origin", "lead", "tops")
 
     def __init__(
         self, poly: Poly, origin: tuple = ("rule",), lead: Word | None = None
@@ -145,22 +147,22 @@ class Rule:
         self._build = None
         self.origin = origin
         self.lead = lead
-        self.leadings = None
+        self.tops = None
 
     @classmethod
-    def deferred(cls, build, origin: tuple, lead: Word, leadings) -> "Rule":
+    def deferred(cls, build, origin: tuple, lead: Word, tops: dict) -> "Rule":
         """A rule whose polynomial ``build()`` makes on first read.
 
-        ``leadings(config, max_degree)`` must yield what ``lift_leadings``
-        would find in the built polynomial.  Neither callable may hold the
-        rule's owner (see the module docstring).
+        ``tops`` maps the deg-lex greatest word of each (degree, breadth)
+        group of the built polynomial to its coefficient.  ``build`` must
+        not hold the rule's owner (see the module docstring).
         """
         rule = cls.__new__(cls)
         rule._poly = None
         rule._build = build
         rule.origin = origin
         rule.lead = lead
-        rule.leadings = leadings
+        rule.tops = tops
         return rule
 
     @property
@@ -301,15 +303,12 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
     deg-lex greatest monomial of the winning group, and only a group that
     wins is ranked.  The group of ``rule.lead`` needs no ranking at all:
     the greatest word of the polynomial is the greatest of its group.
-    A deferred rule gives its own (``Rule.leadings``), so its polynomial
-    is not built here.
+    Since only each group's top term is read, a deferred rule's ``tops``
+    stand in for its terms, and its polynomial is not built here.
     """
-    if rule.leadings is not None:
-        yield from rule.leadings(config, max_degree)
-        return
     key = config.alphabet.key
     weighted = config.weight != 0
-    terms = rule.poly.terms
+    terms = rule.poly.terms if rule.tops is None else rule.tops
     groups: dict[tuple[int, int], list[Word]] = {}
     for u in terms:
         groups.setdefault((u.degree, len(u.primes)), []).append(u)
@@ -330,7 +329,8 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
         if u is None:
             u = tops[top] = max(groups[top], key=key)
         lead, lc = d_power_leading(config, u, lift)
-        yield lift, lead, terms[u] * lc
+        c = terms[u]  # a Fraction, so skipping a product by 1 keeps its type
+        yield lift, lead, c if lc == 1 else c * lc
         lift += 1
 
 

@@ -61,9 +61,9 @@ terms outrank every −c·m on degree, and among them D(P(u)) is greatest
 because the prime order is monotone in the argument.  The same lemma
 gives the top of the −c·m terms, u with coefficient −1, and the terms of
 each kind share one degree and one breadth (1, and breadth(u)).  So
-``rewriting.lift_leadings`` of g(u) needs only these two words, and
-``section_rule`` hands it them in closed form (``_section_leadings``):
-an engine indexes every section rule's lifts without building one, and
+``rewriting.lift_leadings`` of g(u) needs only these two terms, and
+``section_rule`` hands it them as the rule's ``tops``: an engine indexes
+every section rule's lifts without building one, and
 expands [u] only for the rules a reduction or composition reads.  The
 deferred builder holds the alphabet, never the ``DrblSystem``, so no
 reference cycle forms.  f(u,v) is read from the same memo: each of
@@ -89,6 +89,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 
 from .algebra import (
@@ -99,7 +100,6 @@ from .algebra import (
     apply_operator,
     as_fraction,
     commutator,
-    d_power_leading,
     expansion,
     lie_expand,
 )
@@ -141,27 +141,6 @@ def _section_poly(alphabet, op: str, u: Word) -> Poly:
     }
     terms.update((m, as_fraction(-c)) for m, c in bu.items())
     return Poly(terms)
-
-
-def _section_leadings(u: Word, top: Word, config: AlgebraConfig, max_degree: int):
-    """``rewriting.lift_leadings`` of g(u), whose top word is D(P(u)).
-
-    The terms of g(u) fall in two (degree, breadth) groups, led by D(P(u))
-    with coefficient 1 and by u with coefficient −1 (see the module
-    docstring).  The i-lift leads with D^{i+1}(P(u)), or at λ ≠ 0 with u's
-    primes each shifted by i once ``_overtaken(i, breadth(u))``.
-    """
-    weighted = config.weight != 0
-    n = u.breadth
-    lift = 0
-    while True:
-        overtaken = weighted and _overtaken(lift, n)
-        word = u if overtaken else top
-        if word.degree + lift * (n if overtaken else 1) > max_degree:
-            return
-        lead, lc = d_power_leading(config, word, lift)
-        yield lift, lead, -lc if overtaken else lc
-        lift += 1
 
 
 class DrblSystem:
@@ -207,7 +186,7 @@ class DrblSystem:
         """g(u): applying D undoes P, modulo lower terms.
 
         Deferred: its polynomial is built on first read, and its lift
-        leadings come in closed form from its two top words.
+        leadings are taken from its two group tops, D(P(u)) and u.
         """
         got = self._section.get(u)
         if got is None:
@@ -218,7 +197,7 @@ class DrblSystem:
                 partial(_section_poly, alphabet, self.operator, u),
                 ("section", u),
                 lead,
-                partial(_section_leadings, u, lead),
+                {lead: Fraction(1), u: Fraction(-1)},
             )
             self._section[u] = got
         return got

@@ -140,19 +140,19 @@ def test_every_rule_family_stores_its_monic_leading_word(gens, weight):
 
 @pytest.mark.parametrize("gens, degree", ((1, 9), (2, 7), (3, 6)))
 @pytest.mark.parametrize("weight", (0, 1, 2, Fraction(1, 2), -1), ids=str)
-def test_closed_form_section_lift_leadings_match_the_built_polynomial(
+def test_section_rule_tops_give_the_lift_leadings_of_the_built_polynomial(
     gens, degree, weight
 ):
     # a section rule's lifts lead as the generic grouping of its terms says,
     # coefficient types included, also past the bound its engine would use
     c = AlgebraConfig(make_alphabet(gens), Fraction(weight))
     rules = s1_rules(DrblSystem(c), degree)
-    assert rules and all(r.leadings is not None for r in rules)
+    assert rules and all(r.tops is not None for r in rules)
     for rule in rules:
-        closed = list(lift_leadings(c, rule, degree + 2))
-        generic = list(lift_leadings(c, Rule(rule.poly, rule.origin), degree + 2))
-        assert closed == generic, rule.origin
-        assert [type(lc) for _, _, lc in closed] == [Fraction] * len(closed)
+        from_tops = list(lift_leadings(c, rule, degree + 2))
+        from_poly = list(lift_leadings(c, Rule(rule.poly, rule.origin), degree + 2))
+        assert from_tops == from_poly, rule.origin
+        assert [type(lc) for _, _, lc in from_tops] == [Fraction] * len(from_tops)
 
 
 def test_the_section_rule_engine_expands_no_bracket():
