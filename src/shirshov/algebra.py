@@ -51,6 +51,7 @@ from .words import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 # ``Fraction(c)``, one shared object per value.  Expansion coefficients
 # take few distinct values, so polynomials built from the memo share them.

@@ -4,10 +4,16 @@
 over explicitly generated spanning and ideal rows.  It finds ideal rows by
 an index: each ALSW word's subword runs are walked once and looked up among
 the rule lifts' leading words, which it expands itself with ``apply_D`` and
-``leading``, not through the rewriting engine it checks.  The naive oracles
-of the test suite live in ``tests/oracles.py``; among them,
+``leading``, not through the rewriting engine it checks.  A lift is
+expanded only while it fits: once a lift's leading word has degree
+``max_degree``, the next is not built.  The leading word of ``D(f)`` is the
+greatest top word of the ``D(m)`` over the monomials ``m`` of ``f``, none
+of which cancels (see the ``rewriting`` docstring), and each has degree at
+least ``deg(m) + 1``, so that lift could not fit.  The naive oracles of
+the test suite live in ``tests/oracles.py``; among them,
 ``naive_ideal_rows`` keeps the old scan, one ``occurrences`` call per ALSW
-word and lift, as the cross-check of the index.
+word and lift, each lift expanded until it overshoots, as the
+cross-check of the index and of the stop.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
                 )
             by_leading.setdefault(v.primes, []).append(len(lifts))
             lifts.append((v, core))
+            if v.degree >= max_degree:
+                break  # the next lift's leading would overshoot the bound
             core = apply_D(config, core)  # the next lift, one D step on
     hits: list[list] = [[] for _ in lifts]
     for w in alsws:
@@ -76,7 +84,10 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
     its dimension is the ALSW count.  Ideal rows are the bracketed rule
     multiples: for every rule, every D-lift whose leading fits the bound,
     and every occurrence of that leading inside an ALSW word, the isolating
-    bracketing filled with the lifted rule.  Exact Gaussian elimination with
+    bracketing filled with the lifted rule.  Lifts stop at the first whose
+    leading has degree ``max_degree``: D raises the degree of every
+    monomial, and no top word cancels, so the next lift's leading could
+    not fit.  Exact Gaussian elimination with
     deg-lex-descending pivots then counts, per degree, how many ALSW leading
     words the ideal consumes; its entries stay ``int``s while the divisions
     are exact (``algebra.divide``).

@@ -89,10 +89,11 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .algebra import (
+    MINUS_ONE,
+    ONE,
     AlgebraConfig,
     Poly,
     _subtract,
@@ -197,7 +198,7 @@ class DrblSystem:
                 partial(_section_poly, alphabet, self.operator, u),
                 ("section", u),
                 lead,
-                {lead: Fraction(1), u: Fraction(-1)},
+                {lead: ONE, u: MINUS_ONE},
             )
             self._section[u] = got
         return got
@@ -320,8 +321,10 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
     rules sorted by their leading word P(u)·P(v), then (λ ≠ 0) completion
     rules sorted by their leading word D^{i+1}(P(u)).
     """
-    out = s1_rules(sys, max_degree)
-    params = enumerate_alsw(sys.config, max_degree - 3)
+    params = enumerate_alsw(sys.config, max_degree - 2)
+    out = [sys.section_rule(u) for u in params]
+    # pair and completion parameters: the prefix of degree <= max_degree - 3
+    params = [u for u in params if u.degree <= max_degree - 3]
     key = sys.config.alphabet.key
     rota_baxter = [
         sys.rota_baxter_rule(u, v)

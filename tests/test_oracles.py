@@ -241,6 +241,28 @@ def test_every_lift_sharing_a_leading_word_gets_its_rows():
     assert rows == single + [r.scale(2) for r in single]
 
 
+@pytest.mark.parametrize("weight,want", [("0", 47), ("1", 46)])
+def test_quotient_dim_lifts_a_rule_only_while_the_lift_fits(
+    monkeypatch, weight, want
+):
+    import shirshov.reference as reference
+
+    config = AlgebraConfig(make_alphabet(2), Fraction(weight))
+    bound = 6
+    seen = []
+
+    def counting_apply_D(config_, core, times=1):
+        seen.append(leading(config_, core)[0].degree)
+        return apply_D(config_, core, times)
+
+    monkeypatch.setattr(reference, "apply_D", counting_apply_D)
+    rules = instantiate_rules(DrblSystem(config), bound)
+    assert oracle_quotient_dim(config, rules, bound)[-1] == 785
+    # expanding every lift until it overshoots took 203 (λ = 0) and 192 (λ = 1)
+    assert len(seen) == want
+    assert max(seen) < bound
+
+
 def test_ideal_rows_refuse_a_rule_not_led_by_a_lyndon_shirshov_word():
     from shirshov import parse_poly
 
