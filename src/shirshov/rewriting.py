@@ -12,13 +12,14 @@ of the leading words ``d_power_leading(m, i)`` over the monomials ``m`` of
 one ``d_power_leading`` gives.  No two terms can cancel there.  The top
 word of ``D^i(m)`` is an injective shift of ``m``, so two monomials never
 share it; and if the greatest top word equalled a lower word of another
-monomial's lift, that monomial's top word would be greater still.  The
-lifted polynomials themselves (cores) are expanded only when a reduction
-or composition uses them, and a deferred rule (``Rule.deferred``, as the
-section rules of ``rota_baxter`` are) hands ``lift_leadings`` the top
-term of each of its groups, so its own polynomial is built only then
-too.  All matching, ambiguity enumeration and reduction work from these
-true lifted leadings.
+monomial's lift, that monomial's top word would be greater still.  Every
+rule carries the top term of each of its (degree, breadth) groups
+(``Rule.tops``), and ``lift_leadings`` reads only those.  The lifted
+polynomials themselves (cores) are expanded only when a reduction or
+composition uses them, and a rule built from a builder (as the section
+rules of ``rota_baxter`` are) builds its own polynomial only then too.
+All matching, ambiguity enumeration and reduction work from these true
+lifted leadings.
 
 Ambiguities are the classical two kinds: intersections (proper two-sided
 overlap of two lifted leading words) and inclusions (one lifted leading
@@ -63,8 +64,8 @@ long-lived dicts, tuples and words, and the collector keeps rescanning
 them: building the degree-9 section-rule engine set off about 600
 collections, four of them full, which took over a quarter of the time
 and freed nothing.  The pause is safe because the engine's data holds no
-reference cycles (the lift caches reach their rules, and deferred rules
-their builders, without a reference back to their owner), so reference
+reference cycles (the lift caches reach their rules, and rules their
+builders, without a reference back to their owner), so reference
 counting frees all of it; a cycle made elsewhere meanwhile is collected
 once the collector runs again.  The pause is process-wide: like the
 intern tables of ``words``, it assumes one thread.
@@ -78,6 +79,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    ONE,
     AlgebraConfig,
     Poly,
     _add,
@@ -126,44 +128,27 @@ def collector_paused():
 class Rule:
     """A monic rewriting rule with a provenance tag for its family.
 
-    ``lead`` is the rule's deg-lex leading word when its builder knows it
-    (``make_rule`` and the ``rota_baxter`` families do), else None.  It is
-    not compared: it only saves ``lift_leadings`` one ranking.  A rule made
-    by ``Rule.deferred`` builds its polynomial on the first read of
-    ``poly``; its ``tops`` hold the top term of each (degree, breadth)
-    group, all that ``lift_leadings`` reads, so an engine can index it
-    without expanding it.  Rules compare, hash and print by (poly, origin)
-    alone, deferred or not.
+    ``poly`` is the rule's polynomial, or a builder that makes it on the
+    first read of ``poly``; a builder must not hold the rule's owner (see
+    the module docstring).  ``tops`` maps the deg-lex greatest word of each
+    (degree, breadth) group of the polynomial to its coefficient; a group
+    that another beats on both degree and breadth may be left out, since it
+    never leads a lift.  They are all that ``lift_leadings`` reads, so an
+    engine indexes a rule without building it.  Rules compare, hash and
+    print by (poly, origin) alone.
     """
 
-    __slots__ = ("_poly", "_build", "origin", "lead", "tops")
+    __slots__ = ("_poly", "_build", "origin", "tops")
 
-    def __init__(
-        self, poly: Poly, origin: tuple = ("rule",), lead: Word | None = None
-    ):
-        if not poly:
+    def __init__(self, poly, origin: tuple, tops: dict):
+        if not tops:
             raise ValueError("rules must be nonzero")
-        self._poly = poly
-        self._build = None
+        if isinstance(poly, Poly):
+            self._poly, self._build = poly, None
+        else:
+            self._poly, self._build = None, poly
         self.origin = origin
-        self.lead = lead
-        self.tops = None
-
-    @classmethod
-    def deferred(cls, build, origin: tuple, lead: Word, tops: dict) -> "Rule":
-        """A rule whose polynomial ``build()`` makes on first read.
-
-        ``tops`` maps the deg-lex greatest word of each (degree, breadth)
-        group of the built polynomial to its coefficient.  ``build`` must
-        not hold the rule's owner (see the module docstring).
-        """
-        rule = cls.__new__(cls)
-        rule._poly = None
-        rule._build = build
-        rule.origin = origin
-        rule.lead = lead
-        rule.tops = tops
-        return rule
+        self.tops = tops
 
     @property
     def poly(self) -> Poly:
@@ -171,6 +156,11 @@ class Rule:
             self._poly = self._build()
             self._build = None
         return self._poly
+
+    @property
+    def lead(self) -> Word:
+        """The deg-lex leading word: the top of the greatest group."""
+        return max(self.tops, key=lambda w: (w.degree, w.breadth))
 
     def __eq__(self, other):
         if type(other) is not Rule:
@@ -185,13 +175,19 @@ class Rule:
 
 
 def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> Rule:
-    """Normalize a polynomial to a monic rule."""
+    """Normalize a polynomial to a monic rule with ``Fraction`` coefficients."""
     if not poly:
         raise ValueError("rules must be nonzero")
-    lead, lc = leading(config, poly)
-    if lc != 1:
-        poly = poly.scale(1 / lc)
-    return Rule(poly, origin, lead)
+    key = config.alphabet.key
+    tops: dict[tuple[int, int], Word] = {}
+    for w in poly.terms:
+        group = w.degree, w.breadth
+        top = tops.get(group)
+        if top is None or key(w) > key(top):
+            tops[group] = w
+    lc = poly.terms[tops[max(tops)]]
+    poly = Poly(as_fractions(poly.terms)) if lc == 1 else poly.scale(ONE / lc)
+    return Rule(poly, origin, {w: poly.terms[w] for w in tops.values()})
 
 
 @dataclass(frozen=True)
@@ -300,36 +296,22 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
     same positions of words of one degree and breadth, shifting a prime by
     D is strictly monotone in the prime order, and deg-lex compares such
     words prime by prime.  So the leading word is the shift of the
-    deg-lex greatest monomial of the winning group, and only a group that
-    wins is ranked.  The group of ``rule.lead`` needs no ranking at all:
-    the greatest word of the polynomial is the greatest of its group.
-    Since only each group's top term is read, a deferred rule's ``tops``
-    stand in for its terms, and its polynomial is not built here.
+    deg-lex greatest monomial of the winning group, which is one of the
+    rule's ``tops``; the polynomial itself is not read.
     """
-    key = config.alphabet.key
+    tops = rule.tops
     weighted = config.weight != 0
-    terms = rule.poly.terms if rule.tops is None else rule.tops
-    groups: dict[tuple[int, int], list[Word]] = {}
-    for u in terms:
-        groups.setdefault((u.degree, len(u.primes)), []).append(u)
-    tops = {}
-    if rule.lead is not None:
-        tops[rule.lead.degree, len(rule.lead.primes)] = rule.lead
 
-    def shifted_degree(group):
-        d, b = group
-        return d + lift * (b if weighted else 1)
+    def shifted_degree(u):
+        return u.degree + lift * (u.breadth if weighted else 1)
 
     lift = 0
     while True:
-        top = max(groups, key=lambda g: (shifted_degree(g), g[1]))
-        if shifted_degree(top) > max_degree:
+        u = max(tops, key=lambda u: (shifted_degree(u), u.breadth))
+        if shifted_degree(u) > max_degree:
             return
-        u = tops.get(top)
-        if u is None:
-            u = tops[top] = max(groups[top], key=key)
         lead, lc = d_power_leading(config, u, lift)
-        c = terms[u]  # a Fraction, so skipping a product by 1 keeps its type
+        c = tops[u]  # a Fraction, so skipping a product by 1 keeps its type
         yield lift, lead, c if lc == 1 else c * lc
         lift += 1
 

@@ -61,19 +61,20 @@ terms outrank every −c·m on degree, and among them D(P(u)) is greatest
 because the prime order is monotone in the argument.  The same lemma
 gives the top of the −c·m terms, u with coefficient −1, and the terms of
 each kind share one degree and one breadth (1, and breadth(u)).  So
-``rewriting.lift_leadings`` of g(u) needs only these two terms, and
-``section_rule`` hands it them as the rule's ``tops``: an engine indexes
-every section rule's lifts without building one, and
-expands [u] only for the rules a reduction or composition reads.  The
-deferred builder holds the alphabet, never the ``DrblSystem``, so no
-reference cycle forms.  f(u,v) is read from the same memo: each of
-its four terms is the expansion of a bracketed node, [P([u]) P([v])],
-P([[u] P([v])]), P([P([u]) [v]]) and P([[u] [v]]), so P([u]) is expanded
-once per parameter and the pair nodes once per pair, in integers.  Its
-leading term is P(u)·P(v) with coefficient 1: the terms of breadth 2 are
-P(a)·P(b) and P(b)·P(a) for a in [u] and b in [v], and u, which is
-greater than v, is not a word of [v].  Every rule is built with its
-leading word, so ``rewriting.lift_leadings`` ranks no term of its group.
+these two terms are the rule's ``tops``, all that
+``rewriting.lift_leadings`` reads: an engine indexes every section rule's
+lifts without building one, and expands [u] only for the rules a
+reduction or composition reads.  The rule's builder holds the alphabet,
+never the ``DrblSystem``, so no reference cycle forms.  f(u,v) is read
+from the same memo: each of its four terms is the expansion of a
+bracketed node, [P([u]) P([v])], P([[u] P([v])]), P([P([u]) [v]]) and
+P([[u] [v]]), so P([u]) is expanded once per parameter and the pair
+nodes once per pair, in integers.  Its leading term is P(u)·P(v) with
+coefficient 1: the terms of breadth 2 are P(a)·P(b) and P(b)·P(a) for a
+in [u] and b in [v], and u, which is greater than v, is not a word of
+[v].  That term is the rule's one top: the other terms have breadth 1
+and no greater degree, so its group leads every lift at every weight.
+Completion rules take their tops from ``rewriting.make_rule``.
 Rota-Baxter and completion rules are built eagerly.
 
 The linear basis of the quotient is enumerated directly: the letter
@@ -186,18 +187,17 @@ class DrblSystem:
     def section_rule(self, u: Word) -> Rule:
         """g(u): applying D undoes P, modulo lower terms.
 
-        Deferred: its polynomial is built on first read, and its lift
-        leadings are taken from its two group tops, D(P(u)) and u.
+        Its polynomial is built on first read; its lift leadings come
+        from its two group tops, D(P(u)) and u.
         """
         got = self._section.get(u)
         if got is None:
             alphabet = self.config.alphabet
             _check_parameter(u, alphabet)
             lead = Word((Prime(1, OpApp(self.operator, (u,))),))
-            got = Rule.deferred(
+            got = Rule(
                 partial(_section_poly, alphabet, self.operator, u),
                 ("section", u),
-                lead,
                 {lead: ONE, u: MINUS_ONE},
             )
             self._section[u] = got
@@ -226,7 +226,8 @@ class DrblSystem:
             poly = Poly({w: as_fraction(c) for w, c in terms.items()})
             op = self.operator
             lead = Word((Prime(0, OpApp(op, (u,))), Prime(0, OpApp(op, (v,)))))
-            got = Rule(poly, ("rota-baxter", u, v), lead)
+            # its breadth-2 group has the greatest degree: it leads every lift
+            got = Rule(poly, ("rota-baxter", u, v), {lead: ONE})
             self._rota_baxter[(u, v)] = got
         return got
 

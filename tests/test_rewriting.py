@@ -17,7 +17,6 @@ from shirshov import (
     DrblSystem,
     Poly,
     RewriteSystem,
-    Rule,
     apply_D,
     apply_operator,
     drbl_nf,
@@ -63,6 +62,53 @@ def test_make_rule_normalizes_to_monic():
     assert r.poly == parse_poly("x y - 2 y", A2)
     with pytest.raises(ValueError):
         make_rule(c, Poly.zero())
+
+
+def test_make_rule_divides_exactly_into_fractions():
+    # a leading coefficient of 3 is divided out exactly, not through a
+    # float, and a leading coefficient of 1 still gives Fraction terms
+    c = cfg()
+    xy, y = parse_word("x y", A2), parse_word("y", A2)
+    r = make_rule(c, Poly({xy: 3, y: 1}))
+    assert r.poly.terms == {xy: Fraction(1), y: Fraction(1, 3)}
+    assert r.tops == {xy: Fraction(1), y: Fraction(1, 3)}
+    r1 = make_rule(c, Poly({xy: 1, y: 2}))
+    for rule in (r, r1):
+        assert {type(k) for k in rule.poly.terms.values()} == {Fraction}
+    lifted = RewriteSystem(c, [r, r1], 4).lifted
+    assert lifted and all(type(e.leading_coeff) is Fraction for e in lifted)
+    assert all(e.leading_coeff == 1 for e in lifted)
+
+
+# non-monic, with several (degree, breadth) groups of several words each
+GENERIC_RULES = (
+    "2 P(x y) - 3 x y + 5 y x - 7 x",
+    "-3 P(P(x) y) + 4 x y x - y x y + 1/2 D(x) y - 6 P(y) + y",
+    "1/3 D(x) y + 2 x x y - 5 P(y) + y D(x)",
+    "-4 D^2(P(x)) + 3/2 y x - 2 x y + P(x) y x",
+)
+
+
+@pytest.mark.parametrize("weight", (0, 1, 2, -1, Fraction(1, 2)), ids=str)
+def test_generic_rule_lift_leadings_match_full_expansion(weight):
+    # make_rule's tops give each listed lift the leading term of its full
+    # expansion, and the first lift not listed leads above the bound; a
+    # fresh alphabet, so that its key memo keeps no word alive past the test
+    alphabet = Alphabet(("x", "y"), (("P", 1),))
+    c = cfg(alphabet, weight)
+    bound = 9
+    polys = [parse_poly(t, alphabet) for t in GENERIC_RULES]
+    sys_ = RewriteSystem(c, polys, bound)
+    for idx, rule in enumerate(sys_.rules):
+        assert leading(c, rule.poly) == (rule.lead, Fraction(1))
+        entries = [e for e in sys_.lifted if e.rule_index == idx]
+        assert [e.lift for e in entries] == list(range(len(entries)))
+        assert len(entries) >= 2
+        for e in entries:
+            full = apply_D(c, rule.poly, e.lift)
+            assert (e.leading_word, e.leading_coeff) == leading(c, full)
+        beyond = apply_D(c, rule.poly, len(entries))
+        assert leading(c, beyond)[0].degree > bound
 
 
 def test_lifted_leadings_switch_at_high_lifts():
@@ -130,9 +176,9 @@ def test_every_rule_family_stores_its_monic_leading_word(gens, weight):
     assert bool(families["completion"]) == (weight != 0)
     for rule in sys_.rules:
         assert leading(c, rule.poly) == (rule.lead, Fraction(1)), rule.origin
-    # without stored leadings every group is ranked, to the same lifts
-    bare = [Rule(rule.poly, rule.origin) for rule in sys_.rules]
-    assert all(b.lead is None for b in bare) and bare == list(sys_.rules)
+    # tops taken from every term give the same lifts
+    bare = [make_rule(c, rule.poly, rule.origin) for rule in sys_.rules]
+    assert bare == list(sys_.rules)
     got = RewriteSystem(c, bare, 7).lifted
     assert got == sys_.lifted
     assert [type(e.leading_coeff) for e in got] == [Fraction] * len(got)
@@ -150,7 +196,9 @@ def test_section_rule_tops_give_the_lift_leadings_of_the_built_polynomial(
     assert rules and all(r.tops is not None for r in rules)
     for rule in rules:
         from_tops = list(lift_leadings(c, rule, degree + 2))
-        from_poly = list(lift_leadings(c, Rule(rule.poly, rule.origin), degree + 2))
+        from_poly = list(
+            lift_leadings(c, make_rule(c, rule.poly, rule.origin), degree + 2)
+        )
         assert from_tops == from_poly, rule.origin
         assert [type(lc) for _, _, lc in from_tops] == [Fraction] * len(from_tops)
 
