@@ -6,7 +6,7 @@ Lyndon-Shirshov combinatorics and special bracketings (``lyndon``),
 expression parsing and printing (``syntax``), the generic
 composition-diamond rewriting engine (``rewriting``), the concrete
 Rota-Baxter rule system with fast normal forms and basis enumeration
-(``rota_baxter``), the exact quotient-dimension oracle (``reference``), and
+(``rota_baxter``), the quotient-dimension oracle (``reference``), and
 the command line (``cli``).
 """
 
@@ -29,7 +29,6 @@ from .lyndon import (
     is_alsw_hereditary,
     ls_factorization,
     shirshov_bracket,
-    special_bracket,
     special_expand,
 )
 from .rewriting import (
@@ -43,13 +42,11 @@ from .rewriting import (
     make_rule,
 )
 from .rota_baxter import (
-    AxiomReport,
     DrblSystem,
     drbl_nf,
     enumerate_basis,
     instantiate_rules,
     s1_rules,
-    verify_axioms,
 )
 from .syntax import (
     TermSyntaxError,
@@ -78,7 +75,6 @@ __all__ = [
     "AlgebraConfig",
     "Alphabet",
     "Ambiguity",
-    "AxiomReport",
     "Context",
     "DrblSystem",
     "GsbReport",
@@ -120,8 +116,6 @@ __all__ = [
     "parse_word",
     "s1_rules",
     "shirshov_bracket",
-    "special_bracket",
     "special_expand",
     "subst_poly",
-    "verify_axioms",
 ]

@@ -8,7 +8,9 @@ Subcommands:
   D-powers, without P
 * ``bracket``    — standard bracketing of a Lyndon-Shirshov word
 * ``check-gsb``  — reduce all compositions of a rule system
-* ``oracle-dim`` — exact quotient dimensions per degree
+* ``oracle-dim`` — quotient dimensions per degree by exact ideal rank;
+  exact at weight 0, and at λ ≠ 0 only below degree 7 over two generators
+  and below degree 8 over one (past that they depend on ``--max-deg``)
 
 Generators are named x1, x2, … and ordered descending by index (x1 is the
 greatest).  Rationals are read as p, p/q or a decimal without an exponent,
@@ -284,7 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_check_gsb)
 
-    p = sub.add_parser("oracle-dim", parents=[weight], help="exact quotient dimensions")
+    p = sub.add_parser(
+        "oracle-dim",
+        parents=[weight],
+        help="quotient dimensions by ideal rank (exact at weight 0)",
+    )
     p.add_argument("--gens", type=_positive_int, required=True)
     p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_oracle_dim)

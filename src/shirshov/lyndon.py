@@ -13,14 +13,15 @@ arguments in place.  ``ls_factorization`` is the unique factorization of an
 arbitrary word into a lex-non-decreasing sequence of ALSW factors, computed
 greedily by longest ALSW prefix.
 
-``special_bracket`` isolates a designated ALSW subword ``v`` of an ALSW
-``w``: descending the standard bracketing of ``w``, the minimal subtree
-containing ``v`` has ``v`` as a prefix; that subtree is rebracketed as a
-left-normed chain over the LS factors of the tail.  The expansion of the
-result is ``w`` plus deg-lex smaller monomials — asserted on construction,
-so a returned value always carries a verified certificate.  The same
+``special_expand`` expands the bracketing of an ALSW ``w`` that isolates a
+designated ALSW subword ``v``: descending the standard bracketing of ``w``,
+the minimal subtree containing ``v`` has ``v`` as a prefix; that subtree is
+rebracketed as a left-normed chain over the LS factors of the tail.  The
 bracketing expands with an arbitrary polynomial in place of ``v``, which is
-how bracketed rule multiples are formed.
+how bracketed rule multiples are formed; with ``v`` itself in place the
+expansion is ``w`` plus deg-lex smaller monomials, and every expansion's
+leading term is asserted, so a returned value carries a verified
+certificate.
 
 That expansion is linear in the core and touches only the spine, the
 path from the marked slot to the root.  Every subtree off the spine is a
@@ -34,8 +35,6 @@ integral and in ``Fraction``s where it is not; ``special_expand`` returns
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra import (
     AlgebraConfig,
@@ -222,20 +221,6 @@ def enumerate_alsw(config: AlgebraConfig, max_degree: int) -> list[Word]:
 # Special bracketing.
 
 
-@dataclass(frozen=True)
-class SpecialBracket:
-    """A bracketing of ``word`` isolating a designated subword.
-
-    ``bracketing`` carries the standard bracketing of the subword at the
-    marked slot; ``expansion`` is its Lie expansion, certified to have
-    leading term (``word``, 1).
-    """
-
-    word: Word
-    bracketing: object
-    expansion: Poly
-
-
 # Spine steps, from the marked slot up to the root.  ("left", t): the
 # node so far is the left child of a pair whose right child is t;
 # ("right", t): it is the right child, t the left; ("op", k, name, before,
@@ -287,20 +272,6 @@ def _descend(primes, i, j, alphabet: Alphabet) -> list:
     )
 
 
-def _graft(steps, node):
-    """The bracketing the spine ``steps`` builds over ``node``."""
-    for step in steps:
-        kind = step[0]
-        if kind is _LEFT:
-            node = NaPair(node, step[1])
-        elif kind is _RIGHT:
-            node = NaPair(step[1], node)
-        else:
-            _, d_power, name, before, after = step
-            node = NaLeaf(d_power, NaOp(name, before + (node,) + after))
-    return node
-
-
 def _expand_spine(alphabet: Alphabet, steps, core: dict) -> dict:
     """Expansion of the spine over ``core``, off-spine subtrees from the memo.
 
@@ -322,20 +293,6 @@ def _expand_spine(alphabet: Alphabet, steps, core: dict) -> dict:
             args.extend(expansion(alphabet, t) for t in after)
             out = _int_operator(name, args, d_power)
     return out
-
-
-def special_bracket(config: AlgebraConfig, ctx: Context, v: Word) -> SpecialBracket:
-    """Bracket ``ctx`` filled with ``v`` so the bracketing isolates ``v``.
-
-    Both ``v`` and the filled word must be (hereditarily) Lyndon-Shirshov.
-    The expansion is ``special_expand`` with ``v`` itself as the core, so
-    it is certified: leading term exactly (filled word, 1).
-    """
-    expanded = special_expand(config, ctx, v, Poly.word(v))
-    w = substitute(ctx, v)
-    alphabet = config.alphabet
-    bracketing = _graft(_spine(w, ctx, alphabet), shirshov_bracket(v, alphabet))
-    return SpecialBracket(w, bracketing, expanded)
 
 
 def special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> Poly:

@@ -1,7 +1,10 @@
-"""The exact quotient-dimension oracle behind the ``oracle-dim`` command.
+"""The quotient-dimension oracle behind the ``oracle-dim`` command.
 
 ``oracle_quotient_dim`` computes quotient dimensions by exact-rational rank
-over explicitly generated spanning and ideal rows.  It finds ideal rows by
+over explicitly generated spanning and ideal rows.  At weight 0 they are
+the quotient's dimensions.  At λ ≠ 0 they are only below degree 7 over two
+generators and below degree 8 over one: past that, ideal members of a
+degree come from rows whose top lies above the bound.  It finds ideal rows by
 an index: each ALSW word's subword runs are walked once and looked up among
 the rule lifts' leading words, which it expands itself with ``apply_D`` and
 ``leading``, not through the rewriting engine it checks.  A lift is

@@ -472,51 +472,18 @@ class RewriteSystem:
                 % (d, self.max_degree)
             )
 
-    def reduce(
-        self,
-        p: Poly,
-        mode: str = "assoc",
-        strategy: str = "leading",
-        log: list | None = None,
-        rng=None,
-    ) -> Poly:
+    def reduce(self, p: Poly, mode: str = "assoc", *, log: list | None = None) -> Poly:
         """Normal form of ``p`` modulo the system.
 
-        Associative mode eliminates reducible monomials greatest-first (or
-        at a seeded-random reducible monomial under strategy="random");
-        the result contains no lifted leading word.  Lie mode requires a
-        Lie element and strategy="leading", and returns the expansion of
-        its bracketed normal form.
+        Associative mode eliminates reducible monomials greatest-first; the
+        result contains no lifted leading word.  Lie mode requires a Lie
+        element and returns the expansion of its bracketed normal form.
         """
         if mode == "lie":
-            if strategy != "leading":
-                raise ValueError("Lie mode supports only strategy='leading'")
             return self.lie_normal_form(p, log).as_poly(self.config)
         if mode != "assoc":
             raise ValueError("mode must be 'assoc' or 'lie'")
         self._guard_degree(p)
-        if strategy == "leading":
-            return self._reduce_leading(p, log)
-        if strategy == "random":
-            if rng is None:
-                raise ValueError("strategy='random' needs an rng")
-            return self._reduce_random(p, log, rng)
-        raise ValueError("strategy must be 'leading' or 'random'")
-
-    def _eliminate(self, working, u, entry, ctx, log):
-        c = working[u]
-        multiple = subst_poly(ctx, self.core(entry.rule_index, entry.lift))
-        factor = c / entry.leading_coeff
-        multiple = multiple.scale(factor)
-        if multiple.terms.get(u) != c:
-            raise RuntimeError("rule multiple does not cancel %r" % (u,))
-        _subtract(working, multiple.terms.items())
-        if log is not None:
-            log.append(
-                ReductionStep(entry.rule_index, entry.lift, ctx, factor, multiple)
-            )
-
-    def _reduce_leading(self, p: Poly, log) -> Poly:
         key = self.config.alphabet.key
         working = dict(p.terms)
         out: dict[Word, Fraction] = {}
@@ -527,21 +494,18 @@ class RewriteSystem:
                 out[u] = working.pop(u)
                 continue
             entry, ctx = m
-            self._eliminate(working, u, entry, ctx, log)
+            c = working[u]
+            multiple = subst_poly(ctx, self.core(entry.rule_index, entry.lift))
+            factor = c / entry.leading_coeff
+            multiple = multiple.scale(factor)
+            if multiple.terms.get(u) != c:
+                raise RuntimeError("rule multiple does not cancel %r" % (u,))
+            _subtract(working, multiple.terms.items())
+            if log is not None:
+                log.append(
+                    ReductionStep(entry.rule_index, entry.lift, ctx, factor, multiple)
+                )
         return Poly(out)
-
-    def _reduce_random(self, p: Poly, log, rng) -> Poly:
-        key = self.config.alphabet.key
-        working = dict(p.terms)
-        while True:
-            reducible = sorted(
-                (w for w in working if self.is_reducible(w)), key=key
-            )
-            if not reducible:
-                return Poly(working)
-            u = rng.choice(reducible)
-            entry, ctx = self.match(u)
-            self._eliminate(working, u, entry, ctx, log)
 
     def lie_normal_form(self, p: Poly, log: list | None = None) -> LieCombination:
         """Normal form of a Lie element as bracketed basis words."""
@@ -712,17 +676,3 @@ class RewriteSystem:
             for w in enumerate_alsw(self.config, n)
             if not self.is_reducible(w)
         ]
-
-
-def reduce(
-    config: AlgebraConfig,
-    p: Poly,
-    rules,
-    mode: str = "assoc",
-    max_degree: int | None = None,
-    **kwargs,
-) -> Poly:
-    """One-shot reduction of ``p`` modulo ``rules``; see RewriteSystem.reduce."""
-    if max_degree is None:
-        max_degree = p.max_degree()
-    return RewriteSystem(config, rules, max_degree).reduce(p, mode=mode, **kwargs)

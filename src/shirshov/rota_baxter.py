@@ -81,15 +81,12 @@ The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
 Lyndon-Shirshov word of the same restricted language, and bracketed words
 containing adjacent P(a)·P(b) with a deg-lex-greater than b anywhere are
-excluded.  ``verify_axioms`` spot-checks the section, weighted-Leibniz and
-Rota-Baxter identities on random basis elements by reducing to zero.
+excluded.
 """
 
 from __future__ import annotations
 
-import random
 import weakref
-from dataclasses import dataclass, field
 from functools import partial
 
 from .algebra import (
@@ -98,10 +95,7 @@ from .algebra import (
     AlgebraConfig,
     Poly,
     _subtract,
-    apply_D,
-    apply_operator,
     as_fraction,
-    commutator,
     expansion,
     lie_expand,
 )
@@ -151,9 +145,8 @@ class DrblSystem:
     Holds the algebra configuration (one unary operator) plus lazy caches:
     rules keyed by their Lyndon-Shirshov parameters, a ``LiftCache`` of
     lifted rules and their bracketed multiples keyed by tag
-    (``("section", u)``, ``("rota-baxter", u, v)``, ``("completion", u, i)``),
-    and engine systems keyed by degree bound.  Bracket expansions live on
-    the alphabet, not here.
+    (``("section", u)``, ``("rota-baxter", u, v)``, ``("completion", u, i)``).
+    Bracket expansions live on the alphabet, not here.
     """
 
     def __init__(self, config: AlgebraConfig):
@@ -171,7 +164,6 @@ class DrblSystem:
         # reference cycle; the cache is reached only through its owner.
         owner = weakref.ref(self)
         self._lifts = LiftCache(config, lambda tag: owner()._rule_poly(tag))
-        self._engines: dict[tuple[int, bool], RewriteSystem] = {}
 
     # -- rule families -------------------------------------------------------
 
@@ -290,21 +282,16 @@ class DrblSystem:
     def system(self, max_degree: int, s1_only: bool = False) -> RewriteSystem:
         """The generic rewrite engine over the eagerly instantiated rules.
 
-        Built once per (bound, s1_only), with the cyclic garbage collector
-        paused (``rewriting.collector_paused``).
+        Built afresh on each call, from the rules cached here, with the
+        cyclic garbage collector paused (``rewriting.collector_paused``).
         """
-        key = (max_degree, s1_only)
-        got = self._engines.get(key)
-        if got is None:
-            with collector_paused():
-                rules = (
-                    s1_rules(self, max_degree)
-                    if s1_only
-                    else instantiate_rules(self, max_degree)
-                )
-                got = RewriteSystem(self.config, rules, max_degree)
-            self._engines[key] = got
-        return got
+        with collector_paused():
+            rules = (
+                s1_rules(self, max_degree)
+                if s1_only
+                else instantiate_rules(self, max_degree)
+            )
+            return RewriteSystem(self.config, rules, max_degree)
 
 
 def s1_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
@@ -425,7 +412,9 @@ def drbl_nf(
 
     Accepts a polynomial, a bracketed word, or a prior normal form, and
     reduces it by ``rewriting.lie_reduce`` with the matcher ``_find_match``.
-    The result is the unique basis combination equal to ``p``.
+    At weight 0 the result is the unique basis combination equal to ``p``.
+    At weight λ ≠ 0 it is a combination of irreducible words, which can
+    include words that are not basis words, such as ``D^4(P([x1 x2]))``.
     """
     working = _as_poly(sys.config, p)
     if max_degree is not None and working.max_degree() > max_degree:
@@ -491,88 +480,3 @@ def enumerate_basis(sys: DrblSystem, max_degree: int) -> dict[int, list]:
             if not _contains_descending_pair(w, alphabet)
         ]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Axiom verification.
-
-
-@dataclass
-class AxiomReport:
-    """Result of random-sample axiom checking."""
-
-    samples: int
-    checked: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.passed
-
-    def summary(self) -> str:
-        if self.passed:
-            return "pass: %d identity instances over %d sample pairs" % (
-                self.checked,
-                self.samples,
-            )
-        return "fail: %d of %d identity instances have nonzero residue" % (
-            len(self.failures),
-            self.checked,
-        )
-
-
-def verify_axioms(
-    sys: DrblSystem, samples: int = 100, max_degree: int = 3, seed: int = 0
-) -> AxiomReport:
-    """Check the defining identities on random pairs of basis elements.
-
-    For each sampled pair (a, b): the Rota-Baxter identity
-    [P(a)P(b)] − P([a P(b)]) − P([P(a) b]) − λP([a b]), the weighted
-    Leibniz rule D([a b]) − [D(a) b] − [a D(b)] − λ[D(a) D(b)], and the
-    section identity D(P(a)) − a must all normalize to zero.  Failures are
-    reported with their inputs.
-    """
-    rng = random.Random(seed)
-    config = sys.config
-    lam = config.weight
-    basis = enumerate_basis(sys, max_degree)
-    pool = [t for d in sorted(basis) for t in basis[d]]
-    if not pool:
-        raise ValueError("empty basis pool")
-    failures = []
-    checked = 0
-    for _ in range(samples):
-        ta = rng.choice(pool)
-        tb = rng.choice(pool)
-        a = lie_expand(config, ta)
-        b = lie_expand(config, tb)
-        pa = apply_operator(sys.operator, a)
-        pb = apply_operator(sys.operator, b)
-        instances = (
-            (
-                "rota-baxter",
-                commutator(pa, pb)
-                - apply_operator(sys.operator, commutator(a, pb))
-                - apply_operator(sys.operator, commutator(pa, b))
-                - apply_operator(sys.operator, commutator(a, b)).scale(lam),
-            ),
-            (
-                "leibniz",
-                apply_D(config, commutator(a, b))
-                - commutator(apply_D(config, a), b)
-                - commutator(a, apply_D(config, b))
-                - commutator(apply_D(config, a), apply_D(config, b)).scale(lam),
-            ),
-            ("section", apply_D(config, pa) - a),
-        )
-        for name, poly in instances:
-            checked += 1
-            if not poly:
-                continue
-            nf = drbl_nf(poly, sys)
-            if not nf.is_zero():
-                failures.append((name, ta, tb, nf))
-    return AxiomReport(samples, checked, failures)

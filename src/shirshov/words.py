@@ -589,26 +589,3 @@ class NaPair:
         from .syntax import format_naword
 
         return format_naword(self)
-
-
-NAWord = Union[NaLeaf, NaPair]
-
-
-def underlying_word(t: NAWord) -> Word:
-    """Forget all bracketing, keeping operator arguments bracket-free too."""
-    return Word(tuple(_underlying_primes(t)))
-
-
-def _underlying_primes(t: NAWord):
-    if type(t) is NaPair:
-        yield from _underlying_primes(t.left)
-        yield from _underlying_primes(t.right)
-        return
-    head = t.head
-    if type(head) is str:
-        yield Prime(t.d_power, head)
-    else:
-        yield Prime(
-            t.d_power,
-            OpApp(head.name, tuple(underlying_word(a) for a in head.args)),
-        )

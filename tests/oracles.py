@@ -1,20 +1,25 @@
-"""Oracles that serve only the test suite.
+"""Oracles and checkers that serve only the test suite.
 
-Each recomputes, the slow and obvious way, a value the package computes
+Most recompute, the slow and obvious way, a value the package computes
 another way.  The package never imports this module.  Word counts come by
 exhaustive rotation filtering, the differential by the recursive two-factor
-rule, standard bracketings by trying every binary tree, section and
-Rota-Baxter rules by expanding each bracketing afresh, ambiguities by
-comparing every pair of lifted leading words, and the ideal rows of
+rule, standard bracketings by trying every binary tree (over
+``underlying_word``, which forgets a bracketing), section and Rota-Baxter
+rules by expanding each bracketing afresh, ambiguities by comparing every
+pair of lifted leading words, and the ideal rows of
 ``reference.oracle_quotient_dim`` by one ``occurrences`` scan per ALSW word
-and lift (``naive_ideal_rows``).
+and lift (``naive_ideal_rows``).  ``oracle_random_reduce`` reduces with a
+seeded-random order and choice of rule, against the engine's greatest-first
+``reduce``, and ``verify_axioms`` checks the defining identities on random
+basis elements by ``drbl_nf`` (``AxiomReport`` holds its result).
 
-``special_template`` builds the isolating bracketing of
-``lyndon.special_bracket`` by plain recursion over the word, with a mark
+``special_template`` builds the isolating bracketing that
+``tests/test_lyndon.py`` grafts over the package's spine
+(``special_bracket``) by plain recursion over the word, with a mark
 at the isolated subword.  It finds each standard split itself, as the
 longest proper suffix that passes the rotation test of ``_oracle_is_alsw``,
 and shares no code with the package's spine (``lyndon._spine``,
-``_descend``, ``_graft``, ``_standard_split``); only the subtrees off the
+``_descend``, ``_standard_split``); only the subtrees off the
 path to the mark are the package's ``shirshov_bracket`` and
 ``ls_factorization``, which have oracle tests of their own.
 ``expand_template`` expands a bracketing over ``Fraction`` polynomials:
@@ -26,6 +31,8 @@ alone, in ``int``s while integral, and reads the other subtrees from the
 alphabet's memo.
 """
 
+import random
+from dataclasses import dataclass, field
 from itertools import product
 
 from shirshov.algebra import (
@@ -36,11 +43,14 @@ from shirshov.algebra import (
     as_fractions,
     commutator,
     leading,
+    lie_expand,
     multiply,
+    subst_poly,
 )
 from shirshov.lyndon import is_alsw, ls_factorization, shirshov_bracket, special_expand
 from shirshov.reference import _alsws, _ideal_rows
-from shirshov.rewriting import Ambiguity
+from shirshov.rewriting import Ambiguity, ReductionStep
+from shirshov.rota_baxter import drbl_nf, enumerate_basis
 from shirshov.words import (
     Alphabet,
     Context,
@@ -48,11 +58,12 @@ from shirshov.words import (
     NaLeaf,
     NaOp,
     NaPair,
+    OpApp,
     Prime,
     Word,
+    iter_subword_runs,
     occurrences,
     substitute,
-    underlying_word,
 )
 
 
@@ -109,6 +120,26 @@ def _oracle_is_alsw(u: Word, alphabet: Alphabet) -> bool:
         _oracle_lex_greater(primes, primes[k:] + primes[:k], alphabet)
         for k in range(1, len(primes))
     )
+
+
+def underlying_word(t) -> Word:
+    """Forget all bracketing, keeping operator arguments bracket-free too."""
+    return Word(tuple(_underlying_primes(t)))
+
+
+def _underlying_primes(t):
+    if type(t) is NaPair:
+        yield from _underlying_primes(t.left)
+        yield from _underlying_primes(t.right)
+        return
+    head = t.head
+    if type(head) is str:
+        yield Prime(t.d_power, head)
+    else:
+        yield Prime(
+            t.d_power,
+            OpApp(head.name, tuple(underlying_word(a) for a in head.args)),
+        )
 
 
 def _all_trees(items):
@@ -386,6 +417,136 @@ def oracle_ambiguities(system) -> list[Ambiguity]:
         )
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reduction in a seeded-random order.
+
+
+def oracle_random_reduce(engine, p: Poly, rng, log=None) -> Poly:
+    """``engine.reduce(p)`` in a seeded-random order of eliminations.
+
+    Each step picks, with ``rng``, one of the reducible monomials in
+    deg-lex order, and one of the lifted rules and contexts whose leading
+    word occurs in it (not the one ``engine.match`` prefers), and
+    subtracts the multiple ``subst_poly(ctx, core)``, scaled to cancel
+    the monomial; ``ReductionStep``s are appended to ``log``.  A fixed
+    choice of rule per word would give every order the same result by
+    linearity, confluent or not; the random choice of rule is what makes
+    agreement with ``reduce`` a confluence check.
+    """
+    engine._guard_degree(p)
+    key = engine.config.alphabet.key
+    working = p
+    while True:
+        reducible = sorted(
+            (w for w in working.terms if engine.is_reducible(w)), key=key
+        )
+        if not reducible:
+            return working
+        u = rng.choice(reducible)
+        entry, ctx = rng.choice(
+            [
+                (entry, build())
+                for run, build in iter_subword_runs(u)
+                for entry in engine.by_leading.get(Word(run), ())
+            ]
+        )
+        factor = working.terms[u] / entry.leading_coeff
+        multiple = subst_poly(ctx, engine.core(entry.rule_index, entry.lift))
+        multiple = multiple.scale(factor)
+        assert multiple.terms[u] == working.terms[u], u
+        working = working - multiple
+        if log is not None:
+            log.append(
+                ReductionStep(entry.rule_index, entry.lift, ctx, factor, multiple)
+            )
+
+
+# ---------------------------------------------------------------------------
+# Axioms on random basis elements.
+
+
+@dataclass
+class AxiomReport:
+    """Result of random-sample axiom checking."""
+
+    samples: int
+    checked: int
+    failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def __bool__(self):
+        return self.passed
+
+    def summary(self) -> str:
+        if self.passed:
+            return "pass: %d identity instances over %d sample pairs" % (
+                self.checked,
+                self.samples,
+            )
+        return "fail: %d of %d identity instances have nonzero residue" % (
+            len(self.failures),
+            self.checked,
+        )
+
+
+def verify_axioms(
+    sys, samples: int = 100, max_degree: int = 3, seed: int = 0
+) -> AxiomReport:
+    """Check the defining identities on random pairs of basis elements.
+
+    For each sampled pair (a, b) of ``enumerate_basis`` elements of the
+    ``DrblSystem`` ``sys``: the Rota-Baxter identity
+    [P(a)P(b)] − P([a P(b)]) − P([P(a) b]) − λP([a b]), the weighted
+    Leibniz rule D([a b]) − [D(a) b] − [a D(b)] − λ[D(a) D(b)], and the
+    section identity D(P(a)) − a must all normalize to zero by
+    ``drbl_nf``.  Failures are reported with their inputs.
+    """
+    rng = random.Random(seed)
+    config = sys.config
+    lam = config.weight
+    basis = enumerate_basis(sys, max_degree)
+    pool = [t for d in sorted(basis) for t in basis[d]]
+    if not pool:
+        raise ValueError("empty basis pool")
+    failures = []
+    checked = 0
+    for _ in range(samples):
+        ta = rng.choice(pool)
+        tb = rng.choice(pool)
+        a = lie_expand(config, ta)
+        b = lie_expand(config, tb)
+        pa = apply_operator(sys.operator, a)
+        pb = apply_operator(sys.operator, b)
+        instances = (
+            (
+                "rota-baxter",
+                commutator(pa, pb)
+                - apply_operator(sys.operator, commutator(a, pb))
+                - apply_operator(sys.operator, commutator(pa, b))
+                - apply_operator(sys.operator, commutator(a, b)).scale(lam),
+            ),
+            (
+                "leibniz",
+                apply_D(config, commutator(a, b))
+                - commutator(apply_D(config, a), b)
+                - commutator(a, apply_D(config, b))
+                - commutator(apply_D(config, a), apply_D(config, b)).scale(lam),
+            ),
+            ("section", apply_D(config, pa) - a),
+        )
+        for name, poly in instances:
+            checked += 1
+            if not poly:
+                continue
+            nf = drbl_nf(poly, sys)
+            if not nf.is_zero():
+                failures.append((name, ta, tb, nf))
+    return AxiomReport(samples, checked, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Lyndon-Shirshov words, standard bracketings, isolating bracketings."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from shirshov import (
     AlgebraConfig,
     Alphabet,
     NaLeaf,
+    NaOp,
     NaPair,
     Poly,
     enumerate_alsw,
@@ -22,11 +24,10 @@ from shirshov import (
     parse_poly,
     parse_word,
     shirshov_bracket,
-    special_bracket,
     special_expand,
 )
 from shirshov import lyndon, rota_baxter, words
-from shirshov.lyndon import _standard_split
+from shirshov.lyndon import _LEFT, _RIGHT, _spine, _standard_split
 from shirshov.rota_baxter import DrblSystem, s1_rules
 from shirshov.words import (
     ArgHole,
@@ -37,6 +38,7 @@ from shirshov.words import (
     concat,
     enumerate_words,
     iter_subword_runs,
+    substitute,
 )
 from oracles import (
     _oracle_is_alsw,
@@ -56,6 +58,47 @@ PURE3 = Alphabet(("x", "y", "z"))
 
 def w(s, alphabet=A2):
     return parse_word(s, alphabet)
+
+
+@dataclass(frozen=True)
+class SpecialBracket:
+    """A bracketing of ``word`` isolating a designated subword.
+
+    ``bracketing`` carries the standard bracketing of the subword at the
+    marked slot; ``expansion`` is ``special_expand`` with the subword as
+    its own core.
+    """
+
+    word: Word
+    bracketing: object
+    expansion: Poly
+
+
+def _graft(steps, node):
+    """The bracketing the package's spine ``steps`` builds over ``node``."""
+    for step in steps:
+        kind = step[0]
+        if kind is _LEFT:
+            node = NaPair(node, step[1])
+        elif kind is _RIGHT:
+            node = NaPair(step[1], node)
+        else:
+            _, d_power, name, before, after = step
+            node = NaLeaf(d_power, NaOp(name, before + (node,) + after))
+    return node
+
+
+def special_bracket(cfg, ctx, v):
+    """Bracket ``ctx`` filled with ``v`` so the bracketing isolates ``v``.
+
+    The expansion is certified by ``special_expand``: leading term exactly
+    (filled word, 1).
+    """
+    expanded = special_expand(cfg, ctx, v, Poly.word(v))
+    u = substitute(ctx, v)
+    alphabet = cfg.alphabet
+    bracketing = _graft(_spine(u, ctx, alphabet), shirshov_bracket(v, alphabet))
+    return SpecialBracket(u, bracketing, expanded)
 
 
 def test_is_alsw_examples():

@@ -34,9 +34,8 @@ from shirshov import (
 )
 from shirshov.cli import make_alphabet
 from shirshov.rewriting import collector_paused, lift_leadings
-from shirshov.rewriting import reduce as reduce_once
 from shirshov.words import ArgHole, Context, Hole, Word, enumerate_words
-from oracles import oracle_ambiguities
+from oracles import oracle_ambiguities, oracle_random_reduce
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -447,15 +446,46 @@ def test_reduction_trace_accounts_for_the_input():
         p = Poly.zero()
         for _ in range(4):
             p = p + Poly.word(rng.choice(pool), Fraction(rng.randint(-3, 3)))
-        for strategy in ("leading", "random"):
+        for reduce in (
+            sys_.reduce,
+            lambda p, log: oracle_random_reduce(sys_, p, rng, log),
+        ):
             log = []
-            got = sys_.reduce(p, strategy=strategy, log=log, rng=rng)
+            got = reduce(p, log=log)
             total = got
             for step in log:
                 total = total + step.multiple
             assert total == p
             # nothing reducible survives
             assert all(not sys_.is_reducible(w) for w in got.terms)
+
+
+@pytest.mark.parametrize("weight", (0, Fraction(1, 2), 1))
+def test_random_elimination_orders_agree_with_greatest_first(weight):
+    # Confluence of the full rule system: sums of ambiguity words, where
+    # the random oracle's choice of rule matters.  At degree 5 the only
+    # ambiguities are section rules inside section rules, whose
+    # compositions vanish by linearity, so the bound is 6.
+    engine = DrblSystem(AlgebraConfig(make_alphabet(2), weight)).system(6)
+    pool = sorted(
+        {a.word for a in engine.find_ambiguities()}, key=engine.config.alphabet.key
+    )
+    rng = random.Random(43)
+    orders = [random.Random(seed) for seed in (1, 2)]
+    for _ in range(100):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 3)):
+            p = p + Poly.word(
+                rng.choice(pool), Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            )
+        nf = engine.reduce(p)
+        for order in orders:
+            log = []
+            assert oracle_random_reduce(engine, p, order, log) == nf
+            total = nf
+            for step in log:
+                total = total + step.multiple
+            assert total == p
 
 
 def _engine_lie_nf(c, p, log):
@@ -487,16 +517,8 @@ def test_lie_mode_rejects_non_lie_input():
     sys_ = RewriteSystem(c, [section_rule(c, parse_word("x", A2))], 4)
     with pytest.raises(ValueError):
         sys_.reduce(parse_poly("y x", A2), mode="lie")
-
-
-def test_lie_mode_rejects_other_strategies():
-    c = cfg(A2, 1)
-    sys_ = RewriteSystem(c, [section_rule(c, parse_word("x", A2))], 4)
     p = lie_expand(c, shirshov_bracket(parse_word("x y", A2), A2))
-    assert sys_.reduce(p, mode="lie", strategy="leading") == p
-    for strategy in ("random", "bogus"):
-        with pytest.raises(ValueError):
-            sys_.reduce(p, mode="lie", strategy=strategy, rng=random.Random(0))
+    assert sys_.reduce(p, mode="lie") == p
 
 
 def test_section_rules_certify_up_to_degree_five():
@@ -569,13 +591,6 @@ def test_reduce_guards_the_degree_bound():
         sys_.reduce(parse_poly("P(P(P(x)))", A1))
     with pytest.raises(ValueError):
         sys_.enumerate_irr("assoc", 9)
-
-
-def test_module_level_reduce_matches_system():
-    c = cfg(A1, 1)
-    rules = [section_rule(c, parse_word("x", A1))]
-    p = parse_poly("D(P(x)) + P(x)", A1)
-    assert reduce_once(c, p, rules) == RewriteSystem(c, rules, 3).reduce(p)
 
 
 BOUNDARY_WEIGHTS = (0, 1, Fraction(1, 2))

@@ -28,9 +28,13 @@ from shirshov import (
     parse_word,
     s1_rules,
     shirshov_bracket,
+)
+from oracles import (
+    oracle_rota_baxter_rule,
+    oracle_section_rule,
+    underlying_word,
     verify_axioms,
 )
-from oracles import oracle_rota_baxter_rule, oracle_section_rule
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -208,7 +212,7 @@ def test_basis_excludes_descending_pairs_and_d_over_p():
 
     assert not is_alsw(w("P(y) P(x)"), A2)
     # no D ever sits over a P in a basis word, at any depth
-    from shirshov.words import OpApp, underlying_word
+    from shirshov.words import OpApp
 
     def no_d_over_op(word):
         for p in word.primes:

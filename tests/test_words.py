@@ -39,8 +39,8 @@ from shirshov.words import (
     concat,
     lex_cmp,
     substitute,
-    underlying_word,
 )
+from oracles import underlying_word
 
 
 A1 = Alphabet(("x",), (("P", 1),))
