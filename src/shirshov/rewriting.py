@@ -17,7 +17,8 @@ rule carries the top term of each of its (degree, breadth) groups
 (``Rule.tops``), and ``lift_leadings`` reads only those.  The lifted
 polynomials themselves (cores) are expanded only when a reduction or
 composition uses them, and a rule built from a builder (as the section
-rules of ``rota_baxter`` are) builds its own polynomial only then too.
+and Rota-Baxter rules of ``rota_baxter`` are) builds its own polynomial
+only then too.
 All matching, ambiguity enumeration and reduction work from these true
 lifted leadings.
 

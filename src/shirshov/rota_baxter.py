@@ -64,18 +64,19 @@ each kind share one degree and one breadth (1, and breadth(u)).  So
 these two terms are the rule's ``tops``, all that
 ``rewriting.lift_leadings`` reads: an engine indexes every section rule's
 lifts without building one, and expands [u] only for the rules a
-reduction or composition reads.  The rule's builder holds the alphabet,
-never the ``DrblSystem``, so no reference cycle forms.  f(u,v) is read
-from the same memo: each of its four terms is the expansion of a
-bracketed node, [P([u]) P([v])], P([[u] P([v])]), P([P([u]) [v]]) and
-P([[u] [v]]), so P([u]) is expanded once per parameter and the pair
-nodes once per pair, in integers.  Its leading term is P(u)·P(v) with
+reduction or composition reads.  f(u,v) is read from the same memo:
+each of its four terms is the expansion of a bracketed node,
+[P([u]) P([v])], P([[u] P([v])]), P([P([u]) [v]]) and P([[u] [v]]), so
+P([u]) is expanded once per parameter and the pair nodes once per pair,
+in integers.  Its leading term is P(u)·P(v) with
 coefficient 1: the terms of breadth 2 are P(a)·P(b) and P(b)·P(a) for a
 in [u] and b in [v], and u, which is greater than v, is not a word of
 [v].  That term is the rule's one top: the other terms have breadth 1
 and no greater degree, so its group leads every lift at every weight.
-Completion rules take their tops from ``rewriting.make_rule``.
-Rota-Baxter and completion rules are built eagerly.
+So f(u,v) too is built on the first read of its polynomial.  A rule's
+builder holds the alphabet, never the ``DrblSystem``, so no reference
+cycle forms.  Completion rules take their tops from
+``rewriting.make_rule`` and are built eagerly.
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -139,6 +140,28 @@ def _section_poly(alphabet, op: str, u: Word) -> Poly:
     return Poly(terms)
 
 
+def _rota_baxter_poly(alphabet, op: str, weight, u: Word, v: Word) -> Poly:
+    """f(u,v) from the memo's expansions of its four bracketed nodes."""
+
+    def operated(t):
+        return NaLeaf(0, NaOp(op, (t,)))
+
+    bu = shirshov_bracket(u, alphabet)
+    bv = shirshov_bracket(v, alphabet)
+    pu = operated(bu)
+    pv = operated(bv)
+    terms = dict(expansion(alphabet, NaPair(pu, pv)))
+    for c, t in (
+        (1, NaPair(bu, pv)),
+        (1, NaPair(pu, bv)),
+        (weight, NaPair(bu, bv)),
+    ):
+        if c:
+            e = expansion(alphabet, operated(t))
+            _subtract(terms, ((w, c * k) for w, k in e.items()))
+    return Poly({w: as_fraction(c) for w, c in terms.items()})
+
+
 class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
@@ -167,15 +190,6 @@ class DrblSystem:
 
     # -- rule families -------------------------------------------------------
 
-    def _bracket(self, u: Word):
-        """The standard bracketing [u] of a parameter."""
-        _check_parameter(u, self.config.alphabet)
-        return shirshov_bracket(u, self.config.alphabet)
-
-    def _operated(self, t):
-        """The bracketed node P(t)."""
-        return NaLeaf(0, NaOp(self.operator, (t,)))
-
     def section_rule(self, u: Word) -> Rule:
         """g(u): applying D undoes P, modulo lower terms.
 
@@ -196,30 +210,26 @@ class DrblSystem:
         return got
 
     def rota_baxter_rule(self, u: Word, v: Word) -> Rule:
-        """f(u,v): the bracket of two P-images re-expressed under P."""
+        """f(u,v): the bracket of two P-images re-expressed under P.
+
+        Its polynomial is built on first read; its lift leadings come
+        from its one top, P(u)·P(v).
+        """
         got = self._rota_baxter.get((u, v))
         if got is None:
             alphabet = self.config.alphabet
             if alphabet.key(u) <= alphabet.key(v):
                 raise ValueError("parameters must satisfy u > v in deg-lex")
-            bu = self._bracket(u)
-            bv = self._bracket(v)
-            pu = self._operated(bu)
-            pv = self._operated(bv)
-            terms = dict(expansion(alphabet, NaPair(pu, pv)))
-            for c, t in (
-                (1, NaPair(bu, pv)),
-                (1, NaPair(pu, bv)),
-                (self.config.weight, NaPair(bu, bv)),
-            ):
-                if c:
-                    e = expansion(alphabet, self._operated(t))
-                    _subtract(terms, ((w, c * k) for w, k in e.items()))
-            poly = Poly({w: as_fraction(c) for w, c in terms.items()})
+            _check_parameter(u, alphabet)
+            _check_parameter(v, alphabet)
             op = self.operator
             lead = Word((Prime(0, OpApp(op, (u,))), Prime(0, OpApp(op, (v,)))))
             # its breadth-2 group has the greatest degree: it leads every lift
-            got = Rule(poly, ("rota-baxter", u, v), {lead: ONE})
+            got = Rule(
+                partial(_rota_baxter_poly, alphabet, op, self.config.weight, u, v),
+                ("rota-baxter", u, v),
+                {lead: ONE},
+            )
             self._rota_baxter[(u, v)] = got
         return got
 

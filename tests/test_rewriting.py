@@ -20,6 +20,7 @@ from shirshov import (
     apply_D,
     apply_operator,
     drbl_nf,
+    enumerate_alsw,
     enumerate_alsw_by_degree,
     leading,
     lie_expand,
@@ -221,6 +222,55 @@ def test_the_section_rule_engine_expands_no_bracket():
     assert unread() == eager and eager == unread()
     assert hash(unread()) == hash(eager)
     assert repr(unread()) == repr(eager)
+
+
+def test_rota_baxter_rules_are_built_on_first_read():
+    c = AlgebraConfig(make_alphabet(2), Fraction(0))
+    engine = DrblSystem(c).system(7)
+    pairs = [r for r in engine.rules if r.origin[0] == "rota-baxter"]
+    assert len(pairs) == 296
+    assert all(r._poly is None for r in pairs)
+    # the check reads only the pair rules its compositions and reductions use
+    assert engine.is_gsb("lie").summary() == "pass: all 245 compositions reduce to 0"
+    assert sum(r._poly is not None for r in pairs) == 127
+    # an unread rule compares, hashes and prints as the eager one
+    rule = pairs[-1]
+    eager = make_rule(c, rule.poly, rule.origin)
+
+    def unread():
+        return DrblSystem(c).rota_baxter_rule(*rule.origin[1:])
+
+    assert unread() == eager and eager == unread()
+    assert hash(unread()) == hash(eager)
+    assert repr(unread()) == repr(eager)
+
+
+@pytest.mark.parametrize("gens, degree", ((1, 9), (2, 7)))
+@pytest.mark.parametrize("weight", (0, 1, 2, Fraction(1, 2), -1), ids=str)
+def test_rota_baxter_rule_top_gives_the_lift_leadings_of_the_built_polynomial(
+    gens, degree, weight
+):
+    # P(u)·P(v) leads every lift of f(u,v) at every weight, past the bound
+    # its engine would use too
+    c = AlgebraConfig(make_alphabet(gens), Fraction(weight))
+    drbl = DrblSystem(c)
+    key = c.alphabet.key
+    params = enumerate_alsw(c, degree - 3)
+    rules = [
+        drbl.rota_baxter_rule(u, v)
+        for u in params
+        for v in params
+        if u.degree + v.degree <= degree - 2 and key(u) > key(v)
+    ]
+    assert rules
+    for rule in rules:
+        assert len(rule.tops) == 1
+        from_tops = list(lift_leadings(c, rule, degree + 2))
+        from_poly = list(
+            lift_leadings(c, make_rule(c, rule.poly, rule.origin), degree + 2)
+        )
+        assert from_tops == from_poly, rule.origin
+        assert [type(lc) for _, _, lc in from_tops] == [Fraction] * len(from_tops)
 
 
 @pytest.mark.parametrize("weight", (0, 1))
