@@ -45,10 +45,15 @@ combination of bracketed irreducible words.
 
 Lie-mode arithmetic runs on Python ``int``s while the coefficients are
 integral, as they are at weight 0 and ±1, where every rule, lift, special
-multiple and composition is integral with leading coefficient ±1.  Special
-multiples come from ``lyndon.special_terms``, and a division yields a
-``Fraction`` only when it is not exact (``algebra.divide``), so no
-coefficient is ever a float.  What crosses the public boundary
+multiple and composition is integral with leading coefficient ±1.
+``lie_reduce`` clears denominators once: it multiplies the input by the
+lcm L of its coefficients' denominators, reduces in ``int``s, and divides
+each output and logged coefficient by L.  The normal form is linear and
+the scaled input has the same support, so it takes the same steps and
+the result is exact.  Special multiples come from
+``lyndon.special_terms``, and a division yields a ``Fraction`` only when it
+is not exact (``algebra.divide``, as at weight 1/2), so no coefficient is
+ever a float.  What crosses the public boundary
 (``composition``, ``reduce``, ``lie_normal_form``, ``ReductionStep``,
 ``special_multiple``) has ``Fraction`` coefficients, with the values and
 the term order the all-``Fraction`` computation gives.
@@ -78,6 +83,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     ONE,
@@ -363,11 +369,13 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
 
     ``match(u)`` gives ``(key, lift, context)`` of a lifted rule reducing
     the word ``u``, or None; ``lifts`` holds the rules by key.  The working
-    terms are ``int``s while integral (see the module docstring); the
-    output and the logged steps carry ``Fraction``s.
+    terms are ``p`` times the lcm of its denominators, ``int``s while
+    integral (see the module docstring); the output and the logged steps
+    are divided back and carry ``Fraction``s.
     """
     alphabet = config.alphabet
-    working = {w: narrow(c) for w, c in p.terms.items()}
+    scale = lcm(*{c.denominator for c in p.terms.values()})
+    working = {w: c.numerator * (scale // c.denominator) for w, c in p.terms.items()}
     out = []
     while working:
         u, c = leading(config, Poly(working))
@@ -378,7 +386,7 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
         m = match(u)
         if m is None:
             nb = shirshov_bracket(u, alphabet)
-            out.append((Fraction(c), nb))
+            out.append((Fraction(c, scale), nb))
             _subtract(working, ((w, c * k) for w, k in expansion(alphabet, nb).items()))
             continue
         key, lift, ctx = m
@@ -387,10 +395,12 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
         multiple = {w: factor * t for w, t in special.items()}
         _subtract(working, multiple.items())
         if log is not None:
+            if scale == 1:
+                multiple = as_fractions(multiple)
+            else:
+                multiple = {w: Fraction(t, scale) for w, t in multiple.items()}
             log.append(
-                ReductionStep(
-                    key, lift, ctx, Fraction(factor), Poly(as_fractions(multiple))
-                )
+                ReductionStep(key, lift, ctx, Fraction(factor, scale), Poly(multiple))
             )
     return LieCombination(tuple(out))
 

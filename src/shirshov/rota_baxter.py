@@ -115,7 +115,17 @@ from .rewriting import (
     lie_reduce,
     make_rule,
 )
-from .words import NaLeaf, NaOp, NaPair, OpApp, Prime, Word, iter_subword_runs
+from .words import (
+    ArgHole,
+    Context,
+    Hole,
+    NaLeaf,
+    NaOp,
+    NaPair,
+    OpApp,
+    Prime,
+    Word,
+)
 
 
 def _overtaken(lift: int, breadth: int) -> bool:
@@ -355,48 +365,83 @@ def _find_match(sys: DrblSystem, u: Word):
     Returns (rule tag, lift, context) or None.  Section and completion
     patterns are tried before Rota-Baxter pairs, so D-over-P primes never
     survive into the pair scan; completion and run patterns only exist for
-    nonzero weight.
+    nonzero weight.  The first single-prime hit wins, else the first pair,
+    else the first run, each first in ``words.iter_subword_runs`` order:
+    the runs of the top level by start and then by length, then those
+    inside each operator argument, prime by prime, outside in.  Only runs
+    a pattern can match are visited: single primes, adjacent pairs, and at
+    nonzero weight the stretches of two or more primes that each carry a
+    D; a stretch stops growing at the first prime without one.  The
+    context is built for the returned hit alone.
     """
-    alphabet = sys.config.alphabet
-    key = alphabet.key
-    weighted = sys.config.weight != 0
-    pair_hit = None
-    run_hit = None
-    for run, build in iter_subword_runs(u):
-        n = len(run)
-        if n == 1:
-            p = run[0]
-            if p.d_power >= 1 and type(p.head) is OpApp:
-                w = p.head.args[0]
-                k = p.d_power
+    hits = [None, None]  # the first pair and the first run: (tag, lift, where)
+    got = _walk(sys, u.primes, (), hits) or hits[0] or hits[1]
+    if got is None:
+        return None
+    tag, lift, (path, primes, i, j) = got
+    ctx = Context(primes[:i], Hole(), primes[j:])
+    for outer, t, a in reversed(path):
+        p = outer[t]
+        args = p.head.args
+        ctx = Context(
+            outer[:t],
+            ArgHole(p.d_power, p.head.name, args[:a], ctx, args[a + 1 :]),
+            outer[t + 1 :],
+        )
+    return tag, lift, ctx
+
+
+def _walk(sys: DrblSystem, primes: tuple, path: tuple, hits: list):
+    """``_find_match``'s walk over one level and the arguments under it.
+
+    Returns the first single-prime hit, and records the first pair and run
+    hits in ``hits``.  A hit is (tag, lift, (path, primes, i, j)): the
+    primes i to j (exclusive) of this level, reached through ``path``, the
+    (primes, prime index, argument index) of each level above.
+    """
+    config = sys.config
+    weighted = config.weight != 0
+    key = config.alphabet.key
+    n = len(primes)
+    for i, p in enumerate(primes):
+        head = p.head
+        k = p.d_power
+        if type(head) is OpApp:
+            w = head.args[0]
+            if k:
                 if not weighted or not _overtaken(k - 1, w.breadth):
-                    return ("section", w), k - 1, build()
+                    return ("section", w), k - 1, (path, primes, i, i + 1)
                 if sys.completion_rule(w, k - 1) is not None:
-                    return ("completion", w, k - 1), 0, build()
-        elif pair_hit is None and n == 2:
-            p, q = run
-            if (
-                p.d_power == 0
-                and q.d_power == 0
-                and type(p.head) is OpApp
-                and type(q.head) is OpApp
-            ):
-                a, b = p.head.args[0], q.head.args[0]
-                if key(a) > key(b):
-                    pair_hit = (("rota-baxter", a, b), 0, build)
-        if weighted and n >= 2 and run_hit is None:
-            bound = min(p.d_power for p in run)
-            for i in range(1, bound + 1):
-                if not _overtaken(i, n):
-                    continue
-                w = Word(tuple(p.shifted(-i) for p in run))
-                if is_alsw_hereditary(w, alphabet):
-                    run_hit = (("section", w), i, build)
+                    return ("completion", w, k - 1), 0, (path, primes, i, i + 1)
+            elif hits[0] is None and i + 1 < n:
+                q = primes[i + 1]
+                if q.d_power == 0 and type(q.head) is OpApp:
+                    v = q.head.args[0]
+                    if key(w) > key(v):
+                        hits[0] = ("rota-baxter", w, v), 0, (path, primes, i, i + 2)
+        if weighted and k and hits[1] is None:
+            bound = k
+            for j in range(i + 1, n):
+                bound = min(bound, primes[j].d_power)
+                if not bound:
                     break
-    if pair_hit is not None:
-        return pair_hit[0], pair_hit[1], pair_hit[2]()
-    if run_hit is not None:
-        return run_hit[0], run_hit[1], run_hit[2]()
+                size = j + 1 - i
+                for lift in range(1, bound + 1):
+                    if not _overtaken(lift, size):
+                        continue
+                    w = Word(tuple(q.shifted(-lift) for q in primes[i : j + 1]))
+                    if is_alsw_hereditary(w, config.alphabet):
+                        hits[1] = ("section", w), lift, (path, primes, i, j + 1)
+                        break
+                if hits[1] is not None:
+                    break
+    for t, p in enumerate(primes):
+        head = p.head
+        if type(head) is OpApp:
+            for a, arg in enumerate(head.args):
+                got = _walk(sys, arg.primes, path + ((primes, t, a),), hits)
+                if got is not None:
+                    return got
     return None
 
 

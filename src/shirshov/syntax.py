@@ -14,12 +14,21 @@ Grammar (whitespace between factors is an implicit product)::
     rat    := int ["/" nat]
 
 A bare ``rat`` must be zero.  ``D^0`` wrappers are stripped; nested
-wrappers such as ``D(D(x1))`` accumulate into a single power.  The input is
-read in one pass, and each production yields the bracketed word itself
-when its text is exactly one (no sign, coefficient or product, operator
-arguments each a single bracketed word), else a polynomial.  A bracketed
-word is expanded to commutators, through the alphabet's memo, only when it
-is combined into a polynomial.
+wrappers such as ``D(D(x1))`` accumulate into a single power.
+
+The tokenizer is one ``finditer`` pass of one pattern, optional
+whitespace and then a number, an identifier, a symbol or any other
+character, which raises ``TermSyntaxError`` at its position.  A sentinel
+token ``(None, "", len(s))`` ends the list, so looking ahead is one index,
+and symbols compare by text alone, since no identifier or number is a
+symbol.  The input is parsed in one pass, and each production yields the
+bracketed word itself when its text is exactly one (no sign, coefficient
+or product, operator arguments each a single bracketed word), else a term
+dict.  A sum adds each monomial into one dict (``algebra._add``), reading a
+bracketed word's integer expansion from the alphabet's memo
+(``algebra.expansion``) only when it is combined into a polynomial.
+Coefficients stay ``int``s while they are integral; ``parse_term`` makes
+them ``Fraction``s once, at the end (``algebra.as_fractions``).
 
 Printing conventions: top-level prime factors are joined with `` * ``,
 words inside operator arguments with single spaces, rationals as ``p/q``
@@ -32,7 +41,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import ONE, AlgebraConfig, Poly, apply_operator, lie_expand
+from .algebra import (
+    AlgebraConfig,
+    Poly,
+    _add,
+    _int_multiply,
+    _int_operator,
+    as_fractions,
+    expansion,
+    lie_expand,
+)
 from .words import (
     Alphabet,
     ArgHole,
@@ -56,109 +74,111 @@ class TermSyntaxError(ValueError):
 
 _TOKEN = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[\^()\[\]*+,/-])
+    \s*
+    (?:
+        (?P<number>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<sym>[\^()\[\]*+,/-])
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
 def tokenize(s: str):
-    """Tokens as (kind, text, position); kinds: number, ident, sym."""
+    """Tokens as (kind, text, position); kinds: number, ident, sym.
+
+    The last token is the sentinel ``(None, "", len(s))``.
+    """
     out = []
-    pos = 0
-    n = len(s)
-    while pos < n:
-        m = _TOKEN.match(s, pos)
-        if m is None:
-            raise TermSyntaxError("unexpected character %r" % s[pos], pos)
+    for m in _TOKEN.finditer(s):
         kind = m.lastgroup
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
+        pos = m.start(kind)
+        if kind == "bad":
+            raise TermSyntaxError("unexpected character %r" % s[pos], pos)
+        out.append((kind, m.group(kind), pos))
+    out.append((None, "", len(s)))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet: Alphabet, length: int):
+    def __init__(self, tokens, alphabet: Alphabet):
         self.tokens = tokens
         self.alphabet = alphabet
-        self.config = AlgebraConfig(alphabet)
         self.i = 0
-        self.length = length
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return (None, "", self.length)
-
-    def peek2(self):
-        if self.i + 1 < len(self.tokens):
-            return self.tokens[self.i + 1]
-        return (None, "", self.length)
-
-    def advance(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+    # No ident or number text equals a symbol, so symbols compare by text.
 
     def expect_sym(self, text):
-        kind, value, pos = self.peek()
-        if kind != "sym" or value != text:
+        _, value, pos = self.tokens[self.i]
+        if value != text:
             raise TermSyntaxError(
                 "expected %r, found %r" % (text, value or "end of input"), pos
             )
         self.i += 1
 
     def expect_end(self):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind is not None:
             raise TermSyntaxError("unexpected trailing input %r" % value, pos)
 
     def at_sym(self, text) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "sym" and value == text
+        return self.tokens[self.i][1] == text
 
-    def _poly(self, t) -> Poly:
-        """``t`` as a polynomial, expanding a bracketed word via the memo."""
-        return t if type(t) is Poly else lie_expand(self.config, t)
+    def _terms(self, t) -> dict:
+        """``t``'s term dict; a bracketed word's is the memo's own, which
+        must not be mutated."""
+        return t if type(t) is dict else expansion(self.alphabet, t)
 
     # -- grammar -------------------------------------------------------------
     # Each production returns the bracketed word itself when its text is
-    # exactly one, else a Poly.
+    # exactly one, else a fresh term dict with int or Fraction coefficients.
+
+    def _sign(self):
+        """Read the sign before a monomial: 1, -1, or None when there is none."""
+        value = self.tokens[self.i][1]
+        if value != "+" and value != "-":
+            return None
+        self.i += 1
+        return 1 if value == "+" else -1
 
     def parse_poly(self):
-        sign = None
-        if self.at_sym("+") or self.at_sym("-"):
-            sign = -ONE if self.advance()[1] == "-" else ONE
-        total = self.parse_mono(sign)
-        while self.at_sym("+") or self.at_sym("-"):
-            sign = ONE if self.advance()[1] == "+" else -ONE
-            total = self._poly(total) + self._poly(self.parse_mono(sign))
-        return total
+        coeff, t = self.parse_mono(self._sign())
+        if coeff is None and self.tokens[self.i][1] not in ("+", "-"):
+            return t
+        total: dict = {}
+        while True:
+            if coeff is None or coeff == 1:
+                _add(total, self._terms(t).items())
+            elif coeff:
+                _add(total, ((w, coeff * c) for w, c in self._terms(t).items()))
+            sign = self._sign()
+            if sign is None:
+                return total
+            coeff, t = self.parse_mono(sign)
 
-    def parse_mono(self, sign: Fraction | None):
-        coeff = ONE if sign is None else sign
-        had_rat = self.peek()[0] == "number"
-        if had_rat:
-            coeff = coeff * self.parse_rat()
+    def parse_mono(self, sign):
+        """(coefficient, value) of a monomial; the coefficient is None when
+        the text has neither sign nor number, and 0 makes the value {}."""
+        coeff = sign
+        if self.tokens[self.i][0] == "number":
+            rat = self.parse_rat()
+            coeff = rat if sign is None else sign * rat
         if not self._at_factor():
-            if had_rat and coeff == 0:
-                return Poly.zero()
-            _, value, pos = self.peek()
+            if coeff == 0:  # a bare rational must be zero
+                return 0, {}
+            _, value, pos = self.tokens[self.i]
             raise TermSyntaxError(
                 "expected a factor, found %r" % (value or "end of input"), pos
             )
         t = self.parse_factor()
         while True:
             if self.at_sym("*"):
-                self.advance()
+                self.i += 1
                 if not self._at_factor():
-                    _, value, pos = self.peek()
+                    _, value, pos = self.tokens[self.i]
                     raise TermSyntaxError(
                         "expected a factor after '*', found %r"
                         % (value or "end of input"),
@@ -166,32 +186,31 @@ class _Parser:
                     )
             elif not self._at_factor():
                 break
-            t = self._poly(t) * self._poly(self.parse_factor())
-        if sign is None and not had_rat and type(t) is not Poly:
-            return t
-        return self._poly(t).scale(coeff)
+            t = _int_multiply(self._terms(t), self._terms(self.parse_factor()))
+        return coeff, t
 
-    def parse_rat(self) -> Fraction:
-        kind, value, pos = self.peek()
+    def parse_rat(self):
+        """An ``int``, or a ``Fraction`` when a denominator is given."""
+        kind, value, pos = self.tokens[self.i]
         if kind != "number":
             raise TermSyntaxError("expected a number", pos)
-        self.advance()
+        self.i += 1
         num = int(value)
         if self.at_sym("/"):
-            self.advance()
-            kind, value, pos = self.peek()
+            self.i += 1
+            kind, value, pos = self.tokens[self.i]
             if kind != "number":
                 raise TermSyntaxError("expected a denominator", pos)
-            self.advance()
+            self.i += 1
             den = int(value)
             if den == 0:
                 raise TermSyntaxError("zero denominator", pos)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def _at_factor(self) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "ident" or (kind == "sym" and value == "[")
+        kind, value, _ = self.tokens[self.i]
+        return kind == "ident" or value == "["
 
     def parse_factor(self):
         if self.at_sym("["):
@@ -200,7 +219,7 @@ class _Parser:
 
     def parse_naword(self):
         if self.at_sym("["):
-            self.advance()
+            self.i += 1
             left = self.parse_naword()
             right = self.parse_naword()
             self.expect_sym("]")
@@ -213,36 +232,29 @@ class _Parser:
         ``parse_arg`` reads the operator arguments: ``parse_naword`` inside
         brackets, ``parse_poly`` outside.
         """
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.i]
         if kind != "ident":
             raise TermSyntaxError(
                 "expected a symbol, found %r" % (value or "end of input"), pos
             )
-        if value == "D":
-            k2, v2, _ = self.peek2()
-            if k2 == "sym" and v2 in ("^", "("):
-                self.advance()
-                power = 1
-                if self.at_sym("^"):
-                    self.advance()
-                    nk, nv, npos = self.peek()
-                    if nk != "number":
-                        raise TermSyntaxError("expected a power", npos)
-                    self.advance()
-                    power = int(nv)
-                self.expect_sym("(")
-                inner = self.parse_prime(parse_arg)
-                self.expect_sym(")")
-                if type(inner) is not Poly:
-                    return NaLeaf(inner.d_power + power, inner.head)
-                # an operator application is a sum of one-prime words
-                return Poly(
-                    {
-                        Word((w.primes[0].shifted(power),)): c
-                        for w, c in inner.terms.items()
-                    }
-                )
-        self.advance()
+        if value == "D" and self.tokens[self.i + 1][1] in ("^", "("):
+            self.i += 1
+            power = 1
+            if self.at_sym("^"):
+                self.i += 1
+                nk, nv, npos = self.tokens[self.i]
+                if nk != "number":
+                    raise TermSyntaxError("expected a power", npos)
+                self.i += 1
+                power = int(nv)
+            self.expect_sym("(")
+            inner = self.parse_prime(parse_arg)
+            self.expect_sym(")")
+            if type(inner) is not dict:
+                return NaLeaf(inner.d_power + power, inner.head)
+            # an operator application is a sum of one-prime words
+            return {Word((w.primes[0].shifted(power),)): c for w, c in inner.items()}
+        self.i += 1
         alphabet = self.alphabet
         if alphabet.is_generator(value):
             return NaLeaf(0, value)
@@ -253,7 +265,7 @@ class _Parser:
         self.expect_sym("(")
         args = [parse_arg()]
         while self.at_sym(","):
-            self.advance()
+            self.i += 1
             args.append(parse_arg())
         self.expect_sym(")")
         if len(args) != arity:
@@ -262,17 +274,17 @@ class _Parser:
                 % (value, arity, len(args)),
                 pos,
             )
-        if any(type(a) is Poly for a in args):
-            return apply_operator(value, *map(self._poly, args))
+        if any(type(a) is dict for a in args):
+            return _int_operator(value, [self._terms(a) for a in args], 0)
         return NaLeaf(0, NaOp(value, tuple(args)))
 
 
 def parse_term(s: str, alphabet: Alphabet):
     """Parse ``s`` to a bracketed word when it is exactly one, else a Poly."""
-    parser = _Parser(tokenize(s), alphabet, len(s))
+    parser = _Parser(tokenize(s), alphabet)
     t = parser.parse_poly()
     parser.expect_end()
-    return t
+    return Poly(as_fractions(t)) if type(t) is dict else t
 
 
 def parse_poly(s: str, alphabet: Alphabet) -> Poly:

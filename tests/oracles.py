@@ -6,7 +6,8 @@ exhaustive rotation filtering, the differential by the recursive two-factor
 rule, standard bracketings by trying every binary tree (over
 ``underlying_word``, which forgets a bracketing), section and Rota-Baxter
 rules by expanding each bracketing afresh, ambiguities by comparing every
-pair of lifted leading words, and the ideal rows of
+pair of lifted leading words, ``drbl_nf``'s matcher by visiting every
+subword run (``oracle_find_match``), and the ideal rows of
 ``reference.oracle_quotient_dim`` by one ``occurrences`` scan per ALSW word
 and lift (``naive_ideal_rows``).  ``oracle_random_reduce`` reduces with a
 seeded-random order and choice of rule, against the engine's greatest-first
@@ -47,10 +48,16 @@ from shirshov.algebra import (
     multiply,
     subst_poly,
 )
-from shirshov.lyndon import is_alsw, ls_factorization, shirshov_bracket, special_expand
+from shirshov.lyndon import (
+    is_alsw,
+    is_alsw_hereditary,
+    ls_factorization,
+    shirshov_bracket,
+    special_expand,
+)
 from shirshov.reference import _alsws, _ideal_rows
 from shirshov.rewriting import Ambiguity, ReductionStep
-from shirshov.rota_baxter import drbl_nf, enumerate_basis
+from shirshov.rota_baxter import _overtaken, drbl_nf, enumerate_basis
 from shirshov.words import (
     Alphabet,
     Context,
@@ -417,6 +424,62 @@ def oracle_ambiguities(system) -> list[Ambiguity]:
         )
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The fast path's matcher by a scan of every subword run.
+
+
+def oracle_find_match(sys, u: Word):
+    """``rota_baxter._find_match`` by visiting every subword run.
+
+    Walks all of ``iter_subword_runs(u)`` and builds a context per hit
+    through the run's own builder: the first single-prime section or
+    completion hit returns at once, else the first descending P-pair, else
+    (nonzero weight) the first run of primes that is the overtaking
+    leading word of a lift of a section rule.
+    """
+    alphabet = sys.config.alphabet
+    key = alphabet.key
+    weighted = sys.config.weight != 0
+    pair_hit = None
+    run_hit = None
+    for run, build in iter_subword_runs(u):
+        n = len(run)
+        if n == 1:
+            p = run[0]
+            if p.d_power >= 1 and type(p.head) is OpApp:
+                w = p.head.args[0]
+                k = p.d_power
+                if not weighted or not _overtaken(k - 1, w.breadth):
+                    return ("section", w), k - 1, build()
+                if sys.completion_rule(w, k - 1) is not None:
+                    return ("completion", w, k - 1), 0, build()
+        elif pair_hit is None and n == 2:
+            p, q = run
+            if (
+                p.d_power == 0
+                and q.d_power == 0
+                and type(p.head) is OpApp
+                and type(q.head) is OpApp
+            ):
+                a, b = p.head.args[0], q.head.args[0]
+                if key(a) > key(b):
+                    pair_hit = (("rota-baxter", a, b), 0, build)
+        if weighted and n >= 2 and run_hit is None:
+            bound = min(p.d_power for p in run)
+            for i in range(1, bound + 1):
+                if not _overtaken(i, n):
+                    continue
+                w = Word(tuple(p.shifted(-i) for p in run))
+                if is_alsw_hereditary(w, alphabet):
+                    run_hit = (("section", w), i, build)
+                    break
+    if pair_hit is not None:
+        return pair_hit[0], pair_hit[1], pair_hit[2]()
+    if run_hit is not None:
+        return run_hit[0], run_hit[1], run_hit[2]()
+    return None
 
 
 # ---------------------------------------------------------------------------

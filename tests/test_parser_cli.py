@@ -145,6 +145,28 @@ def test_parse_errors_carry_positions():
         ("D()", "expected a symbol, found ')'", 2),
         ("D^2(P(x1 +))", "expected a factor, found ')'", 10),
         ("D(P([x1 P(x1 x2)]))", "expected ')', found 'x2'", 13),
+        # positions count leading and inner whitespace
+        ("  @x1", "unexpected character '@'", 2),
+        ("x1 @ x2", "unexpected character '@'", 3),
+        ("x1\t@", "unexpected character '@'", 3),
+        ("x1 \u00e9", "unexpected character '\u00e9'", 3),
+        ("P(x1", "expected ')', found 'end of input'", 4),
+        ("  P(x1  ", "expected ')', found 'end of input'", 8),
+        ("1/0 x1", "zero denominator", 2),
+        ("1/ x1", "expected a denominator", 3),
+        ("P(x1, x1)", "operator 'P' expects 1 argument(s), got 2", 0),
+        ("x1 + q", "unknown symbol 'q'", 5),
+        ("  x1 +  q", "unknown symbol 'q'", 8),
+        ("x1 x3", "unknown symbol 'x3'", 3),
+        ("x1 + ", "expected a factor, found 'end of input'", 5),
+        ("", "expected a factor, found 'end of input'", 0),
+        ("   ", "expected a factor, found 'end of input'", 3),
+        ("- 2/3", "expected a factor, found 'end of input'", 5),
+        ("x1 * * x2", "expected a factor after '*', found '*'", 5),
+        # trailing input
+        ("x1 x2)", "unexpected trailing input ')'", 5),
+        ("[x1 x2] ,", "unexpected trailing input ','", 8),
+        ("x1 ^ 2", "unexpected trailing input '^'", 3),
     ],
 )
 def test_parse_error_messages_and_positions(text, message, position):
@@ -238,6 +260,28 @@ def test_identity_shapes_parse_to_the_oracle_expansion():
             assert type(got) is Poly
             assert got.terms == want.terms
             assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_rational_combinations_parse_to_the_oracle_sum():
+    rng = random.Random(29)
+    config = AlgebraConfig(X2, Fraction(1))
+    brackets = [shirshov_bracket(u, X2) for u in enumerate_alsw(config, 5)]
+    for _ in range(60):
+        text = ""
+        want = Poly.zero()
+        for k in range(rng.randint(1, 5)):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            t = rng.choice(brackets)
+            a = oracle_lie_expand(config, t)
+            body = format_term(t)
+            if rng.random() < 0.3:
+                a = apply_operator("P", a)
+                body = "P(%s)" % body
+            text += "%s %s %s " % ("-" if c < 0 else "+", abs(c), body)
+            want = want + a.scale(c)
+        got = parse_poly(text, X2)
+        assert got == want, text
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_whitespace_is_insignificant():

@@ -30,6 +30,7 @@ from shirshov import (
     shirshov_bracket,
 )
 from oracles import (
+    oracle_find_match,
     oracle_rota_baxter_rule,
     oracle_section_rule,
     underlying_word,
@@ -166,6 +167,38 @@ def test_nf_is_linear_and_idempotent():
         assert all(t in basis for _, t in nf_sum.terms)
 
 
+@pytest.mark.parametrize("weight", [0, 1, Fraction(1, 2)])
+def test_nf_of_a_rational_multiple_is_the_multiple_of_the_nf(weight):
+    rng = random.Random(23)
+    sys_ = make_sys(A2, weight)
+    c = sys_.config
+    pool = enumerate_alsw(c, 6)
+    steps = 0
+    for _ in range(10):
+        p = Poly.zero()
+        for _ in range(3):
+            t = shirshov_bracket(rng.choice(pool), A2)
+            k = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            p = p + lie_expand(c, t).scale(k)
+        nf = drbl_nf(p, sys_)
+        for q in (Fraction(3, 2), Fraction(-7, 5)):
+            log = []
+            got = drbl_nf(p.scale(q), sys_, log=log)
+            assert got.terms == tuple((q * k, t) for k, t in nf.terms)
+            assert all(type(k) is Fraction for k, _ in got.terms)
+            assert all(type(s.coefficient) is Fraction for s in log)
+            assert all(
+                type(k) is Fraction for s in log for k in s.multiple.terms.values()
+            )
+            # the input is the output's expansion plus every subtracted multiple
+            total = got.as_poly(c)
+            for s in log:
+                total = total + s.multiple
+            assert total == p.scale(q)
+            steps += len(log)
+    assert steps
+
+
 def test_fast_path_agrees_with_generic_engine():
     rng = random.Random(41)
     for alphabet in (A1, A2):
@@ -290,6 +323,48 @@ def test_lie_irreducible_can_expand_to_assoc_reducible():
     exp = lie_expand(sys_.config, shirshov_bracket(u, A2))
     assert any(engine.is_reducible(v) for v in exp.terms)
     assert w("y P(x) P(y)") in exp.terms
+
+
+@pytest.mark.parametrize("weight", [0, 1, Fraction(1, 2), -1])
+@pytest.mark.parametrize("alphabet, degree", [(A1, 8), (A2, 6)])
+def test_find_match_agrees_with_the_scan_of_every_subword_run(
+    alphabet, degree, weight
+):
+    from shirshov.rota_baxter import _find_match
+    from shirshov.syntax import format_context
+    from shirshov.words import ArgHole, OpApp, Prime, Word, enumerate_words, substitute
+
+    sys_ = make_sys(alphabet, weight)
+    seen = Counter()
+    for words in enumerate_words(alphabet, degree).values():
+        for u in words:
+            try:
+                want = oracle_find_match(sys_, u)
+            except (ValueError, RuntimeError) as e:
+                # a completion rule that cannot be built raises in both
+                with pytest.raises(type(e)) as again:
+                    _find_match(sys_, u)
+                assert str(again.value) == str(e)
+                seen["raised"] += 1
+                continue
+            got = _find_match(sys_, u)
+            if want is None:
+                assert got is None, u
+                continue
+            assert got[:2] == want[:2], u
+            assert format_context(got[2]) == format_context(want[2]), u
+            assert got[2] is want[2]
+            tag, lift, ctx = got
+            seen[tag[0]] += 1
+            seen["nested"] += type(ctx.core) is ArgHole
+            top = Prime(lift + 1, OpApp("P", (tag[1],)))
+            if tag[0] == "section" and substitute(ctx, Word((top,))) != u:
+                seen["run"] += 1  # no single prime and no pair matched
+    assert seen["section"] and seen["rota-baxter"] and seen["nested"]
+    if weight:
+        assert seen["run"]
+        if alphabet is A1:
+            assert seen["completion"] and seen["raised"]
 
 
 def test_modes_agree_after_an_associative_pass():
