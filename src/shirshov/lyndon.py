@@ -185,9 +185,15 @@ def enumerate_alsw_by_degree(
     shortest left factor, which is the standard split (the right factor
     of the standard split is the longest proper ALSW suffix).  So
     ``is_alsw`` and ``shirshov_bracket`` decide nothing again for them.
+    With the default letters every returned word is recorded as hereditary
+    too, since those letters take their operator arguments only from the
+    words enumerated before them; a custom letter maker promises no such
+    thing, so its words are left to ``is_alsw_hereditary``.
     """
+    hereditary_cache = None
     if letters is None:
         letters = default_letters(alphabet)
+        hereditary_cache = alphabet._hereditary_cache
     alsw_cache = alphabet._alsw_cache
     split_cache = alphabet._split_cache
     alsw_by_deg: dict[int, list[Word]] = {}
@@ -205,6 +211,8 @@ def enumerate_alsw_by_degree(
         alsw_by_deg[d] = sorted(found, key=alphabet.key)
         for w in found:
             alsw_cache[w] = True
+        if hereditary_cache is not None:
+            hereditary_cache.update(dict.fromkeys(found, True))
     return alsw_by_deg
 
 

@@ -84,6 +84,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import (
     ONE,
@@ -197,8 +198,7 @@ def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> R
     return Rule(poly, origin, {w: poly.terms[w] for w in tops.values()})
 
 
-@dataclass(frozen=True)
-class LiftedRule:
+class LiftedRule(NamedTuple):
     """One D-lift of a rule, keyed by its true leading word."""
 
     rule_index: int
@@ -304,22 +304,30 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
     D is strictly monotone in the prime order, and deg-lex compares such
     words prime by prime.  So the leading word is the shift of the
     deg-lex greatest monomial of the winning group, which is one of the
-    rule's ``tops``; the polynomial itself is not read.
+    rule's ``tops``; the polynomial itself is not read.  The tops make one
+    list of (degree, step, breadth, word, coefficient), step being the
+    degree a lift adds, and a plain loop picks each lift's group from it.
     """
-    tops = rule.tops
     weighted = config.weight != 0
-
-    def shifted_degree(u):
-        return u.degree + lift * (u.breadth if weighted else 1)
-
+    groups = []
+    for u, c in rule.tops.items():
+        b = len(u.primes)
+        groups.append((u.degree, b if weighted else 1, b, u, c))
     lift = 0
     while True:
-        u = max(tops, key=lambda u: (shifted_degree(u), u.breadth))
-        if shifted_degree(u) > max_degree:
+        best = None
+        for group in groups:
+            d = group[0] + lift * group[1]
+            if best is None or d > best_d or (d == best_d and group[2] > best[2]):
+                best, best_d = group, d
+        if best_d > max_degree:
             return
-        lead, lc = d_power_leading(config, u, lift)
-        c = tops[u]  # a Fraction, so skipping a product by 1 keeps its type
-        yield lift, lead, c if lc == 1 else c * lc
+        u, c = best[3], best[4]
+        if lift:
+            u, lc = d_power_leading(config, u, lift)
+            if lc != 1:  # c is a Fraction; skipping a product by 1 keeps it one
+                c *= lc
+        yield lift, u, c
         lift += 1
 
 

@@ -142,11 +142,22 @@ def test_pure_generator_counts_match_necklace_oracle():
 
 
 def test_enumeration_matches_brute_filter():
-    by_deg = enumerate_alsw_by_degree(A2, 4)
-    words = enumerate_words(A2, 4)
-    for d in range(1, 5):
-        brute = [u for u in words[d] if is_alsw_hereditary(u, A2)]
-        assert by_deg[d] == brute
+    # the filter decides on a fresh alphabet, whose caches the enumeration
+    # has not seeded; words are interned, so the two alphabets share them
+    for gens, degree, counts in (
+        (("x",), 6, (730, 255)),
+        (("x", "y"), 5, (1134, 394)),
+        (("x", "y", "z"), 4, (612, 241)),
+    ):
+        alphabet = Alphabet(gens, (("P", 1),))
+        by_deg = enumerate_alsw_by_degree(alphabet, degree)
+        fresh = Alphabet(gens, (("P", 1),))
+        words = enumerate_words(fresh, degree)
+        for d in range(1, degree + 1):
+            brute = [u for u in words[d] if is_alsw_hereditary(u, fresh)]
+            assert by_deg[d] == brute
+        total = sum(map(len, words.values())), sum(map(len, by_deg.values()))
+        assert total == counts
 
 
 def test_enumerate_alsw_flat_and_sorted():
@@ -190,6 +201,51 @@ def test_enumeration_records_what_a_fresh_alphabet_decides(gens, restricted):
             assert shirshov_bracket(w, alphabet) == shirshov_bracket(w, fresh)
     assert seen > 0
     assert not fresh._split_cache
+
+
+def with_letter(alphabet, word):
+    """Default letters plus the one-prime ``word`` as a letter of its degree."""
+    default = words.default_letters(alphabet)
+
+    def letters(d, alsw_by_deg):
+        out = default(d, alsw_by_deg)
+        return out + list(word.primes) if d == word.degree else out
+
+    return letters
+
+
+@pytest.mark.parametrize(
+    "maker", ["default", "generators", "basis", "non-hereditary"]
+)
+def test_hereditary_cache_agrees_with_a_fresh_alphabet(maker):
+    # the enumeration seeds the hereditary cache for its default letters
+    # only; every entry, seeded or decided, matches a fresh alphabet's
+    # answer, also when a custom letter is not hereditary itself
+    alphabet = Alphabet(("x", "y"), (("P", 1),))
+    letters = None
+    if maker == "generators":
+        letters = generators_only(alphabet)
+    elif maker == "basis":
+        letters = rota_baxter._basis_letters(DrblSystem(AlgebraConfig(alphabet)))
+    elif maker == "non-hereditary":
+        letters = with_letter(alphabet, w("P(y x)", alphabet))
+    by_deg = enumerate_alsw_by_degree(alphabet, 4, letters=letters)
+    cache = alphabet._hereditary_cache
+    enumerated = [u for d in sorted(by_deg) for u in by_deg[d]]
+    assert bool(cache) == (maker == "default")
+    if maker == "default":
+        assert set(cache) == set(enumerated)
+    others = [
+        w(t, alphabet)
+        for t in ("P(y x)", "D(P(x)) P(x)", "y x", "x P(y x)", "P(P(y x))")
+    ]
+    assert (others[0] in enumerated) == (maker == "non-hereditary")
+    for u in enumerated + others:
+        is_alsw_hereditary(u, alphabet)
+    fresh = Alphabet(("x", "y"), (("P", 1),))
+    for u, known in cache.items():
+        assert known is is_alsw_hereditary(u, fresh), u
+    assert [cache[u] for u in others] == [False, True, False, False, False]
 
 
 @pytest.mark.parametrize("gens", [1, 2])

@@ -1,6 +1,7 @@
 """Rewrite engine: lifted rules, reduction traces, overlap certification."""
 
 import gc
+import pickle
 import random
 import sys
 import weakref
@@ -15,6 +16,7 @@ from shirshov import (
     AlgebraConfig,
     Alphabet,
     DrblSystem,
+    LiftedRule,
     Poly,
     RewriteSystem,
     apply_D,
@@ -141,6 +143,25 @@ def test_lifted_leadings_switch_at_high_lifts():
         "D^4(P(x y))",
         "D^5(P(x y))",
     ]
+
+
+def test_lifted_rules_compare_hash_print_and_pickle_by_value():
+    c = cfg(A2, 1)
+    e = RewriteSystem(c, [section_rule(c, parse_word("x y", A2))], 8).lifted[2]
+    twin = LiftedRule(0, 2, parse_word("D^2(x) D^2(y)", A2), Fraction(-1))
+    assert twin == e and hash(twin) == hash(e)
+    assert twin != LiftedRule(0, 3, e.leading_word, e.leading_coeff)
+    assert repr(e) == (
+        "LiftedRule(rule_index=0, lift=2, leading_word=D^2(x) * D^2(y), "
+        "leading_coeff=Fraction(-1, 1))"
+    )
+    assert pickle.loads(pickle.dumps(e)) == e
+    # two engines over the same rules hold equal, not shared, lifted rules
+    rules = DrblSystem(c).system(6).rules
+    one, two = RewriteSystem(c, rules, 6), RewriteSystem(c, rules, 6)
+    assert one.lifted[0] is not two.lifted[0]
+    ambiguities = one.find_ambiguities()
+    assert ambiguities and ambiguities == two.find_ambiguities()
 
 
 @pytest.mark.parametrize("gens", (1, 2))
