@@ -221,7 +221,8 @@ def d_power_leading(config: AlgebraConfig, u: Word, i: int) -> tuple[Word, Fract
         w = Word((primes[0].shifted(i),) + primes[1:])
         return w, ONE
     w = Word(tuple(p.shifted(i) for p in primes))
-    return w, config.weight ** ((n - 1) * i)
+    e = (n - 1) * i
+    return w, config.weight**e if e else ONE
 
 
 def lie_expand(config: AlgebraConfig, t) -> Poly:

@@ -32,6 +32,13 @@ operator steps.  Integral coefficients of the core are narrowed to
 ``int``s, so ``special_terms`` runs in ``int``s wherever the core is
 integral and in ``Fraction``s where it is not; ``special_expand`` returns
 ``Fraction``s.
+
+``special_terms`` checks that the core leads with ``v``, a hereditarily
+Lyndon-Shirshov word, on every call.  The rewriting engine expands many
+multiples of one lifted core, so it certifies each core's leading term
+once (``rewriting.LiftCache.lead``) and calls ``special_terms_from_lead``,
+which skips that check; the filled word is still checked, and each
+multiple still certified, on every call.
 """
 
 from __future__ import annotations
@@ -316,24 +323,38 @@ def special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> 
 def special_terms(config: AlgebraConfig, ctx: Context, v: Word, core: dict) -> dict:
     """``special_expand`` over term dicts, in integers where they suffice.
 
-    Only the spine is computed; every subtree off it is a standard
-    bracketing, read from the alphabet's integer memo.  The core's
-    integral coefficients are narrowed to ``int``s, so an integral core
-    gives ``int`` coefficients throughout.
+    Checks that ``v`` is hereditarily Lyndon-Shirshov and leads ``core``,
+    then expands by ``special_terms_from_lead``.
     """
-    alphabet = config.alphabet
-    if not is_alsw_hereditary(v, alphabet):
+    if not is_alsw_hereditary(v, config.alphabet):
         raise ValueError("isolated subword is not Lyndon-Shirshov: %r" % (v,))
-    w = substitute(ctx, v)
-    if not is_alsw_hereditary(w, alphabet):
-        raise ValueError("filled word is not Lyndon-Shirshov: %r" % (w,))
     core_lead, core_coeff = leading(config, Poly(core))
     if core_lead != v:
         raise ValueError("core leading word %r is not %r" % (core_lead, v))
+    return special_terms_from_lead(config, ctx, v, core_coeff, core)
+
+
+def special_terms_from_lead(
+    config: AlgebraConfig, ctx: Context, v: Word, coeff, core: dict
+) -> dict:
+    """``special_terms`` for a core whose leading term the caller certified.
+
+    ``v`` must be hereditarily Lyndon-Shirshov and lead ``core`` with
+    coefficient ``coeff``; that is not checked again.  The filled word is
+    checked, and the result certified, as in ``special_terms``.  Only the
+    spine is computed; every subtree off it is a standard bracketing, read
+    from the alphabet's integer memo.  The core's integral coefficients are
+    narrowed to ``int``s in a fresh dict, so an integral core gives ``int``
+    coefficients throughout, and the result never shares the core's dict.
+    """
+    alphabet = config.alphabet
+    w = substitute(ctx, v)
+    if not is_alsw_hereditary(w, alphabet):
+        raise ValueError("filled word is not Lyndon-Shirshov: %r" % (w,))
     narrowed = {u: narrow(c) for u, c in core.items()}
     out = _expand_spine(alphabet, _spine(w, ctx, alphabet), narrowed)
-    lead, coeff = leading(config, Poly(out))
-    if lead != w or coeff != core_coeff:
+    lead, lc = leading(config, Poly(out))
+    if lead != w or lc != coeff:
         raise RuntimeError(
             "special multiple certificate failed at %r" % (w,)
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraConfig, _subtract, apply_D, divide, leading
 from .lyndon import enumerate_alsw_by_degree, is_alsw, special_terms
-from .words import Word, iter_subword_runs
+from .words import Word, context_at, subword_runs
 
 
 _MONOMIAL_CAP = 200_000
@@ -60,11 +60,11 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
             core = apply_D(config, core)  # the next lift, one D step on
     hits: list[list] = [[] for _ in lifts]
     for w in alsws:
-        for run, build in iter_subword_runs(w):
+        for run, where in subword_runs(w):
             found = by_leading.get(run)
             if found is None:
                 continue
-            ctx = build()
+            ctx = context_at(w.primes, where)
             for n in found:
                 hits[n].append(ctx)
     monomials = 0

@@ -29,7 +29,11 @@ argument).  They are found by lookup, not by comparing every pair of
 lifts: inclusions by looking up every subword run of a lifted leading word
 (top level and nested) in the table ``by_leading`` that matching uses, and
 intersections by looking up every proper suffix of a lifted leading word
-in a table of the proper prefixes of all of them.  A composition is the
+in a table of the proper prefixes of all of them.  Both tables are keyed
+by tuples of primes, so a run, which ``words.subword_runs`` yields as such
+a tuple with its position, is looked up as it is, without building a
+``Word``; the context is built from the position (``words.context_at``)
+only when a lookup hits.  Matching works the same way.  A composition is the
 difference of the two lifted rules' normalized multiples in bare contexts
 (D around a rule is one of its lifts): substitutions in associative mode,
 isolating special bracketings in Lie mode, so that there the subtracted
@@ -51,9 +55,11 @@ lcm L of its coefficients' denominators, reduces in ``int``s, and divides
 each output and logged coefficient by L.  The normal form is linear and
 the scaled input has the same support, so it takes the same steps and
 the result is exact.  Special multiples come from
-``lyndon.special_terms``, and a division yields a ``Fraction`` only when it
-is not exact (``algebra.divide``, as at weight 1/2), so no coefficient is
-ever a float.  What crosses the public boundary
+``lyndon.special_terms_from_lead``: ``LiftCache.lead`` certifies each
+lifted core's leading term once, on first use, and every multiple is
+still certified to lead with its filled word.  A division yields a
+``Fraction`` only when it is not exact (``algebra.divide``, as at weight
+1/2), so no coefficient is ever a float.  What crosses the public boundary
 (``composition``, ``reduce``, ``lie_normal_form``, ``ReductionStep``,
 ``special_multiple``) has ``Fraction`` coefficients, with the values and
 the term order the all-``Fraction`` computation gives.
@@ -80,9 +86,11 @@ intern tables of ``words``, it assumes one thread.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
@@ -105,15 +113,16 @@ from .lyndon import (
     enumerate_alsw,
     is_alsw_hereditary,
     shirshov_bracket,
-    special_terms,
+    special_terms_from_lead,
 )
 from .words import (
     IDENTITY_CONTEXT,
     Context,
     Hole,
     Word,
+    context_at,
     enumerate_words,
-    iter_subword_runs,
+    subword_runs,
 )
 
 
@@ -331,22 +340,33 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
         lift += 1
 
 
+def lift_leading(config: AlgebraConfig, rule: Rule, lift: int):
+    """(word, coefficient) leading ``D^lift(rule.poly)``, by ``lift_leadings``."""
+    return next(islice(lift_leadings(config, rule, math.inf), lift, None))[1:]
+
+
 class LiftCache:
     """Lifted rule polynomials (cores) and special multiples by rule key.
 
-    ``rule_poly(key)`` gives a rule's polynomial; it must not hold the
-    cache's owner, so that the two make no reference cycle (see the module
-    docstring).  A core is expanded on
-    first use, one D step from the cached lift below it; a special multiple
-    is cached as ``lyndon.special_terms`` gives it (``int`` coefficients
-    while integral), with the leading coefficient of its core, narrowed to
-    an ``int`` when it is integral.
+    ``rule_poly(key)`` gives a rule's polynomial, and
+    ``leading_of(key, lift)`` the (word, coefficient) that
+    ``lift_leadings`` gives in closed form for its lift ``lift``; neither
+    may hold the cache's owner, so that the two make no reference cycle
+    (see the module docstring).  A core is expanded on first use, one D
+    step from the cached lift below it.  Its leading term is certified
+    once (``lead``): it must be the closed form's, with a hereditarily
+    Lyndon-Shirshov word.  A special multiple is cached as
+    ``lyndon.special_terms_from_lead`` gives it (``int`` coefficients while
+    integral), with the leading coefficient of its core, narrowed to an
+    ``int`` when it is integral.
     """
 
-    def __init__(self, config: AlgebraConfig, rule_poly):
+    def __init__(self, config: AlgebraConfig, rule_poly, leading_of):
         self.config = config
         self.rule_poly = rule_poly
+        self.leading_of = leading_of
         self._cores: dict[tuple, Poly] = {}
+        self._leads: dict[tuple, tuple[Word, int | Fraction]] = {}
         self._specials: dict[tuple, tuple[dict, int | Fraction]] = {}
 
     def core(self, key, lift: int) -> Poly:
@@ -360,15 +380,34 @@ class LiftCache:
             self._cores[(key, lift)] = got
         return got
 
+    def lead(self, key, lift: int) -> tuple[Word, int | Fraction]:
+        """Certified leading word and (narrowed) coefficient of a core."""
+        got = self._leads.get((key, lift))
+        if got is None:
+            config = self.config
+            v, c = leading(config, self.core(key, lift))
+            want, want_c = self.leading_of(key, lift)
+            if v != want or c != want_c:
+                raise ValueError(
+                    "core leading term %s %r is not %s %r" % (c, v, want_c, want)
+                )
+            if not is_alsw_hereditary(v, config.alphabet):
+                raise ValueError(
+                    "lifted leading word is not Lyndon-Shirshov: %r" % (v,)
+                )
+            got = self._leads[(key, lift)] = v, narrow(c)
+        return got
+
     def special(self, key, lift: int, ctx: Context) -> tuple[dict, int | Fraction]:
         """(terms of the isolating-bracketed multiple in ``ctx``, leading
         coeff of core); callers must not mutate the terms."""
         got = self._specials.get((key, lift, ctx))
         if got is None:
-            core = self.core(key, lift)
-            v, lc = leading(self.config, core)
-            got = special_terms(self.config, ctx, v, core.terms), narrow(lc)
-            self._specials[(key, lift, ctx)] = got
+            v, lc = self.lead(key, lift)
+            terms = special_terms_from_lead(
+                self.config, ctx, v, lc, self.core(key, lift).terms
+            )
+            got = self._specials[(key, lift, ctx)] = terms, lc
         return got
 
 
@@ -431,17 +470,29 @@ class RewriteSystem:
         self.rules = tuple(
             r if isinstance(r, Rule) else make_rule(config, r) for r in rules
         )
-        rules = self.rules  # not self: the cache would hold its owner
-        self._lifts = LiftCache(config, lambda i: rules[i].poly)
+        # the cache reads these, not self, which it would hold
+        rules = self.rules
+        lifted: list[LiftedRule] = []
+        first: list[int] = []  # where each rule's lifts start in lifted
+
+        def leading_of(i, lift):
+            n = first[i] + lift
+            if n < len(lifted) and lifted[n].rule_index == i:
+                return lifted[n][2:]
+            return lift_leading(config, rules[i], lift)  # above the bound
+
+        self._lifts = LiftCache(config, lambda i: rules[i].poly, leading_of)
         self._ambiguities: tuple[Ambiguity, ...] | None = None
-        self.lifted: list[LiftedRule] = []
-        self.by_leading: dict[Word, list[LiftedRule]] = {}
-        for idx, rule in enumerate(self.rules):
+        self.lifted = lifted
+        # by the primes of the leading word, so a run looks itself up as is
+        self.by_leading: dict[tuple, list[LiftedRule]] = {}
+        for idx, rule in enumerate(rules):
+            first.append(len(lifted))
             for lift, lead, lc in lift_leadings(config, rule, max_degree):
                 entry = LiftedRule(idx, lift, lead, lc)
-                self.lifted.append(entry)
+                lifted.append(entry)
                 # appended in (rule index, lift) order, the order match prefers
-                self.by_leading.setdefault(lead, []).append(entry)
+                self.by_leading.setdefault(lead.primes, []).append(entry)
 
     # -- matching ----------------------------------------------------------
 
@@ -456,24 +507,22 @@ class RewriteSystem:
         """
         best = None
         by_leading = self.by_leading
-        for run, build in iter_subword_runs(u):
-            entries = by_leading.get(Word(run))
-            if not entries:
+        for run, where in subword_runs(u):
+            entries = by_leading.get(run)
+            if entries is None:
                 continue
             e = entries[0]
-            if best is None or (e.rule_index, e.lift) < (
-                best[0].rule_index,
-                best[0].lift,
-            ):
-                best = (e, build)
+            # (rule index, lift) names one lift, so the order never reads on
+            if best is None or e < best:
+                best, best_where = e, where
         if best is None:
             return None
-        return best[0], best[1]()
+        return best, context_at(u.primes, best_where)
 
     def is_reducible(self, u: Word) -> bool:
         by_leading = self.by_leading
-        for run, _ in iter_subword_runs(u):
-            if Word(run) in by_leading:
+        for run, _ in subword_runs(u):
+            if run in by_leading:
                 return True
         return False
 
@@ -546,8 +595,10 @@ class RewriteSystem:
         to the lifts that start with it.  Inclusions are occurrences of one
         lifted leading inside another, skipping only the identity-context
         occurrence of a lifted rule in itself; each left lift walks its
-        subword runs (``iter_subword_runs``) and looks each up in
-        ``by_leading``, building the context only on a hit.  ``position``
+        subword runs (``words.subword_runs``) and looks each run, a tuple
+        of primes, up in ``by_leading``, which is keyed by the primes of
+        the leading words; only on a hit is the context built from the
+        run's position (``words.context_at``).  ``position``
         counts the occurrences of one leading word in walk order, which is
         the order of ``words.occurrences``: top-level runs by start, then
         nested runs by (prime, argument), outside in.  The result is sorted
@@ -573,10 +624,14 @@ class RewriteSystem:
         for left in self.lifted:
             vl = left.leading_word
             lp = vl.primes
+            room = max_degree - vl.degree  # for the primes glued on
+            shared = 0
             for k in range(1, len(lp)):
+                shared += lp[-k].degree
                 for right in by_prefix.get(lp[-k:], ()):
-                    w = Word(lp + right.leading_word.primes[k:])
-                    if w.degree <= max_degree:
+                    vr = right.leading_word
+                    if vr.degree - shared <= room:
+                        w = Word(lp + vr.primes[k:])
                         out.append(
                             Ambiguity(
                                 "intersection", left, right, w,
@@ -584,15 +639,14 @@ class RewriteSystem:
                             )
                         )
             # Occurrences of one leading word inside vl, counted in walk order.
-            seen: dict[Word, int] = {}
-            for run, build in iter_subword_runs(vl):
-                vr = Word(run)
-                rights = by_leading.get(vr)
+            seen: dict[tuple, int] = {}
+            for run, where in subword_runs(vl):
+                rights = by_leading.get(run)
                 if rights is None:
                     continue
-                pos = seen.get(vr, 0)
-                seen[vr] = pos + 1
-                ctx = build()
+                pos = seen.get(run, 0)
+                seen[run] = pos + 1
+                ctx = context_at(lp, where)
                 for right in rights:
                     if ctx.is_identity and right is left:
                         continue
@@ -640,8 +694,11 @@ class RewriteSystem:
             side_l = subst_poly(ctx_l, core_l).terms
             side_r = subst_poly(ctx_r, core_r).terms
         else:
-            side_l = special_terms(config, ctx_l, left.leading_word, core_l.terms)
-            side_r = special_terms(config, ctx_r, right.leading_word, core_r.terms)
+            lifts = self._lifts
+            v, lc = lifts.lead(left.rule_index, left.lift)
+            side_l = special_terms_from_lead(config, ctx_l, v, lc, core_l.terms)
+            v, lc = lifts.lead(right.rule_index, right.lift)
+            side_r = special_terms_from_lead(config, ctx_r, v, lc, core_r.terms)
         # side_l is a fresh dict: scale it only off 1, then subtract in place.
         lc = narrow(left.leading_coeff)
         result = side_l if lc == 1 else {w: divide(c, lc) for w, c in side_l.items()}

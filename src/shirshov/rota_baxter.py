@@ -113,18 +113,17 @@ from .rewriting import (
     Rule,
     collector_paused,
     lie_reduce,
+    lift_leading,
     make_rule,
 )
 from .words import (
-    ArgHole,
-    Context,
-    Hole,
     NaLeaf,
     NaOp,
     NaPair,
     OpApp,
     Prime,
     Word,
+    context_at,
 )
 
 
@@ -196,7 +195,11 @@ class DrblSystem:
         # A weak back-reference, so the cache does not keep its owner in a
         # reference cycle; the cache is reached only through its owner.
         owner = weakref.ref(self)
-        self._lifts = LiftCache(config, lambda tag: owner()._rule_poly(tag))
+        self._lifts = LiftCache(
+            config,
+            lambda tag: owner()._rule(tag).poly,
+            lambda tag, lift: lift_leading(config, owner()._rule(tag), lift),
+        )
 
     # -- rule families -------------------------------------------------------
 
@@ -290,12 +293,12 @@ class DrblSystem:
         self._completion[key] = got
         return got
 
-    def _rule_poly(self, tag: tuple) -> Poly:
+    def _rule(self, tag: tuple) -> Rule:
         if tag[0] == "section":
-            return self.section_rule(tag[1]).poly
+            return self.section_rule(tag[1])
         if tag[0] == "completion":
-            return self.completion_rule(tag[1], tag[2]).poly
-        return self.rota_baxter_rule(tag[1], tag[2]).poly
+            return self.completion_rule(tag[1], tag[2])
+        return self.rota_baxter_rule(tag[1], tag[2])
 
     # -- instantiated engines --------------------------------------------------
 
@@ -366,7 +369,7 @@ def _find_match(sys: DrblSystem, u: Word):
     patterns are tried before Rota-Baxter pairs, so D-over-P primes never
     survive into the pair scan; completion and run patterns only exist for
     nonzero weight.  The first single-prime hit wins, else the first pair,
-    else the first run, each first in ``words.iter_subword_runs`` order:
+    else the first run, each first in ``words.subword_runs`` order:
     the runs of the top level by start and then by length, then those
     inside each operator argument, prime by prime, outside in.  Only runs
     a pattern can match are visited: single primes, adjacent pairs, and at
@@ -378,26 +381,20 @@ def _find_match(sys: DrblSystem, u: Word):
     got = _walk(sys, u.primes, (), hits) or hits[0] or hits[1]
     if got is None:
         return None
-    tag, lift, (path, primes, i, j) = got
-    ctx = Context(primes[:i], Hole(), primes[j:])
-    for outer, t, a in reversed(path):
-        p = outer[t]
-        args = p.head.args
-        ctx = Context(
-            outer[:t],
-            ArgHole(p.d_power, p.head.name, args[:a], ctx, args[a + 1 :]),
-            outer[t + 1 :],
-        )
-    return tag, lift, ctx
+    tag, lift, (path, i, j) = got
+    where = (i, j)
+    for t, a in reversed(path):
+        where = (t, a, where)
+    return tag, lift, context_at(u.primes, where)
 
 
 def _walk(sys: DrblSystem, primes: tuple, path: tuple, hits: list):
     """``_find_match``'s walk over one level and the arguments under it.
 
     Returns the first single-prime hit, and records the first pair and run
-    hits in ``hits``.  A hit is (tag, lift, (path, primes, i, j)): the
-    primes i to j (exclusive) of this level, reached through ``path``, the
-    (primes, prime index, argument index) of each level above.
+    hits in ``hits``.  A hit is (tag, lift, (path, i, j)): the primes i to
+    j (exclusive) of this level, reached through ``path``, the (prime
+    index, argument index) of each level above.
     """
     config = sys.config
     weighted = config.weight != 0
@@ -410,15 +407,15 @@ def _walk(sys: DrblSystem, primes: tuple, path: tuple, hits: list):
             w = head.args[0]
             if k:
                 if not weighted or not _overtaken(k - 1, w.breadth):
-                    return ("section", w), k - 1, (path, primes, i, i + 1)
+                    return ("section", w), k - 1, (path, i, i + 1)
                 if sys.completion_rule(w, k - 1) is not None:
-                    return ("completion", w, k - 1), 0, (path, primes, i, i + 1)
+                    return ("completion", w, k - 1), 0, (path, i, i + 1)
             elif hits[0] is None and i + 1 < n:
                 q = primes[i + 1]
                 if q.d_power == 0 and type(q.head) is OpApp:
                     v = q.head.args[0]
                     if key(w) > key(v):
-                        hits[0] = ("rota-baxter", w, v), 0, (path, primes, i, i + 2)
+                        hits[0] = ("rota-baxter", w, v), 0, (path, i, i + 2)
         if weighted and k and hits[1] is None:
             bound = k
             for j in range(i + 1, n):
@@ -431,7 +428,7 @@ def _walk(sys: DrblSystem, primes: tuple, path: tuple, hits: list):
                         continue
                     w = Word(tuple(q.shifted(-lift) for q in primes[i : j + 1]))
                     if is_alsw_hereditary(w, config.alphabet):
-                        hits[1] = ("section", w), lift, (path, primes, i, j + 1)
+                        hits[1] = ("section", w), lift, (path, i, j + 1)
                         break
                 if hits[1] is not None:
                     break
@@ -439,7 +436,7 @@ def _walk(sys: DrblSystem, primes: tuple, path: tuple, hits: list):
         head = p.head
         if type(head) is OpApp:
             for a, arg in enumerate(head.args):
-                got = _walk(sys, arg.primes, path + ((primes, t, a),), hits)
+                got = _walk(sys, arg.primes, path + ((t, a),), hits)
                 if got is not None:
                     return got
     return None

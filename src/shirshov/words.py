@@ -435,42 +435,50 @@ def occurrences(w: Word, p: Word):
     return out
 
 
-def iter_subword_runs(w: Word) -> Iterator[tuple[tuple, "object"]]:
-    """Yield (prime run, context builder) for every contiguous subword.
+def subword_runs(w: Word) -> Iterator[tuple[tuple, tuple]]:
+    """Yield (prime run, where) for every contiguous subword.
 
-    The run is a tuple of primes; calling the builder materializes the
-    bare-hole context for that occurrence.  Top-level runs come first.
+    The run is a tuple of primes and ``where`` its position, from which
+    ``context_at`` builds the bare-hole context of that occurrence:
+    ``(i, j)`` for the top-level run ``primes[i:j]``, and ``(t, a, inner)``
+    for a run at ``inner`` inside argument ``a`` of prime ``t``.  Top-level
+    runs come first, by start and then by length; then the runs inside
+    each operator argument, prime by prime, outside in.  For one run, this
+    is the order of ``occurrences``.
     """
     primes = w.primes
     n = len(primes)
     for i in range(n):
         for j in range(i + 1, n + 1):
-            run = primes[i:j]
-
-            def build(i=i, j=j):
-                return Context(primes[:i], _HOLE, primes[j:])
-
-            yield run, build
+            yield primes[i:j], (i, j)
     for t, prime in enumerate(primes):
         head = prime.head
         if type(head) is OpApp:
             for a, arg in enumerate(head.args):
-                for run, inner_build in iter_subword_runs(arg):
+                for run, inner in subword_runs(arg):
+                    yield run, (t, a, inner)
 
-                    def build(t=t, a=a, prime=prime, head=head, inner_build=inner_build):
-                        return Context(
-                            primes[:t],
-                            ArgHole(
-                                prime.d_power,
-                                head.name,
-                                head.args[:a],
-                                inner_build(),
-                                head.args[a + 1 :],
-                            ),
-                            primes[t + 1 :],
-                        )
 
-                    yield run, build
+def context_at(primes: tuple, where: tuple) -> Context:
+    """The context of the run at ``where`` (see ``subword_runs``) in ``primes``."""
+    if len(where) == 2:
+        i, j = where
+        return Context(primes[:i], _HOLE, primes[j:])
+    t, a, inner = where
+    prime = primes[t]
+    head = prime.head
+    args = head.args
+    return Context(
+        primes[:t],
+        ArgHole(
+            prime.d_power,
+            head.name,
+            args[:a],
+            context_at(args[a].primes, inner),
+            args[a + 1 :],
+        ),
+        primes[t + 1 :],
+    )
 
 
 def default_letters(alphabet: Alphabet):

@@ -60,6 +60,7 @@ from shirshov.rewriting import Ambiguity, ReductionStep
 from shirshov.rota_baxter import _overtaken, drbl_nf, enumerate_basis
 from shirshov.words import (
     Alphabet,
+    ArgHole,
     Context,
     Hole,
     NaLeaf,
@@ -68,8 +69,9 @@ from shirshov.words import (
     OpApp,
     Prime,
     Word,
-    iter_subword_runs,
+    context_at,
     occurrences,
+    subword_runs,
     substitute,
 )
 
@@ -427,13 +429,55 @@ def oracle_ambiguities(system) -> list[Ambiguity]:
 
 
 # ---------------------------------------------------------------------------
+# Subword runs with a context builder per run.
+
+
+def oracle_subword_runs(w: Word):
+    """``words.subword_runs`` with a closure in place of each position.
+
+    Yields (prime run, builder) in the same order; calling the builder
+    makes the bare-hole context of that occurrence, one nesting level per
+    closure.
+    """
+    primes = w.primes
+    n = len(primes)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+
+            def build(i=i, j=j):
+                return Context(primes[:i], Hole(), primes[j:])
+
+            yield primes[i:j], build
+    for t, prime in enumerate(primes):
+        head = prime.head
+        if type(head) is OpApp:
+            for a, arg in enumerate(head.args):
+                for run, inner_build in oracle_subword_runs(arg):
+
+                    def build(t=t, a=a, prime=prime, head=head, inner_build=inner_build):
+                        return Context(
+                            primes[:t],
+                            ArgHole(
+                                prime.d_power,
+                                head.name,
+                                head.args[:a],
+                                inner_build(),
+                                head.args[a + 1 :],
+                            ),
+                            primes[t + 1 :],
+                        )
+
+                    yield run, build
+
+
+# ---------------------------------------------------------------------------
 # The fast path's matcher by a scan of every subword run.
 
 
 def oracle_find_match(sys, u: Word):
     """``rota_baxter._find_match`` by visiting every subword run.
 
-    Walks all of ``iter_subword_runs(u)`` and builds a context per hit
+    Walks all of ``oracle_subword_runs(u)`` and builds a context per hit
     through the run's own builder: the first single-prime section or
     completion hit returns at once, else the first descending P-pair, else
     (nonzero weight) the first run of primes that is the overtaking
@@ -444,7 +488,7 @@ def oracle_find_match(sys, u: Word):
     weighted = sys.config.weight != 0
     pair_hit = None
     run_hit = None
-    for run, build in iter_subword_runs(u):
+    for run, build in oracle_subword_runs(u):
         n = len(run)
         if n == 1:
             p = run[0]
@@ -510,9 +554,9 @@ def oracle_random_reduce(engine, p: Poly, rng, log=None) -> Poly:
         u = rng.choice(reducible)
         entry, ctx = rng.choice(
             [
-                (entry, build())
-                for run, build in iter_subword_runs(u)
-                for entry in engine.by_leading.get(Word(run), ())
+                (entry, context_at(u.primes, where))
+                for run, where in subword_runs(u)
+                for entry in engine.by_leading.get(run, ())
             ]
         )
         factor = working.terms[u] / entry.leading_coeff

@@ -212,6 +212,18 @@ def test_d_power_leading_branches_differ():
     )
 
 
+def test_d_power_leading_computes_no_power_for_a_zero_exponent(monkeypatch):
+    # a one-prime word has coefficient 1 at every lift and weight
+    def no_pow(*args):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(Fraction, "__pow__", no_pow)
+    for weight in (1, 2, Fraction(-1, 2)):
+        got = d_power_leading(cfg(weight), parse_word("P(x y)", A2), 3)
+        assert got == (parse_word("D^3(P(x y))", A2), 1)
+        assert type(got[1]) is Fraction
+
+
 def test_lie_expand_commutators():
     c = cfg(0)
     t = NaPair(NaLeaf(0, "x"), NaPair(NaLeaf(0, "x"), NaLeaf(0, "y")))

@@ -36,8 +36,9 @@ from shirshov.words import (
     Prime,
     Word,
     concat,
+    context_at,
     enumerate_words,
-    iter_subword_runs,
+    subword_runs,
     substitute,
 )
 from oracles import (
@@ -440,11 +441,11 @@ def test_special_bracket_matches_recursive_template(alphabet, degree):
     seen = {Hole: 0, ArgHole: 0}
     for d in by_deg:
         for u in by_deg[d]:
-            for run, build in iter_subword_runs(u):
+            for run, where in subword_runs(u):
                 v = Word(run)
                 if not is_alsw_hereditary(v, alphabet):
                     continue
-                ctx = build()
+                ctx = context_at(u.primes, where)
                 seen[type(ctx.core)] += 1
                 want = fill_mark(
                     special_template(cfg, ctx, v), shirshov_bracket(v, alphabet)
@@ -474,11 +475,11 @@ def test_special_expand_matches_fraction_oracle_on_random_contexts(weight):
     seen = {Hole: 0, ArgHole: 0}
     while min(seen.values()) < 40:
         target = rng.choice(pool)
-        run, build = rng.choice(list(iter_subword_runs(target)))
+        run, where = rng.choice(list(subword_runs(target)))
         v = Word(run)
         if not is_alsw_hereditary(v, A2):
             continue
-        ctx = build()
+        ctx = context_at(target.primes, where)
         seen[type(ctx.core)] += 1
         cores = [Poly.word(v), Poly.word(v, rng.choice((-3, 2, Fraction(2, 3))))]
         if v.degree > 1:
@@ -499,8 +500,8 @@ def test_special_expand_matches_fraction_oracle_on_a_fractional_core():
     core = parse_poly("2/3 x y + 5/7 y", A2)
     for target in map(w, ("x x y", "x y y", "P(x x y) y", "D(P(x y)) x", "P(P(x y) x)")):
         contexts = [
-            build()
-            for run, build in iter_subword_runs(target)
+            context_at(target.primes, where)
+            for run, where in subword_runs(target)
             if run == v.primes
         ]
         assert contexts
@@ -520,19 +521,19 @@ def test_special_expand_matches_fraction_oracle_on_lifted_rules(weight):
     occurrences_by_run = {}
     for d in by_deg:
         for u in by_deg[d]:
-            for run, build in iter_subword_runs(u):
-                occurrences_by_run.setdefault(run, []).append(build)
+            for run, where in subword_runs(u):
+                occurrences_by_run.setdefault(run, []).append((u, where))
     cases = [
-        (entry, build)
+        (entry, u, where)
         for entry in engine.lifted
-        for build in occurrences_by_run.get(entry.leading_word.primes, ())
+        for u, where in occurrences_by_run.get(entry.leading_word.primes, ())
     ]
     assert len(cases) > 100
     denominators = False
-    for entry, build in cases:
+    for entry, u, where in cases:
         core = engine.core(entry.rule_index, entry.lift)
         denominators |= any(c.denominator != 1 for c in core.terms.values())
-        ctx = build()
+        ctx = context_at(u.primes, where)
         got = special_expand(cfg, ctx, entry.leading_word, core)
         want = oracle_special_expand(cfg, ctx, entry.leading_word, core)
         _assert_same_expansion(got, want)

@@ -359,6 +359,93 @@ def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):
     assert steps == [1, 1]
 
 
+@pytest.mark.parametrize("weight", (0, 1, Fraction(1, 2)), ids=str)
+def test_cached_cores_and_multiples_equal_fresh_ones_after_a_check(weight):
+    # a reduction or composition that subtracted from a cached dict would
+    # leave an entry that differs from a fresh expansion
+    config = AlgebraConfig(make_alphabet(2), Fraction(weight))
+    engine = DrblSystem(config).system(6)
+    assert engine.is_gsb("lie")
+    fresh = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight))).system(6)
+    lifts = engine._lifts
+    assert len(lifts._cores) >= len(lifts._leads) > 10 and len(lifts._specials) > 10
+    for (i, lift), core in lifts._cores.items():
+        want = apply_D(config, fresh.rules[i].poly, lift)
+        assert list(core.terms.items()) == list(want.terms.items())
+    for (i, lift), (v, lc) in lifts._leads.items():
+        assert (v, lc) == leading(config, lifts._cores[(i, lift)])
+    for (i, lift, ctx), (terms, lc) in lifts._specials.items():
+        core = apply_D(config, fresh.rules[i].poly, lift)
+        want = special_expand(config, ctx, leading(config, core)[0], core)
+        assert list(terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("weight", (0, 1))
+def test_lifts_above_the_bound_are_certified_by_the_closed_form(weight):
+    # the engine's table ends at the bound; past it the cache asks
+    # lift_leadings, so one index past a rule's last lift is not the next
+    # rule's first
+    config = AlgebraConfig(make_alphabet(2), Fraction(weight))
+    engine = DrblSystem(config).system(5)
+    last = {}
+    for e in engine.lifted:
+        last[e.rule_index] = e.lift
+    for i, lift in list(last.items())[:20]:
+        for above in (lift + 1, lift + 2):
+            core = engine.core(i, above)
+            assert engine._lifts.lead(i, above) == leading(config, core)
+
+
+@pytest.mark.parametrize("mode", ("lie", "assoc"))
+@pytest.mark.parametrize("weight", (0, 1))
+def test_composing_an_inclusion_twice_gives_one_answer(mode, weight):
+    # an inclusion multiplies the left lift in the identity context, where
+    # the special bracketing returns the (narrowed) core's terms as they are;
+    # the composition then subtracts from them in place
+    engine = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight))).system(6)
+    inclusions = [a for a in engine.find_ambiguities() if a.kind == "inclusion"]
+    assert len(inclusions) > 10
+    for amb in inclusions:
+        core = engine.core(amb.left.rule_index, amb.left.lift)
+        before = list(core.terms.items())
+        first = engine.composition(amb, mode)
+        assert engine.composition(amb, mode) == first
+        assert list(core.terms.items()) == before
+
+
+@pytest.mark.parametrize("fault", ("word", "coefficient"))
+def test_a_planted_core_with_a_wrong_leading_term_fails_its_first_use(fault):
+    def plant(lifts, key, lift):
+        config = lifts.config
+        core = lifts.core(key, lift)
+        if fault == "word":
+            lifts._cores[(key, lift)] = apply_D(config, core)
+        else:
+            lifts._cores[(key, lift)] = core.scale(2)
+
+    config = AlgebraConfig(make_alphabet(2), Fraction(0))
+    amb = next(
+        a
+        for a in DrblSystem(config).system(6).find_ambiguities()
+        if a.kind == "inclusion" and a.right.lift
+    )
+    right = amb.right
+    engine = DrblSystem(config).system(6)
+    plant(engine._lifts, right.rule_index, right.lift)
+    with pytest.raises(ValueError, match="core leading term"):
+        engine.composition(amb, "lie")
+    engine = DrblSystem(config).system(6)
+    plant(engine._lifts, right.rule_index, right.lift)
+    with pytest.raises(ValueError, match="core leading term"):
+        engine.special_multiple(right.rule_index, right.lift, amb.context)
+    # drbl_nf's lifts go through the same cache
+    drbl = DrblSystem(config)
+    x1 = parse_word("x1", config.alphabet)
+    plant(drbl._lifts, ("section", x1), 1)
+    with pytest.raises(ValueError, match="core leading term"):
+        drbl_nf(parse_poly("D^2(P(x1))", config.alphabet), drbl)
+
+
 def test_find_ambiguities_is_memoised_as_fresh_lists():
     c = cfg(A1, 1)
     sys_ = DrblSystem(c).system(5)

@@ -37,10 +37,12 @@ from shirshov.words import (
     NaOp,
     NaPair,
     concat,
+    context_at,
     lex_cmp,
+    subword_runs,
     substitute,
 )
-from oracles import underlying_word
+from oracles import oracle_subword_runs, underlying_word
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -165,6 +167,39 @@ def test_occurrences_of_multi_prime_run():
     occ = occurrences(w, p)
     assert len(occ) == 2
     assert all(substitute(c, p) == w for c in occ)
+
+
+def _depth(w):
+    """Nesting depth of operator arguments: 0 for a word without one."""
+    return max(
+        (1 + _depth(a) for p in w.primes if type(p.head) is OpApp for a in p.head.args),
+        default=0,
+    )
+
+
+def test_subword_runs_and_context_at_match_the_closure_walk():
+    # seeded words of degree <= 6 over two generators, half of them with an
+    # operator inside an operator argument
+    rng = random.Random(25)
+    pool = all_words(A2, 6)
+    nested = [w for w in pool if _depth(w) >= 2]
+    sample = rng.sample(pool, 300) + rng.sample(nested, 300)
+    assert len(nested) > 300
+    deep = 0
+    for w in sample:
+        got = [(run, context_at(w.primes, where)) for run, where in subword_runs(w)]
+        want = [(run, build()) for run, build in oracle_subword_runs(w)]
+        assert got == want, w
+        # for one run, the walk order is the order of ``occurrences``
+        for run in dict.fromkeys(run for run, _ in got):
+            at = [ctx for r, ctx in got if r == run]
+            assert at == occurrences(w, Word(run)), (w, run)
+            assert all(substitute(ctx, Word(run)) is w for ctx in at)
+        deep += sum(
+            type(ctx.core) is ArgHole and type(ctx.core.inner.core) is ArgHole
+            for _, ctx in got
+        )
+    assert deep > 300
 
 
 def test_enumerate_words_counts_small():
