@@ -22,7 +22,12 @@ cross-check of the index and of the stop.
 from __future__ import annotations
 
 from .algebra import AlgebraConfig, _subtract, apply_D, divide, leading
-from .lyndon import enumerate_alsw_by_degree, is_alsw, special_terms
+from .lyndon import (
+    enumerate_alsw_by_degree,
+    is_alsw,
+    is_alsw_hereditary,
+    special_terms_from_lead,
+)
 from .words import Word, context_at, subword_runs
 
 
@@ -39,22 +44,24 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
     lift leadings, and build a context only on a hit.  Hits are held back
     so rows go out lift by lift, then by ALSW word and walk order (for one
     leading word, the order of ``occurrences``), as the naive scan gives
-    them.  A row is a fresh term dict from ``special_terms``."""
+    them.  Each lift's leading word is certified hereditarily
+    Lyndon-Shirshov once, so a row is a fresh term dict from
+    ``special_terms_from_lead`` with the coefficient ``leading`` gave."""
     alphabet = config.alphabet
-    lifts = []  # (leading word, lifted rule), rule by rule, lift by lift
+    lifts = []  # (leading word, coefficient, lifted rule), lift by lift
     by_leading: dict[tuple, list[int]] = {}
     for rule in rules:
         core = getattr(rule, "poly", rule)
         while True:
-            v, _ = leading(config, core)
+            v, lc = leading(config, core)
             if v.degree > max_degree:
                 break
-            if not is_alsw(v, alphabet):
+            if not is_alsw_hereditary(v, alphabet):
                 raise AssertionError(
                     "lifted rule leading %r is not Lyndon-Shirshov" % (v,)
                 )
             by_leading.setdefault(v.primes, []).append(len(lifts))
-            lifts.append((v, core))
+            lifts.append((v, lc, core))
             if v.degree >= max_degree:
                 break  # the next lift's leading would overshoot the bound
             core = apply_D(config, core)  # the next lift, one D step on
@@ -68,9 +75,9 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
             for n in found:
                 hits[n].append(ctx)
     monomials = 0
-    for (v, core), contexts in zip(lifts, hits):
+    for (v, lc, core), contexts in zip(lifts, hits):
         for ctx in contexts:
-            row = special_terms(config, ctx, v, core.terms)
+            row = special_terms_from_lead(config, ctx, v, lc, core.terms)
             monomials += len(row)
             if monomials > _MONOMIAL_CAP:
                 raise RuntimeError(

@@ -16,19 +16,23 @@ Grammar (whitespace between factors is an implicit product)::
 A bare ``rat`` must be zero.  ``D^0`` wrappers are stripped; nested
 wrappers such as ``D(D(x1))`` accumulate into a single power.
 
-The tokenizer is one ``finditer`` pass of one pattern, optional
-whitespace and then a number, an identifier, a symbol or any other
-character, which raises ``TermSyntaxError`` at its position.  A sentinel
-token ``(None, "", len(s))`` ends the list, so looking ahead is one index,
-and symbols compare by text alone, since no identifier or number is a
-symbol.  The input is parsed in one pass, and each production yields the
-bracketed word itself when its text is exactly one (no sign, coefficient
-or product, operator arguments each a single bracketed word), else a term
-dict.  A sum adds each monomial into one dict (``algebra._add``), reading a
-bracketed word's integer expansion from the alphabet's memo
-(``algebra.expansion``) only when it is combined into a polynomial.
-Coefficients stay ``int``s while they are integral; ``parse_term`` makes
-them ``Fraction``s once, at the end (``algebra.as_fractions``).
+One ``search`` for a character outside the token classes comes first
+and raises ``TermSyntaxError`` at it, so a stray character is reported
+before any grammar error.  Tokens are then plain strings from one
+``findall`` (optional whitespace, then a number, an identifier or a
+symbol), ended by the sentinel ``""``; a number is all digits, an
+identifier a Python identifier and a symbol neither, so tokens are told
+apart by their text and looking ahead is one index.  Only an error needs a
+token's position, and it finds it by one re-scan of the input.  Each
+production yields the bracketed word itself when its text is exactly one
+(no sign, coefficient or product, operator arguments each a single
+bracketed word), else a term dict, reading a bracketed word's integer
+expansion from the alphabet's memo (``algebra.expansion``) only when it is
+combined into a polynomial.  A sum keeps ``int`` numerators over one
+common denominator, rescaling them when a coefficient's denominator does
+not divide it, and makes one ``Fraction`` per term when it ends;
+``parse_term`` makes any ``int`` coefficients left ``Fraction``s
+(``algebra.as_fractions``).
 
 Printing conventions: top-level prime factors are joined with `` * ``,
 words inside operator arguments with single spaces, rationals as ``p/q``
@@ -40,11 +44,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .algebra import (
     AlgebraConfig,
     Poly,
-    _add,
     _int_multiply,
     _int_operator,
     as_fractions,
@@ -72,218 +76,208 @@ class TermSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"""
-    \s*
-    (?:
-        (?P<number>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>[\^()\[\]*+,/-])
-      | (?P<bad>\S)
-    )
-    """,
-    re.VERBOSE,
-)
-
-
-def tokenize(s: str):
-    """Tokens as (kind, text, position); kinds: number, ident, sym.
-
-    The last token is the sentinel ``(None, "", len(s))``.
-    """
-    out = []
-    for m in _TOKEN.finditer(s):
-        kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "bad":
-            raise TermSyntaxError("unexpected character %r" % s[pos], pos)
-        out.append((kind, m.group(kind), pos))
-    out.append((None, "", len(s)))
-    return out
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[\^()\[\]*+,/-]|\S)")
+_BAD = re.compile(r"[^\s\dA-Za-z_\^()\[\]*+,/-]")
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet: Alphabet):
-        self.tokens = tokens
+    """Recursive descent over string tokens; ``tokens[i]`` is the next one."""
+
+    __slots__ = ("text", "tokens", "alphabet", "i")
+
+    def __init__(self, text: str, alphabet: Alphabet):
+        bad = _BAD.search(text)
+        if bad is not None:
+            raise TermSyntaxError("unexpected character %r" % bad.group(), bad.start())
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
         self.alphabet = alphabet
         self.i = 0
 
-    # -- token plumbing ----------------------------------------------------
-    # No ident or number text equals a symbol, so symbols compare by text.
+    def error(self, message: str, at: int) -> TermSyntaxError:
+        """A ``TermSyntaxError`` at token ``at``'s position, found by re-scanning."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        return TermSyntaxError(message, starts[at])
 
-    def expect_sym(self, text):
-        _, value, pos = self.tokens[self.i]
-        if value != text:
-            raise TermSyntaxError(
-                "expected %r, found %r" % (text, value or "end of input"), pos
-            )
-        self.i += 1
-
-    def expect_end(self):
-        kind, value, pos = self.tokens[self.i]
-        if kind is not None:
-            raise TermSyntaxError("unexpected trailing input %r" % value, pos)
-
-    def at_sym(self, text) -> bool:
-        return self.tokens[self.i][1] == text
-
-    def _terms(self, t) -> dict:
-        """``t``'s term dict; a bracketed word's is the memo's own, which
-        must not be mutated."""
-        return t if type(t) is dict else expansion(self.alphabet, t)
+    def found(self, message: str) -> TermSyntaxError:
+        """``error`` at the next token, naming it."""
+        return self.error(
+            "%s, found %r" % (message, self.tokens[self.i] or "end of input"), self.i
+        )
 
     # -- grammar -------------------------------------------------------------
     # Each production returns the bracketed word itself when its text is
     # exactly one, else a fresh term dict with int or Fraction coefficients.
 
-    def _sign(self):
-        """Read the sign before a monomial: 1, -1, or None when there is none."""
-        value = self.tokens[self.i][1]
-        if value != "+" and value != "-":
-            return None
-        self.i += 1
-        return 1 if value == "+" else -1
-
     def parse_poly(self):
-        coeff, t = self.parse_mono(self._sign())
-        if coeff is None and self.tokens[self.i][1] not in ("+", "-"):
-            return t
-        total: dict = {}
+        tokens = self.tokens
+        sign = tokens[self.i]
+        if sign == "+" or sign == "-":
+            self.i += 1
+        num, den, t = self.parse_mono(sign)
+        if num is None:
+            if tokens[self.i] != "+" and tokens[self.i] != "-":
+                return t
+            num = 1
+        alphabet = self.alphabet
+        total: dict = {}  # numerators over the common denominator ``common``
+        common = 1
         while True:
-            if coeff is None or coeff == 1:
-                _add(total, self._terms(t).items())
-            elif coeff:
-                _add(total, ((w, coeff * c) for w, c in self._terms(t).items()))
-            sign = self._sign()
-            if sign is None:
-                return total
-            coeff, t = self.parse_mono(sign)
+            if num:
+                if type(t) is not dict:
+                    t = expansion(alphabet, t)
+                for w, c in t.items():
+                    if type(c) is int:
+                        n, d = num * c, den
+                    else:  # an operator argument's sum kept a denominator
+                        n, d = num * c.numerator, den * c.denominator
+                    if common % d:
+                        scale = d // gcd(common, d)
+                        common *= scale
+                        for u in total:
+                            total[u] *= scale
+                    n = total.get(w, 0) + n * (common // d)
+                    if n:
+                        total[w] = n
+                    else:
+                        del total[w]
+            sign = tokens[self.i]
+            if sign != "+" and sign != "-":
+                break
+            self.i += 1
+            num, den, t = self.parse_mono(sign)
+        if common == 1:
+            return total
+        return {w: Fraction(n, common) for w, n in total.items()}
 
     def parse_mono(self, sign):
-        """(coefficient, value) of a monomial; the coefficient is None when
-        the text has neither sign nor number, and 0 makes the value {}."""
-        coeff = sign
-        if self.tokens[self.i][0] == "number":
-            rat = self.parse_rat()
-            coeff = rat if sign is None else sign * rat
-        if not self._at_factor():
-            if coeff == 0:  # a bare rational must be zero
-                return 0, {}
-            _, value, pos = self.tokens[self.i]
-            raise TermSyntaxError(
-                "expected a factor, found %r" % (value or "end of input"), pos
-            )
-        t = self.parse_factor()
-        while True:
-            if self.at_sym("*"):
+        """(numerator, denominator, value) of a monomial; ``sign`` is the
+        token before it, a sign only when it was read as one.  The numerator
+        is None when the text has neither sign nor number."""
+        tokens = self.tokens
+        num = 1 if sign == "+" else -1 if sign == "-" else None
+        den = 1
+        tok = tokens[self.i]
+        if tok.isdigit():
+            self.i += 1
+            n = int(tok)
+            num = n if num is None else num * n
+            if tokens[self.i] == "/":
                 self.i += 1
-                if not self._at_factor():
-                    _, value, pos = self.tokens[self.i]
-                    raise TermSyntaxError(
-                        "expected a factor after '*', found %r"
-                        % (value or "end of input"),
-                        pos,
-                    )
-            elif not self._at_factor():
-                break
-            t = _int_multiply(self._terms(t), self._terms(self.parse_factor()))
-        return coeff, t
-
-    def parse_rat(self):
-        """An ``int``, or a ``Fraction`` when a denominator is given."""
-        kind, value, pos = self.tokens[self.i]
-        if kind != "number":
-            raise TermSyntaxError("expected a number", pos)
-        self.i += 1
-        num = int(value)
-        if self.at_sym("/"):
-            self.i += 1
-            kind, value, pos = self.tokens[self.i]
-            if kind != "number":
-                raise TermSyntaxError("expected a denominator", pos)
-            self.i += 1
-            den = int(value)
-            if den == 0:
-                raise TermSyntaxError("zero denominator", pos)
-            return Fraction(num, den)
-        return num
-
-    def _at_factor(self) -> bool:
-        kind, value, _ = self.tokens[self.i]
-        return kind == "ident" or value == "["
-
-    def parse_factor(self):
-        if self.at_sym("["):
-            return self.parse_naword()
-        return self.parse_prime(self.parse_poly)
+                tok = tokens[self.i]
+                if not tok.isdigit():
+                    raise self.error("expected a denominator", self.i)
+                den = int(tok)
+                if den == 0:
+                    raise self.error("zero denominator", self.i)
+                self.i += 1
+            tok = tokens[self.i]
+        if tok == "[":
+            t = self.parse_naword()
+        elif tok.isidentifier():
+            t = self.parse_prime(False)
+        elif num == 0:  # a bare rational must be zero
+            return 0, 1, {}
+        else:
+            raise self.found("expected a factor")
+        while True:
+            tok = tokens[self.i]
+            if tok == "*":
+                self.i += 1
+                tok = tokens[self.i]
+                if tok != "[" and not tok.isidentifier():
+                    raise self.found("expected a factor after '*'")
+            elif tok != "[" and not tok.isidentifier():
+                return num, den, t
+            u = self.parse_naword() if tok == "[" else self.parse_prime(False)
+            t = _int_multiply(
+                t if type(t) is dict else expansion(self.alphabet, t),
+                u if type(u) is dict else expansion(self.alphabet, u),
+            )
 
     def parse_naword(self):
-        if self.at_sym("["):
-            self.i += 1
-            left = self.parse_naword()
-            right = self.parse_naword()
-            self.expect_sym("]")
-            return NaPair(left, right)
-        return self.parse_prime(self.parse_naword)
+        tokens = self.tokens
+        if tokens[self.i] != "[":
+            return self.parse_prime(True)
+        self.i += 1
+        left = self.parse_naword()
+        right = self.parse_naword()
+        if tokens[self.i] != "]":
+            raise self.found("expected ']'")
+        self.i += 1
+        return NaPair(left, right)
 
-    def parse_prime(self, parse_arg):
+    def parse_prime(self, in_brackets: bool):
         """A (possibly D-wrapped) generator or operator application.
 
-        ``parse_arg`` reads the operator arguments: ``parse_naword`` inside
-        brackets, ``parse_poly`` outside.
+        Operator arguments are bracketed words ``in_brackets``, else
+        polynomials.
         """
-        kind, value, pos = self.tokens[self.i]
-        if kind != "ident":
-            raise TermSyntaxError(
-                "expected a symbol, found %r" % (value or "end of input"), pos
-            )
-        if value == "D" and self.tokens[self.i + 1][1] in ("^", "("):
-            self.i += 1
+        tokens = self.tokens
+        at = self.i
+        name = tokens[at]
+        if not name.isidentifier():
+            raise self.found("expected a symbol")
+        after = tokens[at + 1]
+        if name == "D" and (after == "(" or after == "^"):
             power = 1
-            if self.at_sym("^"):
-                self.i += 1
-                nk, nv, npos = self.tokens[self.i]
-                if nk != "number":
-                    raise TermSyntaxError("expected a power", npos)
-                self.i += 1
-                power = int(nv)
-            self.expect_sym("(")
-            inner = self.parse_prime(parse_arg)
-            self.expect_sym(")")
+            if after == "^":
+                at += 2
+                if not tokens[at].isdigit():
+                    raise self.error("expected a power", at)
+                power = int(tokens[at])
+            self.i = at + 1
+            if tokens[self.i] != "(":
+                raise self.found("expected '('")
+            self.i += 1
+            inner = self.parse_prime(in_brackets)
+            if tokens[self.i] != ")":
+                raise self.found("expected ')'")
+            self.i += 1
             if type(inner) is not dict:
                 return NaLeaf(inner.d_power + power, inner.head)
             # an operator application is a sum of one-prime words
             return {Word((w.primes[0].shifted(power),)): c for w, c in inner.items()}
-        self.i += 1
+        self.i = at + 1
         alphabet = self.alphabet
-        if alphabet.is_generator(value):
-            return NaLeaf(0, value)
+        if alphabet.is_generator(name):
+            return NaLeaf(0, name)
         try:
-            arity = alphabet.arity(value)
+            arity = alphabet.arity(name)
         except KeyError:
-            raise TermSyntaxError("unknown symbol %r" % value, pos) from None
-        self.expect_sym("(")
+            raise self.error("unknown symbol %r" % name, at) from None
+        if after != "(":
+            raise self.found("expected '('")
+        self.i += 1
+        parse_arg = self.parse_naword if in_brackets else self.parse_poly
         args = [parse_arg()]
-        while self.at_sym(","):
+        while tokens[self.i] == ",":
             self.i += 1
             args.append(parse_arg())
-        self.expect_sym(")")
+        if tokens[self.i] != ")":
+            raise self.found("expected ')'")
+        self.i += 1
         if len(args) != arity:
-            raise TermSyntaxError(
+            raise self.error(
                 "operator %r expects %d argument(s), got %d"
-                % (value, arity, len(args)),
-                pos,
+                % (name, arity, len(args)),
+                at,
             )
         if any(type(a) is dict for a in args):
-            return _int_operator(value, [self._terms(a) for a in args], 0)
-        return NaLeaf(0, NaOp(value, tuple(args)))
+            terms = [a if type(a) is dict else expansion(alphabet, a) for a in args]
+            return _int_operator(name, terms, 0)
+        return NaLeaf(0, NaOp(name, tuple(args)))
 
 
 def parse_term(s: str, alphabet: Alphabet):
     """Parse ``s`` to a bracketed word when it is exactly one, else a Poly."""
-    parser = _Parser(tokenize(s), alphabet)
+    parser = _Parser(s, alphabet)
     t = parser.parse_poly()
-    parser.expect_end()
+    trailing = parser.tokens[parser.i]
+    if trailing:
+        raise parser.error("unexpected trailing input %r" % trailing, parser.i)
     return Poly(as_fractions(t)) if type(t) is dict else t
 
 
@@ -310,10 +304,6 @@ def parse_word(s: str, alphabet: Alphabet) -> Word:
 
 # ---------------------------------------------------------------------------
 # Printing.
-
-
-def format_rational(q: Fraction) -> str:
-    return str(Fraction(q))
 
 
 def _d_wrap(k: int, text: str) -> str:
@@ -406,14 +396,14 @@ def _coeff_prefix(c: Fraction, first: bool) -> str:
             return ""
         if c == -1:
             return "-"
-        return format_rational(c) + " "
+        return "%s " % c
     if c == 1:
         return " + "
     if c == -1:
         return " - "
     if c > 0:
-        return " + %s " % format_rational(c)
-    return " - %s " % format_rational(-c)
+        return " + %s " % c
+    return " - %s " % -c
 
 
 def format_poly(p: Poly, config: AlgebraConfig | None = None) -> str:

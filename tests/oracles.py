@@ -9,7 +9,10 @@ rules by expanding each bracketing afresh, ambiguities by comparing every
 pair of lifted leading words, ``drbl_nf``'s matcher by visiting every
 subword run (``oracle_find_match``), and the ideal rows of
 ``reference.oracle_quotient_dim`` by one ``occurrences`` scan per ALSW word
-and lift (``naive_ideal_rows``).  ``oracle_random_reduce`` reduces with a
+and lift (``naive_ideal_rows``).  ``oracle_parse_term`` is the
+parser with a token list of (kind, text, position) triples, a method per
+token test and ``Fraction`` sums, against ``syntax.parse_term``'s string
+tokens and integer sums.  ``oracle_random_reduce`` reduces with a
 seeded-random order and choice of rule, against the engine's greatest-first
 ``reduce``, and ``verify_axioms`` checks the defining identities on random
 basis elements by ``drbl_nf`` (``AxiomReport`` holds its result).
@@ -33,16 +36,22 @@ alphabet's memo.
 """
 
 import random
+import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from shirshov.algebra import (
     AlgebraConfig,
     Poly,
+    _add,
+    _int_multiply,
+    _int_operator,
     apply_D,
     apply_operator,
     as_fractions,
     commutator,
+    expansion,
     leading,
     lie_expand,
     multiply,
@@ -58,6 +67,7 @@ from shirshov.lyndon import (
 from shirshov.reference import _alsws, _ideal_rows
 from shirshov.rewriting import Ambiguity, ReductionStep
 from shirshov.rota_baxter import _overtaken, drbl_nf, enumerate_basis
+from shirshov.syntax import TermSyntaxError
 from shirshov.words import (
     Alphabet,
     ArgHole,
@@ -705,3 +715,223 @@ def naive_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=None
                     out.append(special_expand(config, ctx, v, core))
             lift += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# The term parser with token triples and Fraction sums.
+
+
+_ORACLE_TOKEN = re.compile(
+    r"""
+    \s*
+    (?:
+        (?P<number>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<sym>[\^()\[\]*+,/-])
+      | (?P<bad>\S)
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+def oracle_tokenize(s: str):
+    """Tokens as (kind, text, position); kinds: number, ident, sym.
+
+    The last token is the sentinel ``(None, "", len(s))``.
+    """
+    out = []
+    for m in _ORACLE_TOKEN.finditer(s):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "bad":
+            raise TermSyntaxError("unexpected character %r" % s[pos], pos)
+        out.append((kind, m.group(kind), pos))
+    out.append((None, "", len(s)))
+    return out
+
+
+class _OracleParser:
+    def __init__(self, tokens, alphabet: Alphabet):
+        self.tokens = tokens
+        self.alphabet = alphabet
+        self.i = 0
+
+    # -- token plumbing ----------------------------------------------------
+    # No ident or number text equals a symbol, so symbols compare by text.
+
+    def expect_sym(self, text):
+        _, value, pos = self.tokens[self.i]
+        if value != text:
+            raise TermSyntaxError(
+                "expected %r, found %r" % (text, value or "end of input"), pos
+            )
+        self.i += 1
+
+    def expect_end(self):
+        kind, value, pos = self.tokens[self.i]
+        if kind is not None:
+            raise TermSyntaxError("unexpected trailing input %r" % value, pos)
+
+    def at_sym(self, text) -> bool:
+        return self.tokens[self.i][1] == text
+
+    def _terms(self, t) -> dict:
+        """``t``'s term dict; a bracketed word's is the memo's own, which
+        must not be mutated."""
+        return t if type(t) is dict else expansion(self.alphabet, t)
+
+    # -- grammar -------------------------------------------------------------
+    # Each production returns the bracketed word itself when its text is
+    # exactly one, else a fresh term dict with int or Fraction coefficients.
+
+    def _sign(self):
+        """Read the sign before a monomial: 1, -1, or None when there is none."""
+        value = self.tokens[self.i][1]
+        if value != "+" and value != "-":
+            return None
+        self.i += 1
+        return 1 if value == "+" else -1
+
+    def parse_poly(self):
+        coeff, t = self.parse_mono(self._sign())
+        if coeff is None and self.tokens[self.i][1] not in ("+", "-"):
+            return t
+        total: dict = {}
+        while True:
+            if coeff is None or coeff == 1:
+                _add(total, self._terms(t).items())
+            elif coeff:
+                _add(total, ((w, coeff * c) for w, c in self._terms(t).items()))
+            sign = self._sign()
+            if sign is None:
+                return total
+            coeff, t = self.parse_mono(sign)
+
+    def parse_mono(self, sign):
+        """(coefficient, value) of a monomial; the coefficient is None when
+        the text has neither sign nor number, and 0 makes the value {}."""
+        coeff = sign
+        if self.tokens[self.i][0] == "number":
+            rat = self.parse_rat()
+            coeff = rat if sign is None else sign * rat
+        if not self._at_factor():
+            if coeff == 0:  # a bare rational must be zero
+                return 0, {}
+            _, value, pos = self.tokens[self.i]
+            raise TermSyntaxError(
+                "expected a factor, found %r" % (value or "end of input"), pos
+            )
+        t = self.parse_factor()
+        while True:
+            if self.at_sym("*"):
+                self.i += 1
+                if not self._at_factor():
+                    _, value, pos = self.tokens[self.i]
+                    raise TermSyntaxError(
+                        "expected a factor after '*', found %r"
+                        % (value or "end of input"),
+                        pos,
+                    )
+            elif not self._at_factor():
+                break
+            t = _int_multiply(self._terms(t), self._terms(self.parse_factor()))
+        return coeff, t
+
+    def parse_rat(self):
+        """An ``int``, or a ``Fraction`` when a denominator is given."""
+        kind, value, pos = self.tokens[self.i]
+        if kind != "number":
+            raise TermSyntaxError("expected a number", pos)
+        self.i += 1
+        num = int(value)
+        if self.at_sym("/"):
+            self.i += 1
+            kind, value, pos = self.tokens[self.i]
+            if kind != "number":
+                raise TermSyntaxError("expected a denominator", pos)
+            self.i += 1
+            den = int(value)
+            if den == 0:
+                raise TermSyntaxError("zero denominator", pos)
+            return Fraction(num, den)
+        return num
+
+    def _at_factor(self) -> bool:
+        kind, value, _ = self.tokens[self.i]
+        return kind == "ident" or value == "["
+
+    def parse_factor(self):
+        if self.at_sym("["):
+            return self.parse_naword()
+        return self.parse_prime(self.parse_poly)
+
+    def parse_naword(self):
+        if self.at_sym("["):
+            self.i += 1
+            left = self.parse_naword()
+            right = self.parse_naword()
+            self.expect_sym("]")
+            return NaPair(left, right)
+        return self.parse_prime(self.parse_naword)
+
+    def parse_prime(self, parse_arg):
+        """A (possibly D-wrapped) generator or operator application.
+
+        ``parse_arg`` reads the operator arguments: ``parse_naword`` inside
+        brackets, ``parse_poly`` outside.
+        """
+        kind, value, pos = self.tokens[self.i]
+        if kind != "ident":
+            raise TermSyntaxError(
+                "expected a symbol, found %r" % (value or "end of input"), pos
+            )
+        if value == "D" and self.tokens[self.i + 1][1] in ("^", "("):
+            self.i += 1
+            power = 1
+            if self.at_sym("^"):
+                self.i += 1
+                nk, nv, npos = self.tokens[self.i]
+                if nk != "number":
+                    raise TermSyntaxError("expected a power", npos)
+                self.i += 1
+                power = int(nv)
+            self.expect_sym("(")
+            inner = self.parse_prime(parse_arg)
+            self.expect_sym(")")
+            if type(inner) is not dict:
+                return NaLeaf(inner.d_power + power, inner.head)
+            # an operator application is a sum of one-prime words
+            return {Word((w.primes[0].shifted(power),)): c for w, c in inner.items()}
+        self.i += 1
+        alphabet = self.alphabet
+        if alphabet.is_generator(value):
+            return NaLeaf(0, value)
+        try:
+            arity = alphabet.arity(value)
+        except KeyError:
+            raise TermSyntaxError("unknown symbol %r" % value, pos) from None
+        self.expect_sym("(")
+        args = [parse_arg()]
+        while self.at_sym(","):
+            self.i += 1
+            args.append(parse_arg())
+        self.expect_sym(")")
+        if len(args) != arity:
+            raise TermSyntaxError(
+                "operator %r expects %d argument(s), got %d"
+                % (value, arity, len(args)),
+                pos,
+            )
+        if any(type(a) is dict for a in args):
+            return _int_operator(value, [self._terms(a) for a in args], 0)
+        return NaLeaf(0, NaOp(value, tuple(args)))
+
+
+def oracle_parse_term(s: str, alphabet: Alphabet):
+    """``syntax.parse_term`` by the token-triple parser: a bracketed word
+    when ``s`` is exactly one, else a Poly; the same errors and positions."""
+    parser = _OracleParser(oracle_tokenize(s), alphabet)
+    t = parser.parse_poly()
+    parser.expect_end()
+    return Poly(as_fractions(t)) if type(t) is dict else t

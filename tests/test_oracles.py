@@ -276,6 +276,35 @@ def test_ideal_rows_refuse_a_rule_not_led_by_a_lyndon_shirshov_word():
         naive_ideal_rows(config, [r], 2, letters=hook)
 
 
+def test_ideal_rows_certify_each_lift_hereditarily():
+    from shirshov import parse_poly
+
+    config = AlgebraConfig(A2)
+    # P(y x) is one letter, but its argument is not Lyndon-Shirshov, and no
+    # ALSW word contains it, so only the hereditary check can see it
+    r = parse_poly("P(y x)", A2)
+    with pytest.raises(AssertionError, match="lifted rule leading .* is not"):
+        oracle_quotient_dim(config, [r], 3)
+
+
+def test_ideal_rows_lead_each_row_once(monkeypatch):
+    import shirshov.lyndon as lyndon
+
+    calls = []
+    original = lyndon.leading
+
+    def counting_leading(config_, p):
+        calls.append(p)
+        return original(config_, p)
+
+    monkeypatch.setattr(lyndon, "leading", counting_leading)
+    config = AlgebraConfig(A2, Fraction(1))
+    rules = instantiate_rules(DrblSystem(config), 5)
+    rows = oracle_ideal_rows(config, rules, 5)
+    # one certificate per row; each lift's own leading term is not re-led
+    assert len(calls) == len(rows) > 0
+
+
 def test_quotient_dim_calls_occurrences_zero_times(monkeypatch):
     calls = []
     original = shirshov.words.occurrences

@@ -1,5 +1,6 @@
 """Expression syntax and the command-line front end."""
 
+import gc
 import json
 import os
 import random
@@ -24,6 +25,7 @@ from shirshov import (
     commutator,
     drbl_nf,
     enumerate_alsw,
+    enumerate_basis,
     format_poly,
     format_term,
     multiply,
@@ -36,6 +38,7 @@ import shirshov.cli
 from shirshov.cli import MAX_GENS, main, make_alphabet
 from shirshov.words import enumerate_words
 from oracles import expand_template as oracle_lie_expand
+from oracles import oracle_parse_term
 
 
 X1 = make_alphabet(1)
@@ -167,6 +170,8 @@ def test_parse_errors_carry_positions():
         ("x1 x2)", "unexpected trailing input ')'", 5),
         ("[x1 x2] ,", "unexpected trailing input ','", 8),
         ("x1 ^ 2", "unexpected trailing input '^'", 3),
+        # a stray character is reported before any grammar error
+        ("x1 ) @", "unexpected character '@'", 5),
     ],
 )
 def test_parse_error_messages_and_positions(text, message, position):
@@ -282,6 +287,95 @@ def test_rational_combinations_parse_to_the_oracle_sum():
         got = parse_poly(text, X2)
         assert got == want, text
         assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _nf_corpus_shapes(seed, n):
+    """``n`` seeded expressions of the nf-corpus kinds at degree 5: Rota-Baxter
+    and section identities over basis elements, and rational combinations
+    of standard-bracketed ALSW words."""
+    rng = random.Random(seed)
+    config = AlgebraConfig(X2, Fraction(1))
+    basis = enumerate_basis(DrblSystem(config), 3)
+    small = [(d, format_term(t)) for d in sorted(basis) for t in basis[d]]
+    brackets = [
+        format_term(shirshov_bracket(u, X2)) for u in enumerate_alsw(config, 5)
+    ]
+    out = []
+    for k in range(n):
+        if k % 3 == 0:
+            da, a = rng.choice([e for e in small if e[0] <= 2])
+            _, b = rng.choice([e for e in small if e[0] <= 3 - da])
+            out.append(
+                "[P(%s) P(%s)] - P([%s P(%s)]) - P([P(%s) %s]) - P([%s %s])"
+                % (a, b, a, b, a, b, a, b)
+            )
+        elif k % 3 == 1:
+            _, a = rng.choice(small)
+            out.append("D(P(%s)) - %s" % (a, a))
+        else:
+            text = ""
+            for w in rng.sample(brackets, rng.randint(1, 4)):
+                c = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                text += " %s %s %s" % (rng.choice("+-"), c, w)
+            out.append(text.lstrip(" +"))
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, X2), None
+    except TermSyntaxError as e:
+        return None, (str(e), e.position)
+
+
+def test_parser_agrees_with_the_token_triple_oracle():
+    inserts = ["[", "]", "(", ")", ",", "*", "+", "-", "/", "^", "D", "7", "x1", "@"]
+    parsed = failed = 0
+    for text in _nf_corpus_shapes(17, 30):
+        inputs = [text]
+        inputs += [text[:i] + text[i + 1 :] for i in range(len(text))]
+        inputs += [
+            text[:i] + piece + text[i:]
+            for i in range(len(text) + 1)
+            for piece in inserts
+        ]
+        for s in inputs:
+            got, got_error = _outcome(parse_term, s)
+            want, want_error = _outcome(oracle_parse_term, s)
+            assert got_error == want_error, s
+            if want_error is not None:
+                failed += 1
+            elif type(want) is Poly:
+                parsed += 1
+                assert type(got) is Poly and got == want, s
+                assert all(type(c) is Fraction for c in got.terms.values()), s
+            else:
+                parsed += 1
+                assert got is want, s
+    assert parsed > 1000 and failed > 10000
+
+
+def test_sums_over_one_denominator_reduce_at_the_end():
+    assert parse_poly("1/2 x1 + 1/3 x1 - 5/6 x1", X1).terms == {}
+    x1 = parse_word("x1", X1)
+    for text in ("2/4 x1", "1/6 x1 + 1/3 x1"):
+        ((w, c),) = parse_poly(text, X1).terms.items()
+        assert w == x1 and c == Fraction(1, 2) and type(c) is Fraction
+    ((w, c),) = parse_poly("P(1/2 x1) * P(1/3 x2)", X2).terms.items()
+    assert w == parse_word("P(x1) * P(x2)", X2) and c == Fraction(1, 6)
+    # an operator argument's sum keeps its denominator into the outer sum
+    text = "3/4 P(1/2 x1 - 2/3 [x1 x2]) - 1/6 P(x1 x2) + 5 x2"
+    assert parse_poly(text, X2) == oracle_parse_term(text, X2)
+
+
+def test_parsing_leaves_no_reference_cycles():
+    gc.collect()
+    t = parse_term("1/2 P(1/3 x1 - [x1 x2]) * D(P(2/5 x2 + x1)) - 3/4 [P(x1) x2]", X2)
+    assert type(t) is Poly
+    with pytest.raises(TermSyntaxError):
+        parse_term("1/2 P(1/3 x1 - [x1 x2 x1]) + x1", X2)
+    del t
+    assert gc.collect() == 0
 
 
 def test_whitespace_is_insignificant():
