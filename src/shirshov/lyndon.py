@@ -43,6 +43,8 @@ multiple still certified, on every call.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .algebra import (
     AlgebraConfig,
     Poly,
@@ -62,7 +64,6 @@ from .words import (
     NaPair,
     OpApp,
     Word,
-    concat,
     default_letters,
     lex_cmp,
     lex_cmp_primes,
@@ -187,6 +188,17 @@ def enumerate_alsw_by_degree(
     order; every such product is an ALSW and every ALSW of breadth ≥ 2 is
     one, via its standard split.
 
+    The pairs u > v are found by bisection, with no comparison of two
+    words.  Each degree's words are also kept sorted by a lex key: the
+    primes' keys (``key(u)[2:]``) followed by a sentinel ``(n + 1,)``, n
+    being ``max_degree``.  A prime's key starts with its degree, at most
+    n, so the sentinel ranks above every prime key, and a proper prefix
+    ranks above its extensions, as in ``lex_cmp``; the keys of distinct
+    primes differ, so comparing lex keys is ``lex_cmp``.  The partners of
+    a word u among the words of a given degree, those below u, are then a
+    prefix of that degree's list, and one ``bisect_left`` of u's lex key
+    finds its end.
+
     The alphabet's caches learn what enumeration already knows: every
     returned word is recorded as an ALSW, and each product as split at its
     shortest left factor, which is the standard split (the right factor
@@ -201,21 +213,30 @@ def enumerate_alsw_by_degree(
     if letters is None:
         letters = default_letters(alphabet)
         hereditary_cache = alphabet._hereditary_cache
+    key = alphabet.key
     alsw_cache = alphabet._alsw_cache
     split_cache = alphabet._split_cache
     alsw_by_deg: dict[int, list[Word]] = {}
+    # Per degree, the words in lex order and their lex keys, in step.
+    by_lex: dict[int, tuple[list[Word], list[tuple]]] = {}
+    top = ((max_degree + 1,),)
     for d in range(1, max_degree + 1):
         found = dict.fromkeys(Word((p,)) for p in letters(d, alsw_by_deg))
         for k in range(1, d):
-            for v in alsw_by_deg.get(k, ()):
+            ws, wkeys = by_lex[d - k]
+            for v, vkey in zip(*by_lex[k]):
                 b = len(v.primes)
-                for w in alsw_by_deg.get(d - k, ()):
-                    if lex_cmp(v, w, alphabet) > 0:
-                        vw = concat(v, w)
-                        found[vw] = None
-                        if split_cache.get(vw, b) >= b:
-                            split_cache[vw] = b
-        alsw_by_deg[d] = sorted(found, key=alphabet.key)
+                vp = v.primes
+                for w in ws[: bisect_left(wkeys, vkey)]:
+                    vw = Word(vp + w.primes)
+                    found[vw] = None
+                    if split_cache.get(vw, b) >= b:
+                        split_cache[vw] = b
+        alsw_by_deg[d] = sorted(found, key=key)
+        if d < max_degree:
+            lex = {w: key(w)[2:] + top for w in found}
+            ws = sorted(lex, key=lex.__getitem__)
+            by_lex[d] = ws, [lex[w] for w in ws]
         for w in found:
             alsw_cache[w] = True
         if hereditary_cache is not None:

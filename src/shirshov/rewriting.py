@@ -79,8 +79,17 @@ and freed nothing.  The pause is safe because the engine's data holds no
 reference cycles (the lift caches reach their rules, and rules their
 builders, without a reference back to their owner), so reference
 counting frees all of it; a cycle made elsewhere meanwhile is collected
-once the collector runs again.  The pause is process-wide: like the
-intern tables of ``words``, it assumes one thread.
+once the collector runs again.  When the outermost pause ends, every
+tracked object is promoted to the oldest generation, unscanned
+(``gc.freeze()`` then ``gc.unfreeze()``), so the young collections that
+follow do not rescan the engine: after a degree-9 section-rule build,
+the young collection that came next took about 12 ms and freed nothing.  The promotion is skipped while objects are frozen (a nonzero
+``gc.get_freeze_count()``), so a caller's frozen objects stay frozen;
+CPython 3.12 freezes a few hundred of its own tuples at startup, so
+there it never runs.  The trade-off: a caller's own young objects are promoted too, and their
+cyclic garbage waits for the next full collection.  The pause is
+process-wide: like the intern tables of ``words``, it assumes one
+thread.
 """
 
 from __future__ import annotations
@@ -132,6 +141,13 @@ def collector_paused():
 
     The collector is enabled again on exit only if it was enabled on
     entry, so pauses nest and a caller's own ``gc.disable()`` holds.
+    Before it is enabled, ``gc.freeze()`` and ``gc.unfreeze()`` promote
+    every tracked object to the oldest generation without scanning it and
+    reset the young count, so the next young collections do not rescan
+    what the block allocated; full collections still scan everything.
+    The pair is skipped while the freeze count is nonzero, so objects a
+    caller froze stay frozen.  A caller's own young objects are promoted
+    too, so their cyclic garbage waits for the next full collection.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -139,6 +155,9 @@ def collector_paused():
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -30,9 +30,10 @@ bracketed word), else a term dict, reading a bracketed word's integer
 expansion from the alphabet's memo (``algebra.expansion``) only when it is
 combined into a polynomial.  A sum keeps ``int`` numerators over one
 common denominator, rescaling them when a coefficient's denominator does
-not divide it, and makes one ``Fraction`` per term when it ends;
-``parse_term`` makes any ``int`` coefficients left ``Fraction``s
-(``algebra.as_fractions``).
+not divide it, and makes one ``Fraction`` per term when it ends with a
+denominator other than 1; ``parse_term`` makes any ``int`` coefficients
+left ``Fraction``s (``algebra.as_fractions``), and returns such a sum's
+dict without that copy.
 
 Printing conventions: top-level prime factors are joined with `` * ``,
 words inside operator arguments with single spaces, rationals as ``p/q``
@@ -83,7 +84,7 @@ _BAD = re.compile(r"[^\s\dA-Za-z_\^()\[\]*+,/-]")
 class _Parser:
     """Recursive descent over string tokens; ``tokens[i]`` is the next one."""
 
-    __slots__ = ("text", "tokens", "alphabet", "i")
+    __slots__ = ("text", "tokens", "alphabet", "i", "fraction_sum")
 
     def __init__(self, text: str, alphabet: Alphabet):
         bad = _BAD.search(text)
@@ -94,6 +95,8 @@ class _Parser:
         self.tokens.append("")
         self.alphabet = alphabet
         self.i = 0
+        # The last term dict a sum made with every coefficient a Fraction.
+        self.fraction_sum = None
 
     def error(self, message: str, at: int) -> TermSyntaxError:
         """A ``TermSyntaxError`` at token ``at``'s position, found by re-scanning."""
@@ -150,7 +153,8 @@ class _Parser:
             num, den, t = self.parse_mono(sign)
         if common == 1:
             return total
-        return {w: Fraction(n, common) for w, n in total.items()}
+        self.fraction_sum = {w: Fraction(n, common) for w, n in total.items()}
+        return self.fraction_sum
 
     def parse_mono(self, sign):
         """(numerator, denominator, value) of a monomial; ``sign`` is the
@@ -278,7 +282,9 @@ def parse_term(s: str, alphabet: Alphabet):
     trailing = parser.tokens[parser.i]
     if trailing:
         raise parser.error("unexpected trailing input %r" % trailing, parser.i)
-    return Poly(as_fractions(t)) if type(t) is dict else t
+    if type(t) is not dict:
+        return t
+    return Poly(t if t is parser.fraction_sum else as_fractions(t))
 
 
 def parse_poly(s: str, alphabet: Alphabet) -> Poly:

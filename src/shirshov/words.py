@@ -255,9 +255,7 @@ class Alphabet:
         """Deg-lex sort key: ``key(u) < key(v)`` iff ``u`` precedes ``v``."""
         k = self._word_keys.get(u)
         if k is None:
-            k = (u.degree, len(u.primes)) + tuple(
-                self.prime_key(p) for p in u.primes
-            )
+            k = (u.degree, len(u.primes), *map(self.prime_key, u.primes))
             self._word_keys[u] = k
         return k
 

@@ -2,9 +2,11 @@
 
 Most recompute, the slow and obvious way, a value the package computes
 another way.  The package never imports this module.  Word counts come by
-exhaustive rotation filtering, the differential by the recursive two-factor
-rule, standard bracketings by trying every binary tree (over
-``underlying_word``, which forgets a bracketing), section and Rota-Baxter
+exhaustive rotation filtering, ALSWs by degree by comparing every pair of
+smaller ones (``oracle_enumerate_alsw_by_degree``, against the package's
+bisection), the differential by the recursive two-factor rule, standard
+bracketings by trying every binary tree (over ``underlying_word``, which
+forgets a bracketing), section and Rota-Baxter
 rules by expanding each bracketing afresh, ambiguities by comparing every
 pair of lifted leading words, ``drbl_nf``'s matcher by visiting every
 subword run (``oracle_find_match``), and the ideal rows of
@@ -79,7 +81,10 @@ from shirshov.words import (
     OpApp,
     Prime,
     Word,
+    concat,
     context_at,
+    default_letters,
+    lex_cmp,
     occurrences,
     subword_runs,
     substitute,
@@ -139,6 +144,37 @@ def _oracle_is_alsw(u: Word, alphabet: Alphabet) -> bool:
         _oracle_lex_greater(primes, primes[k:] + primes[:k], alphabet)
         for k in range(1, len(primes))
     )
+
+
+def oracle_enumerate_alsw_by_degree(alphabet: Alphabet, max_degree: int, letters=None):
+    """``lyndon.enumerate_alsw_by_degree`` by comparing every pair: each
+    product v·w of smaller ALSWs is kept when ``lex_cmp`` puts v above w.
+    It fills the alphabet's ALSW, split and hereditary caches as the
+    package does."""
+    hereditary_cache = None
+    if letters is None:
+        letters = default_letters(alphabet)
+        hereditary_cache = alphabet._hereditary_cache
+    alsw_cache = alphabet._alsw_cache
+    split_cache = alphabet._split_cache
+    alsw_by_deg: dict[int, list[Word]] = {}
+    for d in range(1, max_degree + 1):
+        found = dict.fromkeys(Word((p,)) for p in letters(d, alsw_by_deg))
+        for k in range(1, d):
+            for v in alsw_by_deg.get(k, ()):
+                b = len(v.primes)
+                for w in alsw_by_deg.get(d - k, ()):
+                    if lex_cmp(v, w, alphabet) > 0:
+                        vw = concat(v, w)
+                        found[vw] = None
+                        if split_cache.get(vw, b) >= b:
+                            split_cache[vw] = b
+        alsw_by_deg[d] = sorted(found, key=alphabet.key)
+        for w in found:
+            alsw_cache[w] = True
+        if hereditary_cache is not None:
+            hereditary_cache.update(dict.fromkeys(found, True))
+    return alsw_by_deg
 
 
 def underlying_word(t) -> Word:

@@ -27,6 +27,7 @@ from shirshov import (
     special_expand,
 )
 from shirshov import lyndon, rota_baxter, words
+from shirshov.cli import make_alphabet
 from shirshov.lyndon import _LEFT, _RIGHT, _spine, _standard_split
 from shirshov.rota_baxter import DrblSystem, s1_rules
 from shirshov.words import (
@@ -45,6 +46,7 @@ from oracles import (
     _oracle_is_alsw,
     fill_mark,
     oracle_all_bracketings,
+    oracle_enumerate_alsw_by_degree,
     oracle_lyndon_count,
     oracle_special_expand,
     special_template,
@@ -202,6 +204,31 @@ def test_enumeration_records_what_a_fresh_alphabet_decides(gens, restricted):
             assert shirshov_bracket(w, alphabet) == shirshov_bracket(w, fresh)
     assert seen > 0
     assert not fresh._split_cache
+
+
+@pytest.mark.parametrize("maker", ["default", "basis", "generators"])
+@pytest.mark.parametrize("gens, degree", [(1, 7), (2, 7), (3, 6)])
+def test_enumeration_matches_the_pairwise_oracle(gens, degree, maker):
+    # the same words, as the same interned objects, and the same caches as
+    # comparing every pair of smaller words
+    def enumerate_with(enumerate_by_degree):
+        alphabet = make_alphabet(gens)
+        letters = None
+        if maker == "basis":
+            letters = rota_baxter._basis_letters(DrblSystem(AlgebraConfig(alphabet)))
+        elif maker == "generators":
+            letters = generators_only(alphabet)
+        return alphabet, enumerate_by_degree(alphabet, degree, letters)
+
+    alphabet, by_deg = enumerate_with(enumerate_alsw_by_degree)
+    want_alphabet, want = enumerate_with(oracle_enumerate_alsw_by_degree)
+    assert sorted(by_deg) == sorted(want)
+    for d in want:
+        assert len(by_deg[d]) == len(want[d])
+        assert all(u is v for u, v in zip(by_deg[d], want[d]))
+    assert alphabet._alsw_cache == want_alphabet._alsw_cache
+    assert alphabet._split_cache == want_alphabet._split_cache
+    assert alphabet._hereditary_cache == want_alphabet._hereditary_cache
 
 
 def with_letter(alphabet, word):

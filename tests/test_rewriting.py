@@ -914,3 +914,53 @@ def test_a_dropped_engine_is_freed_without_the_collector(collector_state):
     refs = [weakref.ref(o) for o in (drbl, drbl._lifts, engine, engine._lifts)]
     del drbl, engine
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_pause_leaves_no_young_collection_behind(collector_state):
+    # the pause's exit promotes what the build allocated, so no young or
+    # middle collection rescans it afterwards
+    if gc.get_freeze_count():
+        pytest.skip("the interpreter froze objects at startup, so no pause promotes")
+    collector_state(True)
+    gc.collect()
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        engine = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(1))).system(
+            7, s1_only=True
+        )
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+    assert gc.get_count()[0] < gc.get_threshold()[0]
+    assert engine.rules
+
+
+@pytest.fixture
+def frozen_objects():
+    """Frozen objects: the interpreter's own if it froze some at startup (as
+    CPython 3.12 does), else every tracked object, unfrozen afterwards."""
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def test_a_pause_leaves_frozen_objects_frozen(collector_state, frozen_objects):
+    collector_state(True)
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    engine = DrblSystem(cfg(A2, 0)).system(5)
+    assert gc.get_freeze_count() == frozen
+    assert engine.is_gsb("lie")
+    assert gc.get_freeze_count() == frozen
