@@ -83,13 +83,14 @@ once the collector runs again.  When the outermost pause ends, every
 tracked object is promoted to the oldest generation, unscanned
 (``gc.freeze()`` then ``gc.unfreeze()``), so the young collections that
 follow do not rescan the engine: after a degree-9 section-rule build,
-the young collection that came next took about 12 ms and freed nothing.  The promotion is skipped while objects are frozen (a nonzero
+the young collection that came next took about 12 ms and freed nothing.
+The promotion is skipped while objects are frozen (a nonzero
 ``gc.get_freeze_count()``), so a caller's frozen objects stay frozen;
 CPython 3.12 freezes a few hundred of its own tuples at startup, so
-there it never runs.  The trade-off: a caller's own young objects are promoted too, and their
-cyclic garbage waits for the next full collection.  The pause is
-process-wide: like the intern tables of ``words``, it assumes one
-thread.
+there it never runs.  The trade-off: a caller's own young objects are
+promoted too, and their cyclic garbage waits for the next full
+collection.  The pause is process-wide: like the intern tables of
+``words``, it assumes one thread.
 """
 
 from __future__ import annotations
@@ -359,31 +360,23 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
         lift += 1
 
 
-def lift_leading(config: AlgebraConfig, rule: Rule, lift: int):
-    """(word, coefficient) leading ``D^lift(rule.poly)``, by ``lift_leadings``."""
-    return next(islice(lift_leadings(config, rule, math.inf), lift, None))[1:]
-
-
 class LiftCache:
     """Lifted rule polynomials (cores) and special multiples by rule key.
 
-    ``rule_poly(key)`` gives a rule's polynomial, and
-    ``leading_of(key, lift)`` the (word, coefficient) that
-    ``lift_leadings`` gives in closed form for its lift ``lift``; neither
-    may hold the cache's owner, so that the two make no reference cycle
-    (see the module docstring).  A core is expanded on first use, one D
-    step from the cached lift below it.  Its leading term is certified
-    once (``lead``): it must be the closed form's, with a hereditarily
-    Lyndon-Shirshov word.  A special multiple is cached as
+    ``rule(key)`` gives the ``Rule`` under ``key``; it must not hold the
+    cache's owner, so that the two make no reference cycle (see the module
+    docstring).  A core is expanded on first use, one D step from the
+    cached lift below it.  Its leading term is certified once (``lead``):
+    it must be the one ``lift_leadings`` gives in closed form, with a
+    hereditarily Lyndon-Shirshov word.  A special multiple is cached as
     ``lyndon.special_terms_from_lead`` gives it (``int`` coefficients while
     integral), with the leading coefficient of its core, narrowed to an
     ``int`` when it is integral.
     """
 
-    def __init__(self, config: AlgebraConfig, rule_poly, leading_of):
+    def __init__(self, config: AlgebraConfig, rule):
         self.config = config
-        self.rule_poly = rule_poly
-        self.leading_of = leading_of
+        self.rule = rule
         self._cores: dict[tuple, Poly] = {}
         self._leads: dict[tuple, tuple[Word, int | Fraction]] = {}
         self._specials: dict[tuple, tuple[dict, int | Fraction]] = {}
@@ -393,7 +386,7 @@ class LiftCache:
         got = self._cores.get((key, lift))
         if got is None:
             if lift == 0:
-                got = self.rule_poly(key)
+                got = self.rule(key).poly
             else:
                 got = apply_D(self.config, self.core(key, lift - 1))
             self._cores[(key, lift)] = got
@@ -405,7 +398,8 @@ class LiftCache:
         if got is None:
             config = self.config
             v, c = leading(config, self.core(key, lift))
-            want, want_c = self.leading_of(key, lift)
+            leadings = lift_leadings(config, self.rule(key), math.inf)
+            _, want, want_c = next(islice(leadings, lift, None))
             if v != want or c != want_c:
                 raise ValueError(
                     "core leading term %s %r is not %s %r" % (c, v, want_c, want)
@@ -489,27 +483,16 @@ class RewriteSystem:
         self.rules = tuple(
             r if isinstance(r, Rule) else make_rule(config, r) for r in rules
         )
-        # the cache reads these, not self, which it would hold
-        rules = self.rules
-        lifted: list[LiftedRule] = []
-        first: list[int] = []  # where each rule's lifts start in lifted
-
-        def leading_of(i, lift):
-            n = first[i] + lift
-            if n < len(lifted) and lifted[n].rule_index == i:
-                return lifted[n][2:]
-            return lift_leading(config, rules[i], lift)  # above the bound
-
-        self._lifts = LiftCache(config, lambda i: rules[i].poly, leading_of)
+        # the cache reads the tuple, not self, which it would hold
+        self._lifts = LiftCache(config, self.rules.__getitem__)
         self._ambiguities: tuple[Ambiguity, ...] | None = None
-        self.lifted = lifted
+        self.lifted: list[LiftedRule] = []
         # by the primes of the leading word, so a run looks itself up as is
         self.by_leading: dict[tuple, list[LiftedRule]] = {}
-        for idx, rule in enumerate(rules):
-            first.append(len(lifted))
+        for idx, rule in enumerate(self.rules):
             for lift, lead, lc in lift_leadings(config, rule, max_degree):
                 entry = LiftedRule(idx, lift, lead, lc)
-                lifted.append(entry)
+                self.lifted.append(entry)
                 # appended in (rule index, lift) order, the order match prefers
                 self.by_leading.setdefault(lead.primes, []).append(entry)
 

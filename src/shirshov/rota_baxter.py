@@ -113,7 +113,6 @@ from .rewriting import (
     Rule,
     collector_paused,
     lie_reduce,
-    lift_leading,
     make_rule,
 )
 from .words import (
@@ -195,11 +194,7 @@ class DrblSystem:
         # A weak back-reference, so the cache does not keep its owner in a
         # reference cycle; the cache is reached only through its owner.
         owner = weakref.ref(self)
-        self._lifts = LiftCache(
-            config,
-            lambda tag: owner()._rule(tag).poly,
-            lambda tag, lift: lift_leading(config, owner()._rule(tag), lift),
-        )
+        self._lifts = LiftCache(config, lambda tag: owner()._rule(tag))
 
     # -- rule families -------------------------------------------------------
 

@@ -38,7 +38,11 @@ dict without that copy.
 Printing conventions: top-level prime factors are joined with `` * ``,
 words inside operator arguments with single spaces, rationals as ``p/q``
 with magnitude-one coefficients elided, and ``D`` powers of one written
-``D(h)``.  The zero polynomial prints as ``0``.
+``D(h)``.  The zero polynomial prints as ``0``.  Given a configuration,
+``format_poly`` prints terms deg-lex descending by its alphabet's key;
+without one (as ``Poly.__repr__`` does) it prints them in the
+polynomial's own order, which is deterministic, since no set of terms is
+ever iterated (see ``words``).
 """
 
 from __future__ import annotations
@@ -363,39 +367,6 @@ def _format_arghole(core: ArgHole) -> str:
     return _d_wrap(core.d_power, "%s(%s)" % (core.name, ", ".join(args)))
 
 
-def _structural_gen_rank(name: str):
-    m = re.fullmatch(r"([A-Za-z_]+?)(\d+)", name)
-    if m:
-        return (0, m.group(1), -int(m.group(2)))
-    return (1, tuple(-ord(c) for c in name))
-
-
-def structural_key(w: Word):
-    """Alphabet-free stand-in for the deg-lex key.
-
-    Generators with a numeric suffix rank descending by index (x1 above x2);
-    other names rank by reversed character order (x above y).  Used by plain
-    reprs and as the fallback printer order when no configuration is given:
-    those always print in the deg-lex order, whatever the alphabet's order.
-    """
-    return (w.degree, w.breadth) + tuple(
-        _structural_prime_key(p) for p in w.primes
-    )
-
-
-def _structural_prime_key(p: Prime):
-    head = p.head
-    if p.d_power > 0:
-        return (p.degree, (0,), structural_key(Word((Prime(p.d_power - 1, head),))))
-    if type(head) is str:
-        return (1, (1,), _structural_gen_rank(head))
-    return (
-        p.degree,
-        (2, head.name),
-        tuple(structural_key(a) for a in head.args),
-    )
-
-
 def _coeff_prefix(c: Fraction, first: bool) -> str:
     if first:
         if c == 1:
@@ -413,10 +384,13 @@ def _coeff_prefix(c: Fraction, first: bool) -> str:
 
 
 def format_poly(p: Poly, config: AlgebraConfig | None = None) -> str:
+    """Terms deg-lex descending under ``config``, else in ``p``'s own order."""
     if not p.terms:
         return "0"
-    key = config.alphabet.key if config is not None else structural_key
-    items = sorted(p.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    items = p.terms.items()
+    if config is not None:
+        key = config.alphabet.key
+        items = sorted(items, key=lambda t: key(t[0]), reverse=True)
     pieces = []
     for idx, (w, c) in enumerate(items):
         pieces.append(_coeff_prefix(c, idx == 0))

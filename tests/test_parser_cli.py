@@ -389,6 +389,13 @@ def test_zero_polynomial_formats_as_zero():
     assert parse_poly("0 x1", X1) == Poly.zero()
 
 
+def test_polys_print_in_their_own_order_unless_a_configuration_sorts_them():
+    x1, x2, x1x2 = (parse_word(s, X2) for s in ("x1", "x2", "x1 x2"))
+    p = Poly({x2: Fraction(1), x1x2: Fraction(-1), x1: Fraction(3, 2)})
+    assert format_poly(p) == repr(p) == "x2 - x1 * x2 + 3/2 x1"
+    assert format_poly(p, AlgebraConfig(X2)) == "-x1 * x2 + 3/2 x1 + x2"
+
+
 # ---------------------------------------------------------------------------
 # CLI subcommands, byte-exact.
 

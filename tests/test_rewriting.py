@@ -1,5 +1,6 @@
 """Rewrite engine: lifted rules, reduction traces, overlap certification."""
 
+import dataclasses
 import gc
 import pickle
 import random
@@ -444,6 +445,81 @@ def test_a_planted_core_with_a_wrong_leading_term_fails_its_first_use(fault):
     plant(drbl._lifts, ("section", x1), 1)
     with pytest.raises(ValueError, match="core leading term"):
         drbl_nf(parse_poly("D^2(P(x1))", config.alphabet), drbl)
+
+
+def test_a_rule_led_by_a_word_that_is_not_lyndon_shirshov_fails_its_first_lie_use():
+    # x x leads the rule's lift 0 in closed form and in its core alike, but
+    # it is not Lyndon-Shirshov, so it has no special bracketing in x x y
+    c = cfg()
+    engine = RewriteSystem(c, [parse_poly("x x - y", A2)], 3)
+    with pytest.raises(ValueError, match="lifted leading word is not Lyndon-Shirshov"):
+        engine.lie_normal_form(parse_poly("[x [x y]]", A2))
+
+
+class BoundedLog(list):
+    """A reduction log that fails a reduction running past ``limit`` steps."""
+
+    limit = 20
+
+    def append(self, step):
+        assert len(self) < self.limit, "reduction did not stop"
+        super().append(step)
+
+
+def test_a_planted_core_whose_multiple_does_not_cancel_fails_assoc_reduction():
+    # assoc mode reads the core without certifying it, so a doubled core
+    # reaches the cancellation check; the log stops the loop it would start
+    config = AlgebraConfig(make_alphabet(2), Fraction(0))
+    engine = DrblSystem(config).system(6)
+    p = parse_poly("D^2(P(x1)) * x2", config.alphabet)
+    entry, _ = engine.match(next(iter(p.terms)))
+    assert entry.lift == 1
+    core = engine.core(entry.rule_index, entry.lift)
+    engine._lifts._cores[(entry.rule_index, entry.lift)] = core.scale(2)
+    with pytest.raises(RuntimeError, match="rule multiple does not cancel"):
+        engine.reduce(p, log=BoundedLog())
+
+
+def test_a_planted_ambiguity_word_that_is_not_lyndon_shirshov_fails_its_lie_composition():
+    # a square is never Lyndon-Shirshov (its second half is a proper prefix,
+    # so greater), and it outranks the true word, so no later check fires
+    config = AlgebraConfig(make_alphabet(2), Fraction(0))
+    engine = DrblSystem(config).system(6)
+    amb = engine.find_ambiguities()[0]
+    planted = dataclasses.replace(amb, word=Word(amb.word.primes * 2))
+    assert engine.composition(planted, "assoc") == engine.composition(amb, "assoc")
+    with pytest.raises(ValueError, match="ambiguity word .* is not Lyndon-Shirshov"):
+        engine.composition(planted, "lie")
+
+
+def test_a_planted_core_that_keeps_the_ambiguity_word_fails_its_composition():
+    # assoc mode reads the cores without certifying them: a doubled left
+    # core leaves the ambiguity word in the difference
+    config = AlgebraConfig(make_alphabet(2), Fraction(0))
+    engine = DrblSystem(config).system(6)
+    amb = next(
+        a for a in engine.find_ambiguities() if a.left[:2] != a.right[:2]
+    )
+    left = amb.left
+    core = engine.core(left.rule_index, left.lift)
+    engine._lifts._cores[(left.rule_index, left.lift)] = core.scale(2)
+    with pytest.raises(
+        RuntimeError, match="composition leading .* not below ambiguity word"
+    ):
+        engine.composition(amb, "assoc")
+
+
+def test_a_planted_lead_coefficient_fails_the_special_multiple_certificate():
+    # the cache trusts its certified leads; a wrong coefficient there is
+    # caught by the multiple's own certificate
+    config = AlgebraConfig(make_alphabet(2), Fraction(0))
+    engine = DrblSystem(config).system(6)
+    amb = next(a for a in engine.find_ambiguities() if a.kind == "inclusion")
+    right = amb.right
+    v, lc = engine._lifts.lead(right.rule_index, right.lift)
+    engine._lifts._leads[(right.rule_index, right.lift)] = v, 2 * lc
+    with pytest.raises(RuntimeError, match="special multiple certificate failed"):
+        engine.special_multiple(right.rule_index, right.lift, amb.context)
 
 
 def test_find_ambiguities_is_memoised_as_fresh_lists():

@@ -20,11 +20,16 @@ from shirshov import (
     OpApp,
     Poly,
     Prime,
+    RewriteSystem,
+    Rule,
     Word,
     apply_D,
     d_power_leading,
+    drbl_nf,
     enumerate_words,
+    format_term,
     occurrences,
+    parse_poly,
     parse_term,
     parse_word,
 )
@@ -374,3 +379,69 @@ def test_identity_is_equality():
         u = build()
         v = build()
         assert u is v and hash(u) == object.__hash__(u)
+
+
+def _x_word():
+    return Word((Prime(0, "x"),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Alphabet(("x", "x")), ValueError, "names must be distinct"),
+        (lambda: Alphabet(("x", "D")), ValueError, "the name D is reserved"),
+        (
+            lambda: Alphabet(("x",), (("P", 0),)),
+            ValueError,
+            "operator 'P' must take at least one argument",
+        ),
+        (
+            lambda: A1.key(Word((Prime(0, "y"),))),
+            ValueError,
+            "unknown generator 'y'",
+        ),
+        (
+            lambda: A1.key(Word((Prime(0, OpApp("Q", (_x_word(),))),))),
+            ValueError,
+            "unknown operator 'Q'",
+        ),
+        (
+            lambda: A1.key(Word((Prime(0, OpApp("P", (_x_word(), _x_word()))),))),
+            ValueError,
+            r"operator 'P' expects 1 argument\(s\), got 2",
+        ),
+        (
+            lambda: DrblSystem(AlgebraConfig(Alphabet(("x",)))),
+            ValueError,
+            "exactly one unary operator",
+        ),
+        (
+            lambda: DrblSystem(AlgebraConfig(Alphabet(("x",), (("P", 2),)))),
+            ValueError,
+            "exactly one unary operator",
+        ),
+        (
+            lambda: drbl_nf("x", DrblSystem(AlgebraConfig(A1))),
+            TypeError,
+            "cannot interpret 'x' as a Lie element",
+        ),
+        (lambda: format_term(1.5), TypeError, "cannot format 'float'"),
+        (lambda: Rule(Poly.zero(), ("rule",), {}), ValueError, "rules must be nonzero"),
+        (
+            lambda: RewriteSystem(AlgebraConfig(A1), [], 3).reduce(
+                parse_poly("x", A1), mode="lie-ish"
+            ),
+            ValueError,
+            "mode must be 'assoc' or 'lie'",
+        ),
+        (
+            lambda: RewriteSystem(AlgebraConfig(A1), [], 3).enumerate_irr("lie-ish"),
+            ValueError,
+            "mode must be 'assoc' or 'lie'",
+        ),
+        (lambda: make_alphabet(0), ValueError, "need at least one generator"),
+    ],
+)
+def test_bad_inputs_raise_their_named_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
