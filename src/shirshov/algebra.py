@@ -153,10 +153,11 @@ def apply_operator(name: str, *args: Poly) -> Poly:
 
 
 def apply_D(config: AlgebraConfig, p: Poly, times: int = 1) -> Poly:
-    """The weighted differential applied ``times`` times."""
+    """The weighted differential applied ``times`` times, with the weight
+    narrowed, so ``int`` coefficients stay ``int``s at an integral weight."""
     for _ in range(times):
         out: dict[Word, Fraction] = {}
-        _add(out, _d_terms(p.terms, config.weight))
+        _add(out, _d_terms(p.terms, narrow(config.weight)))
         p = Poly(out)
     return p
 

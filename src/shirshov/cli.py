@@ -31,14 +31,7 @@ from .algebra import AlgebraConfig
 from .lyndon import enumerate_alsw_by_degree, shirshov_bracket
 from .reference import oracle_quotient_dim
 from .rota_baxter import DrblSystem, drbl_nf, enumerate_basis, instantiate_rules
-from .syntax import (
-    TermSyntaxError,
-    format_context,
-    format_poly,
-    format_term,
-    parse_term,
-    parse_word,
-)
+from .syntax import format_context, format_poly, format_term, parse_term, parse_word
 from .words import Alphabet, NaLeaf, NaPair
 
 
@@ -95,11 +88,7 @@ def _positive_int(text: str) -> int:
 def _cmd_nf(args) -> int:
     alphabet = make_alphabet(_infer_gens(args.expr))
     config = AlgebraConfig(alphabet, args.weight)
-    try:
-        value = parse_term(args.expr, alphabet)
-    except TermSyntaxError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    value = parse_term(args.expr, alphabet)
     sys_ = DrblSystem(config)
     log = [] if args.trace else None
     if args.mode == "lie":
@@ -180,11 +169,7 @@ def _cmd_lyndon(args) -> int:
 
 def _cmd_bracket(args) -> int:
     alphabet = make_alphabet(_infer_gens(args.word))
-    try:
-        w = parse_word(args.word, alphabet)
-    except TermSyntaxError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    w = parse_word(args.word, alphabet)
     try:
         t = shirshov_bracket(w, alphabet)
     except ValueError as e:

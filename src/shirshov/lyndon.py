@@ -28,15 +28,16 @@ path from the marked slot to the root.  Every subtree off the spine is a
 standard bracketing, read from the alphabet's integer memo of bracket
 expansions (``algebra.expansion``), which the rules and ``drbl_nf``'s peel
 share; the spine is computed with the memo's own integer commutator and
-operator steps.  Integral coefficients of the core are narrowed to
-``int``s, so ``special_terms`` runs in ``int``s wherever the core is
-integral and in ``Fraction``s where it is not; ``special_expand`` returns
-``Fraction``s.
+operator steps, so it runs in ``int``s wherever the core is integral and
+in ``Fraction``s where it is not.  ``special_terms_from_lead`` expands the
+core it is given, as given: the rewriting engine and the oracle narrow
+each lifted core once, where they make it, and ``special_expand`` narrows
+its core once per call and returns ``Fraction``s.
 
-``special_terms`` checks that the core leads with ``v``, a hereditarily
-Lyndon-Shirshov word, on every call.  The rewriting engine expands many
-multiples of one lifted core, so it certifies each core's leading term
-once (``rewriting.LiftCache.lead``) and calls ``special_terms_from_lead``,
+``special_expand`` checks that the core leads with ``v``, a hereditarily
+Lyndon-Shirshov word.  The rewriting engine expands many multiples of one
+lifted core, so it certifies each core's leading term once
+(``rewriting.LiftCache.lead``) and calls ``special_terms_from_lead``,
 which skips that check; the filled word is still checked, and each
 multiple still certified, on every call.
 """
@@ -334,46 +335,42 @@ def _expand_spine(alphabet: Alphabet, steps, core: dict) -> dict:
 def special_expand(config: AlgebraConfig, ctx: Context, v: Word, core: Poly) -> Poly:
     """Expansion of the isolating bracketing with ``core`` in place of ``v``.
 
-    ``core`` must have leading word ``v``; the result is certified to have
-    leading word ``ctx`` filled with ``v`` and core's leading coefficient.
-    Coefficients are ``Fraction``s; ``special_terms`` computes them.
-    """
-    return Poly(as_fractions(special_terms(config, ctx, v, core.terms)))
-
-
-def special_terms(config: AlgebraConfig, ctx: Context, v: Word, core: dict) -> dict:
-    """``special_expand`` over term dicts, in integers where they suffice.
-
-    Checks that ``v`` is hereditarily Lyndon-Shirshov and leads ``core``,
-    then expands by ``special_terms_from_lead``.
+    ``v`` must be hereditarily Lyndon-Shirshov and lead ``core``; the
+    result is certified to have leading word ``ctx`` filled with ``v`` and
+    core's leading coefficient.  The core is narrowed once, so the
+    expansion runs in ``int``s where it is integral; the coefficients
+    returned are ``Fraction``s.
     """
     if not is_alsw_hereditary(v, config.alphabet):
         raise ValueError("isolated subword is not Lyndon-Shirshov: %r" % (v,))
-    core_lead, core_coeff = leading(config, Poly(core))
+    terms = {u: narrow(c) for u, c in core.terms.items()}
+    core_lead, core_coeff = leading(config, Poly(terms))
     if core_lead != v:
         raise ValueError("core leading word %r is not %r" % (core_lead, v))
-    return special_terms_from_lead(config, ctx, v, core_coeff, core)
+    out = special_terms_from_lead(config, ctx, v, core_coeff, terms)
+    return Poly(as_fractions(out))
 
 
 def special_terms_from_lead(
     config: AlgebraConfig, ctx: Context, v: Word, coeff, core: dict
 ) -> dict:
-    """``special_terms`` for a core whose leading term the caller certified.
+    """``special_expand`` over term dicts, for a core the caller certified.
 
     ``v`` must be hereditarily Lyndon-Shirshov and lead ``core`` with
     coefficient ``coeff``; that is not checked again.  The filled word is
-    checked, and the result certified, as in ``special_terms``.  Only the
+    checked, and the result certified, as in ``special_expand``.  Only the
     spine is computed; every subtree off it is a standard bracketing, read
-    from the alphabet's integer memo.  The core's integral coefficients are
-    narrowed to ``int``s in a fresh dict, so an integral core gives ``int``
-    coefficients throughout, and the result never shares the core's dict.
+    from the alphabet's integer memo.  The core's coefficients are used as
+    they are: ``int``s give ``int``s wherever the expansion is integral.
+    The result is a fresh dict, a copy of ``core`` in the identity context,
+    so a caller may subtract from it in place.
     """
     alphabet = config.alphabet
     w = substitute(ctx, v)
     if not is_alsw_hereditary(w, alphabet):
         raise ValueError("filled word is not Lyndon-Shirshov: %r" % (w,))
-    narrowed = {u: narrow(c) for u, c in core.items()}
-    out = _expand_spine(alphabet, _spine(w, ctx, alphabet), narrowed)
+    steps = _spine(w, ctx, alphabet)
+    out = _expand_spine(alphabet, steps, core) if steps else dict(core)
     lead, lc = leading(config, Poly(out))
     if lead != w or lc != coeff:
         raise RuntimeError(

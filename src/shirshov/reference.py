@@ -21,7 +21,7 @@ cross-check of the index and of the stop.
 
 from __future__ import annotations
 
-from .algebra import AlgebraConfig, _subtract, apply_D, divide, leading
+from .algebra import AlgebraConfig, Poly, _subtract, apply_D, divide, leading, narrow
 from .lyndon import (
     enumerate_alsw_by_degree,
     is_alsw,
@@ -44,14 +44,16 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
     lift leadings, and build a context only on a hit.  Hits are held back
     so rows go out lift by lift, then by ALSW word and walk order (for one
     leading word, the order of ``occurrences``), as the naive scan gives
-    them.  Each lift's leading word is certified hereditarily
-    Lyndon-Shirshov once, so a row is a fresh term dict from
-    ``special_terms_from_lead`` with the coefficient ``leading`` gave."""
+    them.  Each rule is narrowed once and each lift's leading word
+    certified hereditarily Lyndon-Shirshov once, so a row is a fresh term
+    dict from ``special_terms_from_lead`` with the coefficient ``leading``
+    gave."""
     alphabet = config.alphabet
     lifts = []  # (leading word, coefficient, lifted rule), lift by lift
     by_leading: dict[tuple, list[int]] = {}
     for rule in rules:
-        core = getattr(rule, "poly", rule)
+        poly = getattr(rule, "poly", rule)
+        core = Poly({w: narrow(c) for w, c in poly.terms.items()})
         while True:
             v, lc = leading(config, core)
             if v.degree > max_degree:
@@ -112,11 +114,9 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
     for w in alsws:
         alsw_count[w.degree] += 1
 
-    rows = list(_ideal_rows(config, rules, max_degree, alsws))
-
     key = alphabet.key
     pivots: dict[Word, dict] = {}
-    for terms in rows:
+    for terms in _ideal_rows(config, rules, max_degree, alsws):
         while terms:
             lead = max(terms, key=key)
             pivot = pivots.get(lead)

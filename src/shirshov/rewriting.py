@@ -54,15 +54,17 @@ multiple and composition is integral with leading coefficient ±1.
 lcm L of its coefficients' denominators, reduces in ``int``s, and divides
 each output and logged coefficient by L.  The normal form is linear and
 the scaled input has the same support, so it takes the same steps and
-the result is exact.  Special multiples come from
-``lyndon.special_terms_from_lead``: ``LiftCache.lead`` certifies each
-lifted core's leading term once, on first use, and every multiple is
-still certified to lead with its filled word.  A division yields a
-``Fraction`` only when it is not exact (``algebra.divide``, as at weight
-1/2), so no coefficient is ever a float.  What crosses the public boundary
-(``composition``, ``reduce``, ``lie_normal_form``, ``ReductionStep``,
-``special_multiple``) has ``Fraction`` coefficients, with the values and
-the term order the all-``Fraction`` computation gives.
+the result is exact.  ``LiftCache`` narrows each rule once, at lift 0,
+and ``apply_D`` keeps the lifts ``int``s at an integral weight.  Special
+multiples come from ``lyndon.special_terms_from_lead`` over those cores:
+``LiftCache.lead`` certifies each core's leading term once, on first use,
+and every multiple is still certified to lead with its filled word.  A
+division yields a ``Fraction`` only when it is not exact
+(``algebra.divide``, as at weight 1/2), so no coefficient is ever a float.
+What crosses the public boundary (``core``, ``composition``, ``reduce``,
+``lie_normal_form``, ``ReductionStep``, ``special_multiple``) has
+``Fraction`` coefficients, with the values and the term order the
+all-``Fraction`` computation gives.
 
 A basis check reduces every composition and reports nonzero residues.
 Reduction to zero certifies triviality; a nonzero residue means the
@@ -100,7 +102,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
@@ -317,8 +318,8 @@ class GsbReport:
         )
 
 
-def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
-    """Yield (i, leading word, coefficient) of ``D^i(rule.poly)`` for i = 0, 1, ...
+def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int, lift: int = 0):
+    """Yield (i, leading word, coefficient) of ``D^i(rule.poly)`` for i ≥ ``lift``.
 
     Stops at the first lift whose leading word has degree above
     ``max_degree``.  Nothing is expanded: the leading word of ``D^i(poly)``
@@ -342,7 +343,6 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int):
     for u, c in rule.tops.items():
         b = len(u.primes)
         groups.append((u.degree, b if weighted else 1, b, u, c))
-    lift = 0
     while True:
         best = None
         for group in groups:
@@ -366,12 +366,13 @@ class LiftCache:
     ``rule(key)`` gives the ``Rule`` under ``key``; it must not hold the
     cache's owner, so that the two make no reference cycle (see the module
     docstring).  A core is expanded on first use, one D step from the
-    cached lift below it.  Its leading term is certified once (``lead``):
-    it must be the one ``lift_leadings`` gives in closed form, with a
-    hereditarily Lyndon-Shirshov word.  A special multiple is cached as
-    ``lyndon.special_terms_from_lead`` gives it (``int`` coefficients while
-    integral), with the leading coefficient of its core, narrowed to an
-    ``int`` when it is integral.
+    cached lift below it; lift 0 is the rule's polynomial narrowed once
+    (``int``s where integral), and callers must not mutate a core.  Its
+    leading term is certified once (``lead``): it must be the one
+    ``lift_leadings`` gives in closed form, with a hereditarily
+    Lyndon-Shirshov word.  A special multiple is cached as
+    ``lyndon.special_terms_from_lead`` gives it, with its core's leading
+    coefficient.
     """
 
     def __init__(self, config: AlgebraConfig, rule):
@@ -382,24 +383,24 @@ class LiftCache:
         self._specials: dict[tuple, tuple[dict, int | Fraction]] = {}
 
     def core(self, key, lift: int) -> Poly:
-        """``D^lift`` of the rule under ``key``."""
+        """``D^lift`` of the rule under ``key``, narrowed."""
         got = self._cores.get((key, lift))
         if got is None:
             if lift == 0:
-                got = self.rule(key).poly
+                got = Poly({w: narrow(c) for w, c in self.rule(key).poly.terms.items()})
             else:
                 got = apply_D(self.config, self.core(key, lift - 1))
             self._cores[(key, lift)] = got
         return got
 
     def lead(self, key, lift: int) -> tuple[Word, int | Fraction]:
-        """Certified leading word and (narrowed) coefficient of a core."""
+        """Certified leading word and coefficient of a core."""
         got = self._leads.get((key, lift))
         if got is None:
             config = self.config
             v, c = leading(config, self.core(key, lift))
-            leadings = lift_leadings(config, self.rule(key), math.inf)
-            _, want, want_c = next(islice(leadings, lift, None))
+            leadings = lift_leadings(config, self.rule(key), math.inf, lift)
+            _, want, want_c = next(leadings)
             if v != want or c != want_c:
                 raise ValueError(
                     "core leading term %s %r is not %s %r" % (c, v, want_c, want)
@@ -408,7 +409,7 @@ class LiftCache:
                 raise ValueError(
                     "lifted leading word is not Lyndon-Shirshov: %r" % (v,)
                 )
-            got = self._leads[(key, lift)] = v, narrow(c)
+            got = self._leads[(key, lift)] = v, c
         return got
 
     def special(self, key, lift: int, ctx: Context) -> tuple[dict, int | Fraction]:
@@ -499,8 +500,8 @@ class RewriteSystem:
     # -- matching ----------------------------------------------------------
 
     def core(self, rule_index: int, lift: int) -> Poly:
-        """``D^lift`` of a rule, expanded from the cached lift below it."""
-        return self._lifts.core(rule_index, lift)
+        """``D^lift`` of a rule, as a fresh ``Poly`` of ``Fraction``s."""
+        return Poly(as_fractions(self._lifts.core(rule_index, lift).terms))
 
     def match(self, u: Word):
         """First match in a monomial: min (rule index, lift, scan order).
@@ -565,7 +566,7 @@ class RewriteSystem:
                 continue
             entry, ctx = m
             c = working[u]
-            multiple = subst_poly(ctx, self.core(entry.rule_index, entry.lift))
+            multiple = subst_poly(ctx, self._lifts.core(entry.rule_index, entry.lift))
             factor = c / entry.leading_coeff
             multiple = multiple.scale(factor)
             if multiple.terms.get(u) != c:
@@ -681,8 +682,9 @@ class RewriteSystem:
         """
         config = self.config
         left, right = amb.left, amb.right
-        core_l = self.core(left.rule_index, left.lift)
-        core_r = self.core(right.rule_index, right.lift)
+        lifts = self._lifts
+        core_l = lifts.core(left.rule_index, left.lift)
+        core_r = lifts.core(right.rule_index, right.lift)
         if mode == "lie" and not is_alsw_hereditary(amb.word, config.alphabet):
             raise ValueError(
                 "ambiguity word %r is not Lyndon-Shirshov" % (amb.word,)
@@ -696,7 +698,6 @@ class RewriteSystem:
             side_l = subst_poly(ctx_l, core_l).terms
             side_r = subst_poly(ctx_r, core_r).terms
         else:
-            lifts = self._lifts
             v, lc = lifts.lead(left.rule_index, left.lift)
             side_l = special_terms_from_lead(config, ctx_l, v, lc, core_l.terms)
             v, lc = lifts.lead(right.rule_index, right.lift)

@@ -430,6 +430,35 @@ def test_special_expand_carries_core_coefficient():
         special_expand(cfg, ctx, v, parse_poly("y x", A2))
 
 
+def test_a_single_letter_has_no_standard_split():
+    with pytest.raises(ValueError, match="no proper ALSW suffix; input is a single"):
+        _standard_split(w("x").primes, A2)
+
+
+def test_a_planted_alsw_test_that_knows_only_letters_fails_the_factorization(
+    monkeypatch,
+):
+    # with only letters Lyndon-Shirshov, x y factors greedily as x, y, which
+    # descends (x > y)
+    monkeypatch.setattr(lyndon, "is_alsw", lambda u, alphabet: len(u.primes) == 1)
+    with pytest.raises(AssertionError, match="factorization not non-decreasing"):
+        ls_factorization(w("x y"), A2)
+
+
+def test_a_planted_split_that_cuts_the_isolated_subword_fails_the_descent(
+    monkeypatch,
+):
+    # x x y splits as x (x y); a split after x x cuts the isolated x y away
+    # from its start
+    monkeypatch.setattr(
+        lyndon, "_standard_split", lambda primes, alphabet: len(primes) - 1
+    )
+    cfg = AlgebraConfig(A2)
+    ctx = Context(w("x").primes, Hole(0), ())
+    with pytest.raises(RuntimeError, match="subword straddles a standard split"):
+        special_expand(cfg, ctx, w("x y"), Poly.word(w("x y")))
+
+
 def test_special_expand_random_certificates():
     rng = random.Random(5)
     cfg = AlgebraConfig(A2, Fraction(1))

@@ -22,7 +22,7 @@ from shirshov import (
     shirshov_bracket,
 )
 from shirshov.cli import main, make_alphabet
-from shirshov.words import Prime
+from shirshov.words import Prime, Word
 from shirshov.reference import oracle_quotient_dim
 from oracles import (
     naive_ideal_rows,
@@ -285,6 +285,26 @@ def test_ideal_rows_certify_each_lift_hereditarily():
     r = parse_poly("P(y x)", A2)
     with pytest.raises(AssertionError, match="lifted rule leading .* is not"):
         oracle_quotient_dim(config, [r], 3)
+
+
+def test_a_planted_row_led_by_a_square_fails_the_pivot_check(monkeypatch):
+    import shirshov.reference as reference
+
+    original = reference.special_terms_from_lead
+
+    def with_a_square(config_, ctx, v, coeff, core):
+        # a square is never Lyndon-Shirshov, and it outranks the row's
+        # terms by degree, so the first row's pivot is that square
+        row = original(config_, ctx, v, coeff, core)
+        lead = max(row, key=config_.alphabet.key)
+        row[Word(lead.primes * 2)] = 1
+        return row
+
+    monkeypatch.setattr(reference, "special_terms_from_lead", with_a_square)
+    config = AlgebraConfig(A1, Fraction(1))
+    rules = instantiate_rules(DrblSystem(config), 3)
+    with pytest.raises(AssertionError, match="ideal pivot .* is not Lyndon-Shirshov"):
+        oracle_quotient_dim(config, rules, 3)
 
 
 def test_ideal_rows_lead_each_row_once(monkeypatch):

@@ -609,6 +609,24 @@ def test_cli_check_gsb_full_system_degree_seven_weight_one(capsys):
     assert out.splitlines()[1].startswith("pass: all ")
 
 
+@pytest.mark.parametrize(
+    "weight,golden",
+    [
+        ("1", "check_gsb_s1_lambda_1_deg7.txt"),
+        ("1/2", "check_gsb_s1_lambda_1_2_deg7.txt"),
+    ],
+)
+def test_cli_check_gsb_prints_the_known_s1_residues_in_full(capsys, weight, golden):
+    # the 12 compositions the s1 rules leave uncertified at degree 7, each
+    # with its residue; completing the s1 subsystem changes these files
+    rc, out, err = run_cli(
+        capsys, "check-gsb", "--system", "s1", "--gens", "2", "--lambda", weight,
+        "--max-deg", "7",
+    )
+    assert rc == 1 and err == ""
+    assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
+
+
 def test_cli_check_gsb_refuses_an_incomplete_rule_system(capsys):
     # From degree 8 the completion family does not close the system for
     # nonzero weight; the CLI reports that instead of a traceback.

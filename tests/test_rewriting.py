@@ -873,6 +873,7 @@ def test_public_coefficients_are_fractions(weight):
             terms += _only_fractions(engine.composition(amb, mode).terms.values())
     for entry in engine.lifted[::9]:
         core = engine.core(entry.rule_index, entry.lift)
+        terms += _only_fractions(core.terms.values())
         ctx = Context((), Hole(0), ())
         terms += _only_fractions(
             special_expand(c, ctx, entry.leading_word, core).terms.values()
