@@ -19,12 +19,12 @@ The differential satisfies the weighted Leibniz law
 
     D(uv) = D(u) v + u D(v) + weight * D(u) D(v)
 
-and distributes into operator arguments is *not* assumed: ``D`` applied to
-a one-prime word just increments that prime's D counter.  On a word of
+It is *not* assumed to distribute into operator arguments: ``D`` applied
+to a one-prime word just increments that prime's D counter.  On a word of
 breadth n the law expands in closed form: summing over nonempty subsets T
 of positions, the term bumps the D power at each position in T and carries
-coefficient weight^(|T|-1).  ``apply_D`` uses that closed form; the
-test suite checks it against the recursive two-factor rule.
+coefficient weight^(|T|-1).  ``apply_D`` uses that closed form, with no
+product at |T| = 1; the test suite checks it against the recursive rule.
 
 ``d_power_leading`` predicts the deg-lex leading word and coefficient of
 ``D^i(u)`` without expanding: with weight zero only the first prime gets
@@ -173,11 +173,12 @@ def _d_terms(terms: dict, lam):
             for i in range(n):
                 yield Word(primes[:i] + (primes[i].shifted(1),) + primes[i + 1 :]), c
         else:
+            coeff = c  # c·λ^(size−1), so a single hit keeps c as it is
             for size in range(1, n + 1):
-                coeff = c * lam ** (size - 1)
                 for hit in combinations(range(n), size):
                     w = tuple(q.shifted(1) if i in hit else q for i, q in enumerate(primes))
                     yield Word(w), coeff
+                coeff *= lam
 
 
 def narrow(c):

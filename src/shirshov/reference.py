@@ -21,7 +21,7 @@ cross-check of the index and of the stop.
 
 from __future__ import annotations
 
-from .algebra import AlgebraConfig, Poly, _subtract, apply_D, divide, leading, narrow
+from .algebra import AlgebraConfig, _subtract, apply_D, divide, leading
 from .lyndon import (
     enumerate_alsw_by_degree,
     is_alsw,
@@ -44,16 +44,15 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
     lift leadings, and build a context only on a hit.  Hits are held back
     so rows go out lift by lift, then by ALSW word and walk order (for one
     leading word, the order of ``occurrences``), as the naive scan gives
-    them.  Each rule is narrowed once and each lift's leading word
-    certified hereditarily Lyndon-Shirshov once, so a row is a fresh term
-    dict from ``special_terms_from_lead`` with the coefficient ``leading``
-    gave."""
+    them.  A rule is read as it holds itself (``Rule.narrowed``), and each
+    lift's leading word certified hereditarily Lyndon-Shirshov once, so a
+    row is a fresh term dict from ``special_terms_from_lead`` with the
+    coefficient ``leading`` gave."""
     alphabet = config.alphabet
     lifts = []  # (leading word, coefficient, lifted rule), lift by lift
     by_leading: dict[tuple, list[int]] = {}
     for rule in rules:
-        poly = getattr(rule, "poly", rule)
-        core = Poly({w: narrow(c) for w, c in poly.terms.items()})
+        core = getattr(rule, "narrowed", rule)
         while True:
             v, lc = leading(config, core)
             if v.degree > max_degree:

@@ -54,17 +54,18 @@ multiple and composition is integral with leading coefficient ±1.
 lcm L of its coefficients' denominators, reduces in ``int``s, and divides
 each output and logged coefficient by L.  The normal form is linear and
 the scaled input has the same support, so it takes the same steps and
-the result is exact.  ``LiftCache`` narrows each rule once, at lift 0,
-and ``apply_D`` keeps the lifts ``int``s at an integral weight.  Special
-multiples come from ``lyndon.special_terms_from_lead`` over those cores:
-``LiftCache.lead`` certifies each core's leading term once, on first use,
-and every multiple is still certified to lead with its filled word.  A
-division yields a ``Fraction`` only when it is not exact
+the result is exact.  Each rule's polynomial is built and held once,
+``int``s where integral (``Rule.narrowed``), and is its lift 0 in
+``LiftCache``; ``apply_D`` keeps the lifts ``int``s at an integral weight.
+Special multiples come from ``lyndon.special_terms_from_lead`` over those
+cores: ``LiftCache.lead`` certifies each core's leading term once, on
+first use, and every multiple is still certified to lead with its filled
+word.  A division yields a ``Fraction`` only when it is not exact
 (``algebra.divide``, as at weight 1/2), so no coefficient is ever a float.
-What crosses the public boundary (``core``, ``composition``, ``reduce``,
-``lie_normal_form``, ``ReductionStep``, ``special_multiple``) has
-``Fraction`` coefficients, with the values and the term order the
-all-``Fraction`` computation gives.
+What crosses the public boundary (``Rule.poly``, ``core``,
+``composition``, ``reduce``, ``lie_normal_form``, ``ReductionStep``,
+``special_multiple``) is a fresh copy in ``Fraction``s, with the values
+and the term order the all-``Fraction`` computation gives.
 
 A basis check reduces every composition and reports nonzero residues.
 Reduction to zero certifies triviality; a nonzero residue means the
@@ -106,7 +107,6 @@ from math import lcm
 from typing import NamedTuple
 
 from .algebra import (
-    ONE,
     AlgebraConfig,
     Poly,
     _add,
@@ -166,14 +166,15 @@ def collector_paused():
 class Rule:
     """A monic rewriting rule with a provenance tag for its family.
 
-    ``poly`` is the rule's polynomial, or a builder that makes it on the
-    first read of ``poly``; a builder must not hold the rule's owner (see
-    the module docstring).  ``tops`` maps the deg-lex greatest word of each
-    (degree, breadth) group of the polynomial to its coefficient; a group
-    that another beats on both degree and breadth may be left out, since it
-    never leads a lift.  They are all that ``lift_leadings`` reads, so an
-    engine indexes a rule without building it.  Rules compare, hash and
-    print by (poly, origin) alone.
+    ``poly`` is the rule's polynomial, ``int``s where integral, or a
+    builder that makes it on first read; the rule holds it as
+    ``narrowed``, and the ``poly`` property is a fresh ``Fraction`` copy.
+    A builder must not hold the rule's owner (see the module docstring).
+    ``tops`` maps the deg-lex greatest word of each (degree, breadth) group
+    to its ``Fraction`` coefficient; a group that another beats on both
+    degree and breadth may be left out, since it never leads a lift.  They
+    are all that ``lift_leadings`` reads, so an engine indexes a rule
+    without building it.  Rules compare, hash and print by (poly, origin).
     """
 
     __slots__ = ("_poly", "_build", "origin", "tops")
@@ -189,11 +190,17 @@ class Rule:
         self.tops = tops
 
     @property
-    def poly(self) -> Poly:
+    def narrowed(self) -> Poly:
+        """The held polynomial, ``int``s where integral; do not mutate it."""
         if self._poly is None:
             self._poly = self._build()
             self._build = None
         return self._poly
+
+    @property
+    def poly(self) -> Poly:
+        """The polynomial as a fresh ``Poly`` of ``Fraction``s."""
+        return Poly(as_fractions(self.narrowed.terms))
 
     @property
     def lead(self) -> Word:
@@ -203,17 +210,17 @@ class Rule:
     def __eq__(self, other):
         if type(other) is not Rule:
             return NotImplemented
-        return self.origin == other.origin and self.poly == other.poly
+        return self.origin == other.origin and self.narrowed == other.narrowed
 
     def __hash__(self):
-        return hash((self.poly, self.origin))
+        return hash((self.narrowed, self.origin))
 
     def __repr__(self):
-        return "Rule(poly=%r, origin=%r)" % (self.poly, self.origin)
+        return "Rule(poly=%r, origin=%r)" % (self.narrowed, self.origin)
 
 
 def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> Rule:
-    """Normalize a polynomial to a monic rule with ``Fraction`` coefficients."""
+    """Normalize a polynomial to a monic rule, ``int``s where integral."""
     if not poly:
         raise ValueError("rules must be nonzero")
     key = config.alphabet.key
@@ -223,9 +230,9 @@ def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> R
         top = tops.get(group)
         if top is None or key(w) > key(top):
             tops[group] = w
-    lc = poly.terms[tops[max(tops)]]
-    poly = Poly(as_fractions(poly.terms)) if lc == 1 else poly.scale(ONE / lc)
-    return Rule(poly, origin, {w: poly.terms[w] for w in tops.values()})
+    lc = Fraction(poly.terms[tops[max(tops)]])
+    narrowed = Poly({w: narrow(c / lc) for w, c in poly.terms.items()})
+    return Rule(narrowed, origin, {w: poly.terms[w] / lc for w in tops.values()})
 
 
 class LiftedRule(NamedTuple):
@@ -366,13 +373,12 @@ class LiftCache:
     ``rule(key)`` gives the ``Rule`` under ``key``; it must not hold the
     cache's owner, so that the two make no reference cycle (see the module
     docstring).  A core is expanded on first use, one D step from the
-    cached lift below it; lift 0 is the rule's polynomial narrowed once
-    (``int``s where integral), and callers must not mutate a core.  Its
-    leading term is certified once (``lead``): it must be the one
-    ``lift_leadings`` gives in closed form, with a hereditarily
-    Lyndon-Shirshov word.  A special multiple is cached as
-    ``lyndon.special_terms_from_lead`` gives it, with its core's leading
-    coefficient.
+    cached lift below it; lift 0 is the rule's own ``Rule.narrowed``, so
+    callers must not mutate a core.  Its leading term is certified once
+    (``lead``): it must be the one ``lift_leadings`` gives in closed form,
+    with a hereditarily Lyndon-Shirshov word.  A special multiple is
+    cached as ``lyndon.special_terms_from_lead`` gives it, with its core's
+    leading coefficient.
     """
 
     def __init__(self, config: AlgebraConfig, rule):
@@ -383,11 +389,11 @@ class LiftCache:
         self._specials: dict[tuple, tuple[dict, int | Fraction]] = {}
 
     def core(self, key, lift: int) -> Poly:
-        """``D^lift`` of the rule under ``key``, narrowed."""
+        """``D^lift`` of the rule under ``key``; lift 0 is ``Rule.narrowed``."""
         got = self._cores.get((key, lift))
         if got is None:
             if lift == 0:
-                got = Poly({w: narrow(c) for w, c in self.rule(key).poly.terms.items()})
+                got = self.rule(key).narrowed
             else:
                 got = apply_D(self.config, self.core(key, lift - 1))
             self._cores[(key, lift)] = got
@@ -486,7 +492,6 @@ class RewriteSystem:
         )
         # the cache reads the tuple, not self, which it would hold
         self._lifts = LiftCache(config, self.rules.__getitem__)
-        self._ambiguities: tuple[Ambiguity, ...] | None = None
         self.lifted: list[LiftedRule] = []
         # by the primes of the leading word, so a run looks itself up as is
         self.by_leading: dict[tuple, list[LiftedRule]] = {}
@@ -606,16 +611,10 @@ class RewriteSystem:
         the order of ``words.occurrences``: top-level runs by start, then
         nested runs by (prime, argument), outside in.  The result is sorted
         by a total order on (word, kind, left, right, position), so it does
-        not depend on the order of discovery.  The search runs once per
-        system; each call returns a fresh list.  The test suite's
-        ``oracle_ambiguities`` finds the same list by comparing every pair
-        of lifts.
+        not depend on the order of discovery.  Each call searches afresh
+        and returns a fresh list.  The test suite's ``oracle_ambiguities``
+        finds the same list by comparing every pair of lifts.
         """
-        if self._ambiguities is None:
-            self._ambiguities = tuple(self._search_ambiguities())
-        return list(self._ambiguities)
-
-    def _search_ambiguities(self) -> list[Ambiguity]:
         out = []
         max_degree = self.max_degree
         by_leading = self.by_leading

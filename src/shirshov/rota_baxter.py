@@ -96,9 +96,9 @@ from .algebra import (
     AlgebraConfig,
     Poly,
     _subtract,
-    as_fraction,
     expansion,
     lie_expand,
+    narrow,
 )
 from .lyndon import (
     enumerate_alsw,
@@ -141,15 +141,14 @@ def _check_parameter(u: Word, alphabet) -> None:
 def _section_poly(alphabet, op: str, u: Word) -> Poly:
     """g(u) in one pass over [u]: c·D(P(m)) for each term c·m, then −c·m."""
     bu = expansion(alphabet, shirshov_bracket(u, alphabet))
-    terms = {
-        Word((Prime(1, OpApp(op, (m,))),)): as_fraction(c) for m, c in bu.items()
-    }
-    terms.update((m, as_fraction(-c)) for m, c in bu.items())
+    terms = {Word((Prime(1, OpApp(op, (m,))),)): c for m, c in bu.items()}
+    terms.update((m, -c) for m, c in bu.items())
     return Poly(terms)
 
 
 def _rota_baxter_poly(alphabet, op: str, weight, u: Word, v: Word) -> Poly:
-    """f(u,v) from the memo's expansions of its four bracketed nodes."""
+    """f(u,v) from the memo's expansions of its four bracketed nodes, with
+    ``int``s where integral: at λ = 1/2, λ·2 is narrowed to 1."""
 
     def operated(t):
         return NaLeaf(0, NaOp(op, (t,)))
@@ -166,8 +165,8 @@ def _rota_baxter_poly(alphabet, op: str, weight, u: Word, v: Word) -> Poly:
     ):
         if c:
             e = expansion(alphabet, operated(t))
-            _subtract(terms, ((w, c * k) for w, k in e.items()))
-    return Poly({w: as_fraction(c) for w, c in terms.items()})
+            _subtract(terms, ((w, narrow(c * k)) for w, k in e.items()))
+    return Poly(terms)
 
 
 class DrblSystem:
@@ -230,11 +229,11 @@ class DrblSystem:
                 raise ValueError("parameters must satisfy u > v in deg-lex")
             _check_parameter(u, alphabet)
             _check_parameter(v, alphabet)
-            op = self.operator
+            op, weight = self.operator, narrow(self.config.weight)
             lead = Word((Prime(0, OpApp(op, (u,))), Prime(0, OpApp(op, (v,)))))
             # its breadth-2 group has the greatest degree: it leads every lift
             got = Rule(
-                partial(_rota_baxter_poly, alphabet, op, self.config.weight, u, v),
+                partial(_rota_baxter_poly, alphabet, op, weight, u, v),
                 ("rota-baxter", u, v),
                 {lead: ONE},
             )

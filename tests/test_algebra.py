@@ -141,6 +141,18 @@ def test_differential_weighted_marks_subsets():
     assert got3b.terms[parse_word("D(x) y x", A2)] == 1
 
 
+def test_differential_at_a_fractional_weight_keeps_single_hits_integral():
+    # a single hit carries the coefficient as it is; only the product with
+    # a power of the weight may make a Fraction
+    c = cfg(Fraction(1, 2))
+    xy = parse_word("x y", A2)
+    got = apply_D(c, Poly({xy: 5}))
+    assert got == derivation_recursive(c, xy).scale(5)
+    single = [got.terms[parse_word(s, A2)] for s in ("D(x) y", "x D(y)")]
+    assert single == [5, 5] and [type(k) for k in single] == [int, int]
+    assert got.terms[parse_word("D(x) D(y)", A2)] == Fraction(5, 2)
+
+
 def test_differential_product_rule_identity():
     rng = random.Random(7)
     for weight in (0, 1, 2, Fraction(-1)):

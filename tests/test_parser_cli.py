@@ -36,7 +36,7 @@ from shirshov import (
 )
 import shirshov.cli
 from shirshov.cli import MAX_GENS, main, make_alphabet
-from shirshov.words import enumerate_words
+from shirshov.words import ArgHole, Context, Hole, enumerate_words
 from oracles import expand_template as oracle_lie_expand
 from oracles import oracle_parse_term
 
@@ -389,6 +389,16 @@ def test_zero_polynomial_formats_as_zero():
     assert parse_poly("0 x1", X1) == Poly.zero()
 
 
+def test_primes_and_contexts_format_as_the_trace_prints_them():
+    w = parse_word("P(x1 x2) D(x1) x2", X2)
+    assert [format_term(p) for p in w.primes] == ["P(x1 x2)", "D(x1)", "x2"]
+    top = Context(w.primes[:1], Hole(0), w.primes[2:])
+    assert format_term(top) == "P(x1 x2) * * * x2"
+    inner = Context((), Hole(0), w.primes[0].head.args[0].primes[1:])
+    nested = Context((), ArgHole(0, "P", (), inner, ()), w.primes[1:])
+    assert format_term(nested) == "P(* x2) * D(x1) * x2"
+
+
 def test_polys_print_in_their_own_order_unless_a_configuration_sorts_them():
     x1, x2, x1x2 = (parse_word(s, X2) for s in ("x1", "x2", "x1 x2"))
     p = Poly({x2: Fraction(1), x1x2: Fraction(-1), x1: Fraction(3, 2)})
@@ -413,6 +423,20 @@ def test_cli_nf_lie_example(capsys):
     )
     assert rc == 0 and err == ""
     assert out == "P([P(x1) x2]) - P([P(x2) x1]) + P([x1 x2])\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--max-deg", "1", "0"],
+        ["nf", "--lambda", "1", "--max-deg", "4",
+         "[P(x1) P(x2)] - P([P(x1) x2]) + P([P(x2) x1]) - P([x1 x2])"],
+    ],
+    ids=["bare-zero", "rota-baxter-identity"],
+)
+def test_cli_nf_prints_a_zero_normal_form_as_0(capsys, argv):
+    # a bare rational must be zero; f(x2, x1) at weight 1 is in the ideal
+    assert run_cli(capsys, *argv) == (0, "0\n", "")
 
 
 def test_cli_nf_assoc_matches_library(capsys):
@@ -782,6 +806,24 @@ def test_cli_closed_stdout_exits_2_without_a_traceback(max_deg):
     assert run.returncode == 2
     assert run.stderr.startswith("error: ")
     assert len(run.stderr.splitlines()) == 1, run.stderr
+
+
+def test_cli_stdout_closed_after_one_line_exits_2_with_the_error_line():
+    # 383 kB is far more than a pipe holds, so the command is still
+    # printing when the reader goes away
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "shirshov",
+         "lyndon", "--gens", "3", "--max-deg", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=120)
+    assert first == b"degree 1: 3\n"
+    assert (rc, err) == (2, b"error: standard output closed early\n")
 
 
 @pytest.mark.parametrize("mode", ["lie", "assoc"])

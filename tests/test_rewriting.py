@@ -38,7 +38,7 @@ from shirshov import (
 )
 from shirshov.cli import make_alphabet
 from shirshov.rewriting import collector_paused, lift_leadings
-from shirshov.words import ArgHole, Context, Hole, Word, enumerate_words
+from shirshov.words import ArgHole, Context, Hole, Word, enumerate_words, occurrences
 from oracles import oracle_ambiguities, oracle_random_reduce
 
 
@@ -379,6 +379,27 @@ def test_cached_cores_and_multiples_equal_fresh_ones_after_a_check(weight):
         core = apply_D(config, fresh.rules[i].poly, lift)
         want = special_expand(config, ctx, leading(config, core)[0], core)
         assert list(terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("weight", (0, Fraction(1, 2)), ids=str)
+def test_checks_in_both_modes_leave_rules_and_cached_cores_as_built(weight):
+    # lift 0 of the cache is the rule's own polynomial, so a composition or
+    # reduction in either mode that subtracted from a cached core in place
+    # would change the rule too
+    config = AlgebraConfig(make_alphabet(2), Fraction(weight))
+    engine = DrblSystem(config).system(6)
+    engine.is_gsb("assoc")
+    engine.is_gsb("lie")
+    fresh = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight))).system(6)
+    for rule, want in zip(engine.rules, fresh.rules):
+        assert list(rule.poly.terms.items()) == list(want.poly.terms.items())
+    cores = engine._lifts._cores
+    assert sum(lift == 0 for _, lift in cores) > 10 and len(cores) > 20
+    for (i, lift), core in cores.items():
+        if lift == 0:
+            assert core is engine.rules[i].narrowed
+        want = apply_D(config, fresh.rules[i].poly, lift)
+        assert list(core.terms.items()) == list(want.terms.items())
 
 
 @pytest.mark.parametrize("weight", (0, 1))
@@ -816,6 +837,23 @@ def test_enumerate_irr_examples():
     assert empty.reduce(parse_poly("P(x) x + D(x)", A1)) == parse_poly(
         "P(x) x + D(x)", A1
     )
+
+
+@pytest.mark.parametrize("weight", (0, 1))
+def test_enumerate_irr_assoc_keeps_the_words_no_lifted_leading_occurs_in(weight):
+    # the engine's run lookup against the occurrence walker of ``words``
+    sys_ = DrblSystem(cfg(A1, weight)).system(5)
+    leads = [e.leading_word for e in sys_.lifted]
+    by_deg = enumerate_words(A1, 5)
+    for bound in (4, 5):
+        want = [
+            w
+            for d in range(1, bound + 1)
+            for w in by_deg[d]
+            if not any(occurrences(w, v) for v in leads)
+        ]
+        assert sys_.enumerate_irr("assoc", bound) == want
+        assert 0 < len(want) < sum(len(by_deg[d]) for d in range(1, bound + 1))
 
 
 def test_reduce_guards_the_degree_bound():

@@ -219,6 +219,27 @@ def test_enumerate_words_counts_small():
     assert [repr(w) for w in by_deg[2]] == ["D(x)", "P(x)", "x * x"]
 
 
+def test_enumerate_words_counts_a_binary_operator():
+    # primes of degree d: D^(d-1) of the two generators, and D^k(Q(a, b))
+    # with deg a + deg b = d - 1 - k; words of degree d: a prime of degree
+    # k, then a word of degree d - k.  So the primes number 2, 2, 2 + 2·2
+    # and 2 + (2·6 + 6·2) + 2·2, and the words 2, 2 + 2·2 = 6,
+    # 6 + 2·6 + 2·2 = 22 and 30 + 2·22 + 2·6 + 6·2 = 98.
+    alphabet = Alphabet(("x", "y"), (("Q", 2),))
+    by_deg = enumerate_words(alphabet, 4)
+    assert [len(by_deg[d]) for d in (1, 2, 3, 4)] == [2, 6, 22, 98]
+    primes = {d: [w for w in by_deg[d] if len(w.primes) == 1] for d in by_deg}
+    assert [len(primes[d]) for d in (1, 2, 3, 4)] == [2, 2, 6, 30]
+    assert sorted(format_term(w) for w in primes[3]) == [
+        "D^2(x)", "D^2(y)", "Q(x, x)", "Q(x, y)", "Q(y, x)", "Q(y, y)"
+    ]
+    # each argument pair once, the degree-1 argument on either side
+    heads = [w.primes[0].head for w in primes[4] if w.primes[0].d_power == 0]
+    assert len(heads) == len(set(heads)) == 24
+    assert sorted(h.args[0].degree for h in heads) == [1] * 12 + [2] * 12
+    assert [w.degree for w in by_deg[4]] == [4] * 98
+
+
 def test_only_bare_holes():
     assert Hole(0) is Hole(0)
     for k in (1, 2):
