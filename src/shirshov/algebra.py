@@ -47,6 +47,7 @@ from .words import (
     Prime,
     Word,
     substitute,
+    term_repr,
 )
 
 ZERO = Fraction(0)
@@ -131,10 +132,7 @@ class Poly:
         """Largest monomial degree present; -1 for the zero polynomial."""
         return max((w.degree for w in self.terms), default=-1)
 
-    def __repr__(self):
-        from .syntax import format_poly
-
-        return format_poly(self)
+    __repr__ = term_repr
 
 
 def multiply(p: Poly, q: Poly) -> Poly:

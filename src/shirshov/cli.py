@@ -85,11 +85,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _system(gens: int, args) -> DrblSystem:
+    """The system over ``gens`` generators at the requested weight."""
+    return DrblSystem(AlgebraConfig(make_alphabet(gens), args.weight))
+
+
 def _cmd_nf(args) -> int:
-    alphabet = make_alphabet(_infer_gens(args.expr))
-    config = AlgebraConfig(alphabet, args.weight)
-    value = parse_term(args.expr, alphabet)
-    sys_ = DrblSystem(config)
+    sys_ = _system(_infer_gens(args.expr), args)
+    config = sys_.config
+    value = parse_term(args.expr, config.alphabet)
     log = [] if args.trace else None
     if args.mode == "lie":
         nf = drbl_nf(value, sys_, max_degree=args.max_deg, log=log)
@@ -101,12 +105,9 @@ def _cmd_nf(args) -> int:
 
         value = lie_expand(config, value)
     if value.max_degree() > args.max_deg:
-        print(
-            "error: degree %d exceeds --max-deg %d"
-            % (value.max_degree(), args.max_deg),
-            file=sys.stderr,
+        raise ValueError(
+            "degree %d exceeds --max-deg %d" % (value.max_degree(), args.max_deg)
         )
-        return 2
     engine = sys_.system(args.max_deg)
     nf = engine.reduce(value, mode="assoc", log=log)
     _print_trace(log, lambda step: engine.rules[step.rule_index].origin)
@@ -131,10 +132,18 @@ def _print_trace(log, tag_of) -> None:
         )
 
 
+def _print_by_degree(by_deg: dict, config: AlgebraConfig | None = None) -> None:
+    """``degree d: n`` and then the terms of that degree, indented."""
+    for d in sorted(by_deg):
+        print("degree %d: %d" % (d, len(by_deg[d])))
+        for t in by_deg[d]:
+            print("  %s" % format_term(t, config))
+
+
 def _cmd_basis(args) -> int:
-    alphabet = make_alphabet(args.gens)
-    config = AlgebraConfig(alphabet, args.weight)
-    basis = enumerate_basis(DrblSystem(config), args.max_deg)
+    sys_ = _system(args.gens, args)
+    config = sys_.config
+    basis = enumerate_basis(sys_, args.max_deg)
     if args.json:
         payload = {
             "lambda": str(args.weight),
@@ -149,21 +158,13 @@ def _cmd_basis(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    for d in sorted(basis):
-        print("degree %d: %d" % (d, len(basis[d])))
-        for t in basis[d]:
-            print("  %s" % format_term(t, config))
+    _print_by_degree(basis, config)
     return 0
 
 
 def _cmd_lyndon(args) -> int:
     alphabet = make_alphabet(args.gens, with_operator=False)
-    by_deg = enumerate_alsw_by_degree(alphabet, args.max_deg)
-    for d in sorted(by_deg):
-        words = by_deg[d]
-        print("degree %d: %d" % (d, len(words)))
-        for w in words:
-            print("  %s" % format_term(w))
+    _print_by_degree(enumerate_alsw_by_degree(alphabet, args.max_deg))
     return 0
 
 
@@ -181,9 +182,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_check_gsb(args) -> int:
-    alphabet = make_alphabet(args.gens)
-    config = AlgebraConfig(alphabet, args.weight)
-    sys_ = DrblSystem(config)
+    sys_ = _system(args.gens, args)
+    config = sys_.config
     s1_only = args.system == "s1"
     engine = sys_.system(args.max_deg, s1_only=s1_only)
     mode = "assoc" if s1_only else "lie"
@@ -214,10 +214,9 @@ def _cmd_check_gsb(args) -> int:
 
 
 def _cmd_oracle_dim(args) -> int:
-    alphabet = make_alphabet(args.gens)
-    config = AlgebraConfig(alphabet, args.weight)
-    sys_ = DrblSystem(config)
-    dims = oracle_quotient_dim(config, instantiate_rules(sys_, args.max_deg), args.max_deg)
+    sys_ = _system(args.gens, args)
+    rules = instantiate_rules(sys_, args.max_deg)
+    dims = oracle_quotient_dim(sys_.config, rules, args.max_deg)
     for d, dim in enumerate(dims, start=1):
         print("degree %d: %d" % (d, dim))
     return 0
@@ -238,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=Fraction(0),
         help="weight λ as p, p/q or a decimal",
     )
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--gens", type=_positive_int, required=True)
+    sized.add_argument("--max-deg", type=_positive_int, required=True)
 
     p = sub.add_parser("nf", parents=[weight], help="normal form of an expression")
     p.add_argument("--mode", choices=("lie", "assoc"), default="lie")
@@ -250,15 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_nf)
 
-    p = sub.add_parser("basis", parents=[weight], help="linear basis by degree")
-    p.add_argument("--gens", type=_positive_int, required=True)
-    p.add_argument("--max-deg", type=_positive_int, required=True)
+    p = sub.add_parser("basis", parents=[weight, sized], help="linear basis by degree")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_basis)
 
-    p = sub.add_parser("lyndon", help="Lyndon-Shirshov words over generators")
-    p.add_argument("--gens", type=_positive_int, required=True)
-    p.add_argument("--max-deg", type=_positive_int, required=True)
+    p = sub.add_parser(
+        "lyndon", parents=[sized], help="Lyndon-Shirshov words over generators"
+    )
     p.set_defaults(func=_cmd_lyndon)
 
     p = sub.add_parser("bracket", help="standard bracketing of a word")
@@ -273,11 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-dim",
-        parents=[weight],
+        parents=[weight, sized],
         help="quotient dimensions by ideal rank (exact at weight 0)",
     )
-    p.add_argument("--gens", type=_positive_int, required=True)
-    p.add_argument("--max-deg", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_oracle_dim)
 
     return parser
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: standard output closed early", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, AssertionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from .lyndon import (
     is_alsw_hereditary,
     special_terms_from_lead,
 )
+from .rewriting import collector_paused
 from .words import Word, context_at, subword_runs
 
 
@@ -88,6 +89,7 @@ def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
             yield row
 
 
+@collector_paused()
 def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=None):
     """Per-degree dimensions of the Lie quotient modulo the given rules.
 

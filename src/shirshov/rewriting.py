@@ -72,13 +72,16 @@ Reduction to zero certifies triviality; a nonzero residue means the
 composition is not certified by naive reduction, which is weaker than a
 disproof, and the report wording preserves that distinction.
 
-Building an engine (``rota_baxter.DrblSystem.system``) and checking it
-(``RewriteSystem.is_gsb``) run with Python's cyclic garbage collector
-paused (``collector_paused``).  They allocate hundreds of thousands of
-long-lived dicts, tuples and words, and the collector keeps rescanning
-them: building the degree-9 section-rule engine set off about 600
-collections, four of them full, which took over a quarter of the time
-and freed nothing.  The pause is safe because the engine's data holds no
+Building an engine (``rota_baxter.DrblSystem.system``), checking it
+(``RewriteSystem.is_gsb``) and the basis and oracle builders
+(``rota_baxter.enumerate_basis`` and ``instantiate_rules``,
+``reference.oracle_quotient_dim``) run with Python's cyclic garbage
+collector paused (``collector_paused``).  They allocate hundreds of
+thousands of long-lived dicts, tuples and words, and the collector keeps
+rescanning them: building the degree-9 section-rule engine set off about
+600 collections, four of them full, which took over a quarter of the time
+and freed nothing, and a basis and oracle run at degree 6 over two
+generators set off 40.  The pause is safe because the engine's data holds no
 reference cycles (the lift caches reach their rules, and rules their
 builders, without a reference back to their owner), so reference
 counting frees all of it; a cycle made elsewhere meanwhile is collected
@@ -134,6 +137,7 @@ from .words import (
     context_at,
     enumerate_words,
     subword_runs,
+    term_repr,
 )
 
 
@@ -295,10 +299,7 @@ class LieCombination:
             _add(out, ((w, c * k) for w, k in expansion(alphabet, t).items()))
         return Poly(out)
 
-    def __repr__(self):
-        from .syntax import format_combination
-
-        return format_combination(self.terms)
+    __repr__ = term_repr
 
 
 @dataclass

@@ -303,12 +303,8 @@ class DrblSystem:
         cyclic garbage collector paused (``rewriting.collector_paused``).
         """
         with collector_paused():
-            rules = (
-                s1_rules(self, max_degree)
-                if s1_only
-                else instantiate_rules(self, max_degree)
-            )
-            return RewriteSystem(self.config, rules, max_degree)
+            build = s1_rules if s1_only else instantiate_rules
+            return RewriteSystem(self.config, build(self, max_degree), max_degree)
 
 
 def s1_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
@@ -319,6 +315,7 @@ def s1_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
     ]
 
 
+@collector_paused()
 def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
     """Every rule whose leading word has degree at most ``max_degree``.
 
@@ -508,6 +505,7 @@ def _contains_descending_pair(w: Word, alphabet) -> bool:
     return False
 
 
+@collector_paused()
 def enumerate_basis(sys: DrblSystem, max_degree: int) -> dict[int, list]:
     """Bracketed basis words by degree.
 

@@ -383,31 +383,27 @@ def _coeff_prefix(c: Fraction, first: bool) -> str:
     return " - %s " % -c
 
 
+def _signed_sum(pairs, fmt) -> str:
+    """Join (coefficient, term) pairs as a signed sum; ``0`` when empty."""
+    pieces = []
+    for c, t in pairs:
+        pieces.append(_coeff_prefix(c, not pieces))
+        pieces.append(fmt(t))
+    return "".join(pieces) or "0"
+
+
 def format_poly(p: Poly, config: AlgebraConfig | None = None) -> str:
     """Terms deg-lex descending under ``config``, else in ``p``'s own order."""
-    if not p.terms:
-        return "0"
     items = p.terms.items()
     if config is not None:
         key = config.alphabet.key
         items = sorted(items, key=lambda t: key(t[0]), reverse=True)
-    pieces = []
-    for idx, (w, c) in enumerate(items):
-        pieces.append(_coeff_prefix(c, idx == 0))
-        pieces.append(format_word(w))
-    return "".join(pieces)
+    return _signed_sum(((c, w) for w, c in items), format_word)
 
 
 def format_combination(terms) -> str:
     """Format a sequence of (coefficient, bracketed word) pairs."""
-    terms = list(terms)
-    if not terms:
-        return "0"
-    pieces = []
-    for idx, (c, t) in enumerate(terms):
-        pieces.append(_coeff_prefix(c, idx == 0))
-        pieces.append(format_naword(t))
-    return "".join(pieces)
+    return _signed_sum(terms, format_naword)
 
 
 def format_term(t, config: AlgebraConfig | None = None) -> str:

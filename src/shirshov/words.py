@@ -75,6 +75,13 @@ def _lookup(table: dict, key):
     return None if ref is None else ref()
 
 
+def term_repr(t) -> str:
+    """The ``__repr__`` of every term type: its text from ``syntax``."""
+    from .syntax import format_term
+
+    return format_term(t)
+
+
 # Intern tables.  The hottest, for words, primes and operator applications,
 # are keyed by parts the object holds anyway, so a lookup builds no key
 # tuple; the rest are keyed by the tuple of the object's slots.
@@ -162,10 +169,7 @@ class Prime:
         """The same prime with ``k`` more D applications."""
         return Prime(self.d_power + k, self.head) if k else self
 
-    def __repr__(self):
-        from .syntax import format_prime
-
-        return format_prime(self)
+    __repr__ = term_repr
 
 
 class Word:
@@ -200,10 +204,7 @@ class Word:
     def breadth(self) -> int:
         return len(self.primes)
 
-    def __repr__(self):
-        from .syntax import format_word
-
-        return format_word(self)
+    __repr__ = term_repr
 
 
 def concat(*words: Word) -> Word:
@@ -282,8 +283,9 @@ class Alphabet:
                     k = (p.degree, rank) + tuple(self.key(a) for a in head.args)
             else:
                 # D^i(u) compares as (D, D^(i-1)(u)); D ranks below operators.
-                inner = Word((Prime(p.d_power - 1, head),))
-                k = (p.degree, 0, self.key(inner))
+                # The one-prime word D^(i-1)(u) keys as (degree, 1, its prime).
+                inner = Prime(p.d_power - 1, head)
+                k = (p.degree, 0, (inner.degree, 1, self.prime_key(inner)))
             self._prime_keys[p] = k
         return k
 
@@ -373,10 +375,7 @@ class Context:
     def is_identity(self) -> bool:
         return self is IDENTITY_CONTEXT
 
-    def __repr__(self):
-        from .syntax import format_context
-
-        return format_context(self)
+    __repr__ = term_repr
 
 
 IDENTITY_CONTEXT = Context((), _HOLE, ())
@@ -568,10 +567,7 @@ class NaLeaf:
     def __reduce__(self):
         return NaLeaf, (self.d_power, self.head)
 
-    def __repr__(self):
-        from .syntax import format_naword
-
-        return format_naword(self)
+    __repr__ = term_repr
 
 
 class NaPair:
@@ -591,7 +587,4 @@ class NaPair:
     def __reduce__(self):
         return NaPair, (self.left, self.right)
 
-    def __repr__(self):
-        from .syntax import format_naword
-
-        return format_naword(self)
+    __repr__ = term_repr

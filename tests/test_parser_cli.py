@@ -670,6 +670,17 @@ def test_cli_oracle_dim(capsys):
     assert out == "degree 1: 1\ndegree 2: 2\ndegree 3: 5\n"
 
 
+def test_cli_a_failed_certificate_exits_2_with_one_error_line(capsys, monkeypatch):
+    # the oracle's pivot certificate raises AssertionError; main reports it
+    # as an error line, not a traceback
+    import shirshov.reference as reference
+
+    monkeypatch.setattr(reference, "is_alsw", lambda u, alphabet: False)
+    rc, out, err = run_cli(capsys, "oracle-dim", "--gens", "1", "--max-deg", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ideal pivot") and err.count("\n") == 1
+
+
 def test_cli_repeated_runs_are_byte_identical(capsys):
     args = ("basis", "--gens", "2", "--lambda", "2", "--max-deg", "3", "--json")
     rc1, out1, _ = run_cli(capsys, *args)

@@ -25,6 +25,8 @@ from shirshov import (
     drbl_nf,
     enumerate_alsw,
     enumerate_alsw_by_degree,
+    enumerate_basis,
+    instantiate_rules,
     leading,
     lie_expand,
     make_rule,
@@ -37,6 +39,7 @@ from shirshov import (
     subst_poly,
 )
 from shirshov.cli import make_alphabet
+from shirshov.reference import oracle_quotient_dim
 from shirshov.rewriting import collector_paused, lift_leadings
 from shirshov.words import ArgHole, Context, Hole, Word, enumerate_words, occurrences
 from oracles import oracle_ambiguities, oracle_random_reduce
@@ -543,7 +546,7 @@ def test_a_planted_lead_coefficient_fails_the_special_multiple_certificate():
         engine.special_multiple(right.rule_index, right.lift, amb.context)
 
 
-def test_find_ambiguities_is_memoised_as_fresh_lists():
+def test_find_ambiguities_returns_equal_fresh_lists():
     c = cfg(A1, 1)
     sys_ = DrblSystem(c).system(5)
     first = sys_.find_ambiguities()
@@ -1054,6 +1057,37 @@ def test_a_pause_leaves_no_young_collection_behind(collector_state):
     assert started == []
     assert gc.get_count()[0] < gc.get_threshold()[0]
     assert engine.rules
+
+
+def test_basis_and_oracle_builders_leave_the_collector_idle(collector_state):
+    # enumerate_basis, instantiate_rules and oracle_quotient_dim run paused:
+    # what they allocate is long-lived, so a collection there frees nothing
+    collector_state(True)
+    config = AlgebraConfig(make_alphabet(2), Fraction(1))
+    drbl = DrblSystem(config)
+
+    def collections_during(build, *args):
+        gc.collect()
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            result = build(*args)
+        finally:
+            gc.callbacks.remove(count)
+        assert gc.isenabled()
+        return started, result
+
+    started, basis = collections_during(enumerate_basis, drbl, 6)
+    assert started == [] and len(basis[6]) == 785
+    started, rules = collections_during(instantiate_rules, drbl, 6)
+    assert started == [] and rules
+    started, dims = collections_during(oracle_quotient_dim, config, rules, 6)
+    assert started == [] and dims[-1] == 785
 
 
 @pytest.fixture

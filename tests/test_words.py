@@ -118,6 +118,23 @@ def test_deglex_total_order_exhaustive():
             assert a > c
 
 
+def test_d_prime_keys_intern_no_words():
+    # D^i(h) keys as (degree, 0, key of the one-prime word D^(i-1)(h)),
+    # built from the inner prime's key: no word is made or memoised
+    fresh = make_alphabet(2)
+    assert fresh.prime_key(Prime(5, "x1"))[:2] == (6, 0)
+    assert fresh._word_keys == {}
+    config = AlgebraConfig(make_alphabet(2), Fraction(1))
+    assert DrblSystem(config).system(6).is_gsb("lie")
+    alphabet, second = config.alphabet, make_alphabet(2)
+    d_primes = [p for p in alphabet._prime_keys if p.d_power]
+    assert {p.d_power for p in d_primes} == {1, 2, 3}
+    assert any(type(p.head) is OpApp for p in d_primes)
+    for p in d_primes:
+        want = (p.degree, 0, second.key(Word((p.shifted(-1),))))
+        assert alphabet.prime_key(p) == want
+
+
 def test_lex_proper_prefix_is_greater():
     x = parse_word("x", A2)
     xy = parse_word("x y", A2)
