@@ -31,8 +31,8 @@ from .algebra import AlgebraConfig
 from .lyndon import enumerate_alsw_by_degree, shirshov_bracket
 from .reference import oracle_quotient_dim
 from .rota_baxter import DrblSystem, drbl_nf, enumerate_basis, instantiate_rules
-from .syntax import format_context, format_poly, format_term, parse_term, parse_word
-from .words import Alphabet, NaLeaf, NaPair
+from .syntax import format_context, format_poly, format_term, parse_poly, parse_word
+from .words import Alphabet
 
 
 # The most generators a command accepts.  The name of every generator is
@@ -92,26 +92,21 @@ def _system(gens: int, args) -> DrblSystem:
 
 def _cmd_nf(args) -> int:
     sys_ = _system(_infer_gens(args.expr), args)
-    config = sys_.config
-    value = parse_term(args.expr, config.alphabet)
+    value = parse_poly(args.expr, sys_.config.alphabet)
     log = [] if args.trace else None
     if args.mode == "lie":
         nf = drbl_nf(value, sys_, max_degree=args.max_deg, log=log)
-        _print_trace(log, lambda step: step.rule_index)
-        print(format_term(nf, config))
-        return 0
-    if isinstance(value, (NaLeaf, NaPair)):
-        from .algebra import lie_expand
-
-        value = lie_expand(config, value)
-    if value.max_degree() > args.max_deg:
+        tag_of = lambda step: step.rule_index
+    elif value.max_degree() > args.max_deg:
         raise ValueError(
             "degree %d exceeds --max-deg %d" % (value.max_degree(), args.max_deg)
         )
-    engine = sys_.system(args.max_deg)
-    nf = engine.reduce(value, mode="assoc", log=log)
-    _print_trace(log, lambda step: engine.rules[step.rule_index].origin)
-    print(format_poly(nf, config))
+    else:
+        engine = sys_.system(args.max_deg)
+        nf = engine.reduce(value, mode="assoc", log=log)
+        tag_of = lambda step: engine.rules[step.rule_index].origin
+    _print_trace(log, tag_of)
+    print(format_term(nf, sys_.config))
     return 0
 
 

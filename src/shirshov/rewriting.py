@@ -473,6 +473,11 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
     return LieCombination(tuple(out))
 
 
+def _check_mode(mode: str) -> None:
+    if mode != "assoc" and mode != "lie":
+        raise ValueError("mode must be 'assoc' or 'lie'")
+
+
 class RewriteSystem:
     """A rule set instantiated and lift-bounded up to a fixed degree.
 
@@ -529,11 +534,7 @@ class RewriteSystem:
         return best, context_at(u.primes, best_where)
 
     def is_reducible(self, u: Word) -> bool:
-        by_leading = self.by_leading
-        for run, _ in subword_runs(u):
-            if run in by_leading:
-                return True
-        return False
+        return self.match(u) is not None
 
     def special_multiple(self, rule_index: int, lift: int, ctx: Context) -> Poly:
         """Isolating-bracketed multiple of a lifted rule, leading certified."""
@@ -556,10 +557,9 @@ class RewriteSystem:
         result contains no lifted leading word.  Lie mode requires a Lie
         element and returns the expansion of its bracketed normal form.
         """
+        _check_mode(mode)
         if mode == "lie":
             return self.lie_normal_form(p, log).as_poly(self.config)
-        if mode != "assoc":
-            raise ValueError("mode must be 'assoc' or 'lie'")
         self._guard_degree(p)
         key = self.config.alphabet.key
         working = dict(p.terms)
@@ -680,6 +680,7 @@ class RewriteSystem:
         is the expansion of a Lie element; the ambiguity word must be a
         Lyndon-Shirshov word for the bracketings to exist.
         """
+        _check_mode(mode)
         config = self.config
         left, right = amb.left, amb.right
         lifts = self._lifts
@@ -721,6 +722,7 @@ class RewriteSystem:
 
     def is_gsb(self, mode: str = "assoc") -> GsbReport:
         """Reduce every composition; nonzero residues are 'not certified'."""
+        _check_mode(mode)
         with collector_paused():
             ambs = self.find_ambiguities()
             failures = []
@@ -748,8 +750,7 @@ class RewriteSystem:
                 for w in by_deg.get(d, ())
                 if not self.is_reducible(w)
             ]
-        if mode != "lie":
-            raise ValueError("mode must be 'assoc' or 'lie'")
+        _check_mode(mode)
         return [
             shirshov_bracket(w, self.config.alphabet)
             for w in enumerate_alsw(self.config, n)

@@ -42,7 +42,8 @@ with magnitude-one coefficients elided, and ``D`` powers of one written
 ``format_poly`` prints terms deg-lex descending by its alphabet's key;
 without one (as ``Poly.__repr__`` does) it prints them in the
 polynomial's own order, which is deterministic, since no set of terms is
-ever iterated (see ``words``).
+ever iterated (see ``words``).  A context prints as the word it makes
+with its hole filled by a prime named ``*``.
 """
 
 from __future__ import annotations
@@ -62,14 +63,13 @@ from .algebra import (
 )
 from .words import (
     Alphabet,
-    ArgHole,
     Context,
-    Hole,
     NaLeaf,
     NaOp,
     NaPair,
     Prime,
     Word,
+    substitute,
 )
 
 
@@ -349,22 +349,7 @@ def format_naword(t) -> str:
 
 
 def format_context(ctx: Context) -> str:
-    return " * ".join(_context_pieces(ctx))
-
-
-def _context_pieces(ctx: Context):
-    pieces = [format_prime(p) for p in ctx.before]
-    core = ctx.core
-    pieces.append("*" if type(core) is Hole else _format_arghole(core))
-    pieces.extend(format_prime(p) for p in ctx.after)
-    return pieces
-
-
-def _format_arghole(core: ArgHole) -> str:
-    args = [_format_arg_word(a) for a in core.args_before]
-    args.append(" ".join(_context_pieces(core.inner)))
-    args.extend(_format_arg_word(a) for a in core.args_after)
-    return _d_wrap(core.d_power, "%s(%s)" % (core.name, ", ".join(args)))
+    return format_word(substitute(ctx, Word((Prime(0, "*"),))))
 
 
 def _coeff_prefix(c: Fraction, first: bool) -> str:

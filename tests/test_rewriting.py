@@ -1113,3 +1113,17 @@ def test_a_pause_leaves_frozen_objects_frozen(collector_state, frozen_objects):
     assert gc.get_freeze_count() == frozen
     assert engine.is_gsb("lie")
     assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("gens", [1, 2])
+def test_an_unknown_mode_is_rejected_before_any_composition(gens):
+    engine = DrblSystem(AlgebraConfig(make_alphabet(gens), 0)).system(5)
+    amb = engine.find_ambiguities()[0]
+    for call in (
+        lambda: engine.is_gsb("bogus"),
+        lambda: engine.composition(amb, "Lie"),
+        lambda: RewriteSystem(engine.config, [], 3).is_gsb("bogus"),
+    ):
+        with pytest.raises(ValueError, match="^mode must be 'assoc' or 'lie'$"):
+            call()
+    assert engine.is_gsb("lie") and engine.is_gsb("assoc")
