@@ -102,7 +102,8 @@ def _cmd_nf(args) -> int:
             "degree %d exceeds --max-deg %d" % (value.max_degree(), args.max_deg)
         )
     else:
-        engine = sys_.system(args.max_deg)
+        # deg-lex is degree-compatible: no rule above the input's degree fires
+        engine = sys_.system(max(value.max_degree(), 1))
         nf = engine.reduce(value, mode="assoc", log=log)
         tag_of = lambda step: engine.rules[step.rule_index].origin
     _print_trace(log, tag_of)

@@ -16,9 +16,9 @@ monomial's lift, that monomial's top word would be greater still.  Every
 rule carries the top term of each of its (degree, breadth) groups
 (``Rule.tops``), and ``lift_leadings`` reads only those.  The lifted
 polynomials themselves (cores) are expanded only when a reduction or
-composition uses them, and a rule built from a builder (as the section
-and Rota-Baxter rules of ``rota_baxter`` are) builds its own polynomial
-only then too.
+composition uses them, and a rule of a family (as the section and
+Rota-Baxter rules of ``rota_baxter`` are) builds its own polynomial only
+then too, and derives its tops from its origin tag on each read.
 All matching, ambiguity enumeration and reduction work from these true
 lifted leadings.
 
@@ -83,7 +83,7 @@ rescanning them: building the degree-9 section-rule engine set off about
 and freed nothing, and a basis and oracle run at degree 6 over two
 generators set off 40.  The pause is safe because the engine's data holds no
 reference cycles (the lift caches reach their rules, and rules their
-builders, without a reference back to their owner), so reference
+families, without a reference back to their owner), so reference
 counting frees all of it; a cycle made elsewhere meanwhile is collected
 once the collector runs again.  When the outermost pause ends, every
 tracked object is promoted to the oldest generation, unscanned
@@ -170,35 +170,44 @@ def collector_paused():
 class Rule:
     """A monic rewriting rule with a provenance tag for its family.
 
-    ``poly`` is the rule's polynomial, ``int``s where integral, or a
-    builder that makes it on first read; the rule holds it as
-    ``narrowed``, and the ``poly`` property is a fresh ``Fraction`` copy.
-    A builder must not hold the rule's owner (see the module docstring).
-    ``tops`` maps the deg-lex greatest word of each (degree, breadth) group
-    to its ``Fraction`` coefficient; a group that another beats on both
-    degree and breadth may be left out, since it never leads a lift.  They
-    are all that ``lift_leadings`` reads, so an engine indexes a rule
-    without building it.  Rules compare, hash and print by (poly, origin).
+    ``Rule(poly, origin, tops)`` holds its polynomial, ``int``s where
+    integral, and its ``tops`` (as ``make_rule`` makes them).
+    ``Rule(family, origin)`` holds only its family and origin tag:
+    ``family.poly(origin)`` builds the polynomial on first read and
+    ``family.tops(origin)`` gives the tops on each read.  A family must
+    not hold the rule's owner (see the module docstring).  ``narrowed``
+    is the held polynomial; the ``poly`` property is a fresh ``Fraction``
+    copy.  ``tops`` maps the deg-lex greatest word of each (degree,
+    breadth) group to its ``Fraction`` coefficient; a group that another
+    beats on both degree and breadth may be left out, since it never
+    leads a lift.  They are all that ``lift_leadings`` reads, so an engine
+    indexes a rule without building it.  Rules compare, hash and print by
+    (poly, origin).
     """
 
-    __slots__ = ("_poly", "_build", "origin", "tops")
+    __slots__ = ("_poly", "_family", "_tops", "origin")
 
-    def __init__(self, poly, origin: tuple, tops: dict):
-        if not tops:
-            raise ValueError("rules must be nonzero")
-        if isinstance(poly, Poly):
-            self._poly, self._build = poly, None
+    def __init__(self, source, origin: tuple, tops: dict | None = None):
+        if isinstance(source, Poly):
+            if not tops:
+                raise ValueError("rules must be nonzero")
+            self._poly, self._family = source, None
         else:
-            self._poly, self._build = None, poly
+            self._poly, self._family = None, source
+        self._tops = tops
         self.origin = origin
-        self.tops = tops
+
+    @property
+    def tops(self) -> dict:
+        if self._family is None:
+            return self._tops
+        return self._family.tops(self.origin)
 
     @property
     def narrowed(self) -> Poly:
         """The held polynomial, ``int``s where integral; do not mutate it."""
         if self._poly is None:
-            self._poly = self._build()
-            self._build = None
+            self._poly = self._family.poly(self.origin)
         return self._poly
 
     @property
@@ -500,13 +509,16 @@ class RewriteSystem:
         self._lifts = LiftCache(config, self.rules.__getitem__)
         self.lifted: list[LiftedRule] = []
         # by the primes of the leading word, so a run looks itself up as is
-        self.by_leading: dict[tuple, list[LiftedRule]] = {}
+        self.by_leading: dict[tuple, tuple[LiftedRule, ...]] = {}
+        by_leading = self.by_leading
         for idx, rule in enumerate(self.rules):
             for lift, lead, lc in lift_leadings(config, rule, max_degree):
                 entry = LiftedRule(idx, lift, lead, lc)
                 self.lifted.append(entry)
-                # appended in (rule index, lift) order, the order match prefers
-                self.by_leading.setdefault(lead.primes, []).append(entry)
+                # in (rule index, lift) order, the order match prefers
+                run = lead.primes
+                got = by_leading.get(run)
+                by_leading[run] = (entry,) if got is None else got + (entry,)
 
     # -- matching ----------------------------------------------------------
 

@@ -73,10 +73,12 @@ coefficient 1: the terms of breadth 2 are P(a)·P(b) and P(b)·P(a) for a
 in [u] and b in [v], and u, which is greater than v, is not a word of
 [v].  That term is the rule's one top: the other terms have breadth 1
 and no greater degree, so its group leads every lift at every weight.
-So f(u,v) too is built on the first read of its polynomial.  A rule's
-builder holds the alphabet, never the ``DrblSystem``, so no reference
-cycle forms.  Completion rules take their tops from
-``rewriting.make_rule`` and are built eagerly.
+So f(u,v) too is built on the first read of its polynomial.  Each such
+rule holds only its origin tag and the system's one ``_Families``, which
+builds the polynomial and gives the tops from the tag; it holds the
+alphabet, never the ``DrblSystem``, so no reference cycle forms.
+Completion rules take their tops from ``rewriting.make_rule`` and are
+built eagerly.
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -88,7 +90,6 @@ excluded.
 from __future__ import annotations
 
 import weakref
-from functools import partial
 
 from .algebra import (
     MINUS_ONE,
@@ -169,6 +170,38 @@ def _rota_baxter_poly(alphabet, op: str, weight, u: Word, v: Word) -> Poly:
     return Poly(terms)
 
 
+class _Families:
+    """The section and Rota-Baxter rules of one ``DrblSystem``, each read
+    from its origin tag, ``("section", u)`` or ``("rota-baxter", u, v)``.
+
+    Holds the alphabet, the operator and the narrowed weight, never the
+    system, so no reference cycle forms.
+    """
+
+    __slots__ = ("alphabet", "operator", "weight")
+
+    def __init__(self, config: AlgebraConfig, operator: str):
+        self.alphabet = config.alphabet
+        self.operator = operator
+        self.weight = narrow(config.weight)
+
+    def poly(self, origin: tuple) -> Poly:
+        if origin[0] == "section":
+            return _section_poly(self.alphabet, self.operator, origin[1])
+        _, u, v = origin
+        return _rota_baxter_poly(self.alphabet, self.operator, self.weight, u, v)
+
+    def tops(self, origin: tuple) -> dict:
+        """g(u): D(P(u)) and u; f(u,v): P(u)·P(v), whose breadth-2 group
+        has the greatest degree, so it leads every lift."""
+        op = self.operator
+        if origin[0] == "section":
+            u = origin[1]
+            return {Word((Prime(1, OpApp(op, (u,))),)): ONE, u: MINUS_ONE}
+        _, u, v = origin
+        return {Word((Prime(0, OpApp(op, (u,))), Prime(0, OpApp(op, (v,))))): ONE}
+
+
 class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
@@ -187,6 +220,7 @@ class DrblSystem:
             )
         self.config = config
         self.operator = ops[0][0]
+        self._families = _Families(config, self.operator)
         self._section: dict[Word, Rule] = {}
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
@@ -205,15 +239,8 @@ class DrblSystem:
         """
         got = self._section.get(u)
         if got is None:
-            alphabet = self.config.alphabet
-            _check_parameter(u, alphabet)
-            lead = Word((Prime(1, OpApp(self.operator, (u,))),))
-            got = Rule(
-                partial(_section_poly, alphabet, self.operator, u),
-                ("section", u),
-                {lead: ONE, u: MINUS_ONE},
-            )
-            self._section[u] = got
+            _check_parameter(u, self.config.alphabet)
+            got = self._section[u] = Rule(self._families, ("section", u))
         return got
 
     def rota_baxter_rule(self, u: Word, v: Word) -> Rule:
@@ -229,15 +256,8 @@ class DrblSystem:
                 raise ValueError("parameters must satisfy u > v in deg-lex")
             _check_parameter(u, alphabet)
             _check_parameter(v, alphabet)
-            op, weight = self.operator, narrow(self.config.weight)
-            lead = Word((Prime(0, OpApp(op, (u,))), Prime(0, OpApp(op, (v,)))))
-            # its breadth-2 group has the greatest degree: it leads every lift
-            got = Rule(
-                partial(_rota_baxter_poly, alphabet, op, weight, u, v),
-                ("rota-baxter", u, v),
-                {lead: ONE},
-            )
-            self._rota_baxter[(u, v)] = got
+            rule = Rule(self._families, ("rota-baxter", u, v))
+            got = self._rota_baxter[(u, v)] = rule
         return got
 
     def completion_rule(self, u: Word, lift: int) -> Rule | None:

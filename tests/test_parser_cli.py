@@ -453,6 +453,37 @@ def test_cli_nf_assoc_matches_library(capsys):
     assert out == format_poly(expect, config) + "\n"
 
 
+def test_cli_nf_assoc_builds_rules_only_up_to_the_input_degree(capsys, monkeypatch):
+    from shirshov import DrblSystem
+
+    built = []
+    system = DrblSystem.system
+
+    def spy(self, max_degree, s1_only=False):
+        built.append(max_degree)
+        return system(self, max_degree, s1_only)
+
+    monkeypatch.setattr(DrblSystem, "system", spy)
+    argv = ("nf", "--mode", "assoc", "--max-deg", "7", "x1 x12")
+    assert run_cli(capsys, *argv) == (0, "x1 * x12\n", "")
+    assert built == [2]
+    # no rule above degree 5 is built, so the degree-8 refusal at λ = 1
+    # does not stop an input the --max-deg 7 engine reduces the same way
+    expr = "D(P(x1 x2)) x2 - 3/2 D^2(P(x1)) x1"
+    same = [
+        run_cli(capsys, "nf", "--mode", "assoc", "--lambda", "1", "--max-deg", d,
+                "--trace", expr)
+        for d in ("7", "8")
+    ]
+    assert built == [2, 5, 5]
+    assert same[0] == same[1] == (
+        0,
+        "D(P(x2 x1)) * x2 + x1 * x2 * x2 - x2 * x1 * x2 - 3/2 D(x1) * x1\n",
+        "step 1: section(x1 * x2); lift 0; context * * x2; coefficient 1\n"
+        "step 2: section(x1); lift 1; context * * x1; coefficient -3/2\n",
+    )
+
+
 def test_cli_nf_rejects_oversized_input(capsys):
     rc, out, err = run_cli(
         capsys, "nf", "--mode", "lie", "--max-deg", "2", "P(P(x1))"

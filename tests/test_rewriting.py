@@ -5,6 +5,7 @@ import gc
 import pickle
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -1127,3 +1128,42 @@ def test_an_unknown_mode_is_rejected_before_any_composition(gens):
         with pytest.raises(ValueError, match="^mode must be 'assoc' or 'lie'$"):
             call()
     assert engine.is_gsb("lie") and engine.is_gsb("assoc")
+
+
+def test_the_section_rule_engine_holds_under_1_9_kb_per_rule():
+    # section and pair rules hold only their family and origin: the tops
+    # and the builder are derived from the origin, not stored per rule
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        drbl = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(1)))
+        engine = drbl.system(8, s1_only=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(engine.rules) == 1649
+    assert held / len(engine.rules) <= 1900
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda: DrblSystem(cfg(A2, 1)).system(8, s1_only=True),
+        lambda: DrblSystem(cfg(A2, 0)).system(6),
+        lambda: RewriteSystem(cfg(A2, 0), [parse_poly("x y - y", A2)] * 2, 5),
+    ],
+    ids=["s1-lambda-1", "drbl-lambda-0", "twin-rules"],
+)
+def test_by_leading_holds_tuples_of_the_lifts_in_rule_and_lift_order(engine):
+    engine = engine()
+    want = {}
+    for e in engine.lifted:
+        want.setdefault(e.leading_word.primes, []).append(e)
+    assert all(type(v) is tuple for v in engine.by_leading.values())
+    assert engine.by_leading == {run: tuple(es) for run, es in want.items()}
+    for entries in engine.by_leading.values():
+        assert list(entries) == sorted(entries, key=lambda e: e[:2])
