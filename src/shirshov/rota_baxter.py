@@ -42,7 +42,9 @@ full systems and normal forms that need it are refused, not guessed.
 Rules are built lazily per parameter; the same cache backs the fast path
 and the eagerly instantiated systems handed to the generic engine.  The
 fast path ``drbl_nf`` is the engine's Lie loop ``rewriting.lie_reduce``
-with ``_find_match`` as matcher and lifts cached by rule tag.  The
+with ``_find_match`` as matcher and lifts cached by rule tag; the matcher
+walks the engine's subword runs (``words.subword_runs``) and tests each
+against the patterns above where ``RewriteSystem.match`` looks it up.  The
 standard bracketing [u] is made of the bracketings of u's sub-parameters
 (its standard factors and the arguments of its P-letters), which are
 interned nodes, so the alphabet's memo of bracket expansions
@@ -124,6 +126,7 @@ from .words import (
     Prime,
     Word,
     context_at,
+    subword_runs,
 )
 
 
@@ -376,81 +379,53 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
 def _find_match(sys: DrblSystem, u: Word):
     """Locate the first reducible pattern in a monomial.
 
-    Returns (rule tag, lift, context) or None.  Section and completion
-    patterns are tried before Rota-Baxter pairs, so D-over-P primes never
-    survive into the pair scan; completion and run patterns only exist for
-    nonzero weight.  The first single-prime hit wins, else the first pair,
-    else the first run, each first in ``words.subword_runs`` order:
-    the runs of the top level by start and then by length, then those
-    inside each operator argument, prime by prime, outside in.  Only runs
-    a pattern can match are visited: single primes, adjacent pairs, and at
-    nonzero weight the stretches of two or more primes that each carry a
-    D; a stretch stops growing at the first prime without one.  The
-    context is built for the returned hit alone.
-    """
-    hits = [None, None]  # the first pair and the first run: (tag, lift, where)
-    got = _walk(sys, u.primes, (), hits) or hits[0] or hits[1]
-    if got is None:
-        return None
-    tag, lift, (path, i, j) = got
-    where = (i, j)
-    for t, a in reversed(path):
-        where = (t, a, where)
-    return tag, lift, context_at(u.primes, where)
+    Returns (rule tag, lift, context) or None.  One loop over
+    ``words.subword_runs(u)`` tests each run against the one closed form
+    its first prime allows:
 
+    * a single prime D^k(P(w)), k ≥ 1: the (k−1)-lift of g(w), or at
+      nonzero weight past the overtaking point h(w, k−1) when it exists;
+      such a hit returns at once;
+    * two primes P(a)·P(b) without D: f(a, b) when a is deg-lex-greater;
+    * at nonzero weight, n ≥ 2 primes, the first with a D: the least lift
+      i, at most every prime's D-power, with i(n−1) ≥ 2 and removing i D's
+      from each prime leaving a Lyndon-Shirshov word w (the i-lift of g(w)).
 
-def _walk(sys: DrblSystem, primes: tuple, path: tuple, hits: list):
-    """``_find_match``'s walk over one level and the arguments under it.
-
-    Returns the first single-prime hit, and records the first pair and run
-    hits in ``hits``.  A hit is (tag, lift, (path, i, j)): the primes i to
-    j (exclusive) of this level, reached through ``path``, the (prime
-    index, argument index) of each level above.
+    Else the first pair hit wins, else the first run hit.  The context is
+    built for the returned hit alone.
     """
     config = sys.config
     weighted = config.weight != 0
-    key = config.alphabet.key
-    n = len(primes)
-    for i, p in enumerate(primes):
-        head = p.head
+    alphabet = config.alphabet
+    primes = u.primes
+    pair = stretch = None  # the first hits: (tag, lift, where)
+    for run, where in subword_runs(u):
+        p = run[0]
         k = p.d_power
-        if type(head) is OpApp:
-            w = head.args[0]
-            if k:
+        n = len(run)
+        if n == 1:
+            if k and type(p.head) is OpApp:
+                w = p.head.args[0]
                 if not weighted or not _overtaken(k - 1, w.breadth):
-                    return ("section", w), k - 1, (path, i, i + 1)
+                    return ("section", w), k - 1, context_at(primes, where)
                 if sys.completion_rule(w, k - 1) is not None:
-                    return ("completion", w, k - 1), 0, (path, i, i + 1)
-            elif hits[0] is None and i + 1 < n:
-                q = primes[i + 1]
+                    return ("completion", w, k - 1), 0, context_at(primes, where)
+        elif not k:
+            if pair is None and n == 2 and type(p.head) is OpApp:
+                q = run[1]
                 if q.d_power == 0 and type(q.head) is OpApp:
-                    v = q.head.args[0]
-                    if key(w) > key(v):
-                        hits[0] = ("rota-baxter", w, v), 0, (path, i, i + 2)
-        if weighted and k and hits[1] is None:
-            bound = k
-            for j in range(i + 1, n):
-                bound = min(bound, primes[j].d_power)
-                if not bound:
-                    break
-                size = j + 1 - i
-                for lift in range(1, bound + 1):
-                    if not _overtaken(lift, size):
-                        continue
-                    w = Word(tuple(q.shifted(-lift) for q in primes[i : j + 1]))
-                    if is_alsw_hereditary(w, config.alphabet):
-                        hits[1] = ("section", w), lift, (path, i, j + 1)
+                    a, b = p.head.args[0], q.head.args[0]
+                    if alphabet.key(a) > alphabet.key(b):
+                        pair = ("rota-baxter", a, b), 0, where
+        elif weighted and stretch is None:
+            for lift in range(1, min(q.d_power for q in run) + 1):
+                if _overtaken(lift, n):
+                    w = Word(tuple(q.shifted(-lift) for q in run))
+                    if is_alsw_hereditary(w, alphabet):
+                        stretch = ("section", w), lift, where
                         break
-                if hits[1] is not None:
-                    break
-    for t, p in enumerate(primes):
-        head = p.head
-        if type(head) is OpApp:
-            for a, arg in enumerate(head.args):
-                got = _walk(sys, arg.primes, path + ((t, a),), hits)
-                if got is not None:
-                    return got
-    return None
+    got = pair or stretch
+    return got and (got[0], got[1], context_at(primes, got[2]))
 
 
 def _as_poly(config: AlgebraConfig, p) -> Poly:

@@ -432,6 +432,9 @@ def occurrences(w: Word, p: Word):
     return out
 
 
+_SPANS: dict[int, tuple] = {}  # breadth -> its top-level (i, j) spans
+
+
 def subword_runs(w: Word) -> Iterator[tuple[tuple, tuple]]:
     """Yield (prime run, where) for every contiguous subword.
 
@@ -442,12 +445,22 @@ def subword_runs(w: Word) -> Iterator[tuple[tuple, tuple]]:
     runs come first, by start and then by length; then the runs inside
     each operator argument, prime by prime, outside in.  For one run, this
     is the order of ``occurrences``.
+
+    Its readers are ``RewriteSystem.match``, ``find_ambiguities``, the
+    row search of ``reference.oracle_quotient_dim`` and ``drbl_nf``'s
+    matcher ``rota_baxter._find_match``.  The top-level spans of each
+    breadth are made once and kept in a process-wide memo, which takes
+    no lock: like the intern tables, it assumes one thread.
     """
     primes = w.primes
     n = len(primes)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            yield primes[i:j], (i, j)
+    spans = _SPANS.get(n)
+    if spans is None:
+        spans = _SPANS[n] = tuple(
+            (i, j) for i in range(n) for j in range(i + 1, n + 1)
+        )
+    for where in spans:
+        yield primes[where[0] : where[1]], where
     for t, prime in enumerate(primes):
         head = prime.head
         if type(head) is OpApp:

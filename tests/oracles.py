@@ -528,6 +528,12 @@ def oracle_find_match(sys, u: Word):
     completion hit returns at once, else the first descending P-pair, else
     (nonzero weight) the first run of primes that is the overtaking
     leading word of a lift of a section rule.
+
+    ``_find_match`` now loops over ``words.subword_runs`` too, so this
+    oracle's independence rests on its own closure walk
+    (``oracle_subword_runs``, with a builder per run instead of a
+    position and ``context_at``) and on testing every pattern on every
+    run, where ``_find_match`` tests only the one its first prime allows.
     """
     alphabet = sys.config.alphabet
     key = alphabet.key

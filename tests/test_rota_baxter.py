@@ -367,6 +367,32 @@ def test_find_match_agrees_with_the_scan_of_every_subword_run(
             assert seen["completion"] and seen["raised"]
 
 
+@pytest.mark.parametrize(
+    "generators, degree", [(("x",), 9), (("x", "y"), 7)], ids=["1gen", "2gens"]
+)
+def test_find_match_at_weight_0_agrees_with_the_basis_pair_filter(
+    generators, degree
+):
+    # one rule, two encodings: the matcher's pair test and the basis filter
+    from shirshov.lyndon import enumerate_alsw_by_degree
+    from shirshov.rota_baxter import (
+        _basis_letters,
+        _contains_descending_pair,
+        _find_match,
+    )
+
+    alphabet = Alphabet(generators, (("P", 1),))
+    sys0 = make_sys(alphabet, 0)
+    by_deg = enumerate_alsw_by_degree(alphabet, degree, _basis_letters(sys0))
+    seen = Counter()
+    for n in range(1, degree + 1):
+        for u in by_deg.get(n, ()):
+            descending = _contains_descending_pair(u, alphabet)
+            assert (_find_match(sys0, u) is None) is not descending, u
+            seen[descending] += 1
+    assert seen[True] and seen[False]
+
+
 def test_modes_agree_after_an_associative_pass():
     rng = random.Random(59)
     for weight in (0, 1):
