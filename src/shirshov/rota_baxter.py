@@ -397,6 +397,7 @@ def _find_match(sys: DrblSystem, u: Word):
     config = sys.config
     weighted = config.weight != 0
     alphabet = config.alphabet
+    key = alphabet.key
     primes = u.primes
     pair = stretch = None  # the first hits: (tag, lift, where)
     for run, where in subword_runs(u):
@@ -411,12 +412,8 @@ def _find_match(sys: DrblSystem, u: Word):
                 if sys.completion_rule(w, k - 1) is not None:
                     return ("completion", w, k - 1), 0, context_at(primes, where)
         elif not k:
-            if pair is None and n == 2 and type(p.head) is OpApp:
-                q = run[1]
-                if q.d_power == 0 and type(q.head) is OpApp:
-                    a, b = p.head.args[0], q.head.args[0]
-                    if alphabet.key(a) > alphabet.key(b):
-                        pair = ("rota-baxter", a, b), 0, where
+            if pair is None and n == 2 and _descending_pair(p, run[1], key):
+                pair = ("rota-baxter", p.head.args[0], run[1].head.args[0]), 0, where
         elif weighted and stretch is None:
             for lift in range(1, min(q.d_power for q in run) + 1):
                 if _overtaken(lift, n):
@@ -482,21 +479,24 @@ def _basis_letters(sys: DrblSystem):
     return letters
 
 
+def _descending_pair(p: Prime, q: Prime, key) -> bool:
+    """p·q is P(a)·P(b), neither under D, with a deg-lex-greater than b."""
+    return (
+        type(p.head) is type(q.head) is OpApp
+        and p.d_power == q.d_power == 0
+        and key(p.head.args[0]) > key(q.head.args[0])
+    )
+
+
 def _contains_descending_pair(w: Word, alphabet) -> bool:
     """Adjacent P(a)·P(b) with a deg-lex-greater, at any nesting depth."""
-    key = alphabet.key
     primes = w.primes
     for t, p in enumerate(primes):
-        head = p.head
-        if type(head) is not OpApp:
-            continue
-        if any(_contains_descending_pair(a, alphabet) for a in head.args):
-            return True
-        if t + 1 < len(primes) and p.d_power == 0:
-            q = primes[t + 1]
-            if q.d_power == 0 and type(q.head) is OpApp:
-                if key(head.args[0]) > key(q.head.args[0]):
-                    return True
+        if type(p.head) is OpApp:
+            if any(_contains_descending_pair(a, alphabet) for a in p.head.args):
+                return True
+            if t + 1 < len(primes) and _descending_pair(p, primes[t + 1], alphabet.key):
+                return True
     return False
 
 

@@ -928,7 +928,7 @@ def test_cli_output_does_not_depend_on_the_hash_seed(argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     runs = [
         subprocess.run(
-            [sys.executable, "-m", "shirshov"] + argv,
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "shirshov"] + argv,
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
         )
