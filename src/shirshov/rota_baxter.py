@@ -44,7 +44,14 @@ and the eagerly instantiated systems handed to the generic engine.  The
 fast path ``drbl_nf`` is the engine's Lie loop ``rewriting.lie_reduce``
 with ``_find_match`` as matcher and lifts cached by rule tag; the matcher
 walks the engine's subword runs (``words.subword_runs``) and tests each
-against the patterns above where ``RewriteSystem.match`` looks it up.  The
+against the patterns above where ``RewriteSystem.match`` looks it up.
+Each system memoises the matcher's answer, (rule tag, lift, context) or
+None, by the word it was asked about, for as long as the system lives;
+``drbl_nf`` and ``completion_rule``'s own lookups read it, so a word met
+again, in one normal form or the next, is not walked again.  Like the
+intern tables of ``words``, the memo takes no lock.  A completion build
+clears it when it ends: while h(u, i) is being built, D^{i+1}(P(u)) counts
+as irreducible, so an answer found then can be wrong afterwards.  The
 standard bracketing [u] is made of the bracketings of u's sub-parameters
 (its standard factors and the arguments of its P-letters), which are
 interned nodes, so the alphabet's memo of bracket expansions
@@ -130,6 +137,9 @@ from .words import (
 )
 
 
+_UNSEEN = object()  # a word not yet in a system's match memo
+
+
 def _overtaken(lift: int, breadth: int) -> bool:
     """Whether, at λ ≠ 0, the ``lift``-lift of g(w), w of this breadth,
     leads with w's primes each shifted by ``lift`` instead of D^{lift+1}(P(w)):
@@ -211,7 +221,11 @@ class DrblSystem:
     Holds the algebra configuration (one unary operator) plus lazy caches:
     rules keyed by their Lyndon-Shirshov parameters, a ``LiftCache`` of
     lifted rules and their bracketed multiples keyed by tag
-    (``("section", u)``, ``("rota-baxter", u, v)``, ``("completion", u, i)``).
+    (``("section", u)``, ``("rota-baxter", u, v)``, ``("completion", u, i)``),
+    and the match memo: each word the matcher was asked about, mapped to
+    ``_find_match``'s answer.  The memo lives as long as the system, takes
+    no lock (one thread, like the intern tables), and is cleared whenever a
+    completion build ends, since answers found during one can go stale.
     Bracket expansions live on the alphabet, not here.
     """
 
@@ -227,6 +241,7 @@ class DrblSystem:
         self._section: dict[Word, Rule] = {}
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
+        self._matches: dict[Word, tuple | None] = {}
         # A weak back-reference, so the cache does not keep its owner in a
         # reference cycle; the cache is reached only through its owner.
         owner = weakref.ref(self)
@@ -289,9 +304,9 @@ class DrblSystem:
         m = None
         if any(type(p.head) is OpApp for p in u.primes):
             run = Word(tuple(p.shifted(lift) for p in u.primes))
-            m = _find_match(self, run)
+            m = self._match(run)
         # Any match in D^{i+1}(P(u)) other than h itself lies inside u.
-        if m is None or m[:2] == (tag, lift) or _find_match(self, u):
+        if m is None or m[:2] == (tag, lift) or self._match(u):
             self._completion[key] = None
             return None
         self._completion[key] = None
@@ -299,6 +314,8 @@ class DrblSystem:
             poly = drbl_nf(self._lifts.core(tag, lift), self).as_poly(self.config)
         finally:
             del self._completion[key]
+            # matches found while D^{i+1}(P(u)) counted as irreducible
+            self._matches.clear()
         top = Word((Prime(lift + 1, OpApp(self.operator, (u,))),))
         got = make_rule(self.config, poly, ("completion", u, lift)) if poly else None
         if got is None or got.lead != top:
@@ -308,6 +325,13 @@ class DrblSystem:
                 % (lift, u, got and got.lead, top)
             )
         self._completion[key] = got
+        return got
+
+    def _match(self, u: Word):
+        """``_find_match(self, u)``, memoised by the word ``u``."""
+        got = self._matches.get(u, _UNSEEN)
+        if got is _UNSEEN:
+            got = self._matches[u] = _find_match(self, u)
         return got
 
     def _rule(self, tag: tuple) -> Rule:
@@ -446,7 +470,10 @@ def drbl_nf(
     """Normal form of a Lie element in the free weighted system.
 
     Accepts a polynomial, a bracketed word, or a prior normal form, and
-    reduces it by ``rewriting.lie_reduce`` with the matcher ``_find_match``.
+    reduces it by ``rewriting.lie_reduce`` with the matcher ``_find_match``,
+    read through ``sys``'s match memo: a word any earlier call on ``sys``
+    matched is looked up, not walked, and a finished completion build
+    clears the memo (see ``DrblSystem``).
     At weight 0 the result is the unique basis combination equal to ``p``.
     At weight λ ≠ 0 it is a combination of irreducible words, which can
     include words that are not basis words, such as ``D^4(P([x1 x2]))``.
@@ -457,9 +484,7 @@ def drbl_nf(
             "degree %d exceeds the requested bound %d"
             % (working.max_degree(), max_degree)
         )
-    return lie_reduce(
-        sys.config, working, lambda u: _find_match(sys, u), sys._lifts, log
-    )
+    return lie_reduce(sys.config, working, sys._match, sys._lifts, log)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from shirshov.algebra import (
     subst_poly,
 )
 from shirshov.lyndon import (
+    enumerate_alsw,
     is_alsw,
     is_alsw_hereditary,
     ls_factorization,
@@ -706,6 +707,61 @@ def verify_axioms(
             if not nf.is_zero():
                 failures.append((name, ta, tb, nf))
     return AxiomReport(samples, checked, failures)
+
+
+# ---------------------------------------------------------------------------
+# Seeded Lie elements.
+
+
+def random_combination(rng, config: AlgebraConfig, words, terms: int = 3) -> Poly:
+    """A rational combination of the standard bracketings of one to
+    ``terms`` distinct words drawn from ``words``, expanded."""
+    alphabet = config.alphabet
+    out = Poly.zero()
+    for u in rng.sample(words, rng.randint(1, min(terms, len(words)))):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        out = out + lie_expand(config, shirshov_bracket(u, alphabet)).scale(c)
+    return out
+
+
+def nf_corpus(sys, max_degree: int, count: int, seed: int) -> list[Poly]:
+    """The benchmark's nf corpus recipe, as polynomials of degree at most
+    ``max_degree`` over the ``DrblSystem`` ``sys``.
+
+    15% are instances of the Rota-Baxter identity
+    [P(a) P(b)] − P([a P(b)]) − P([P(a) b]) − λP([a b]) and 15% of the
+    section identity D(P(a)) − a, over random basis elements a, b; the
+    rest are ``random_combination``s of up to four ALSW words.  The shares
+    are exact and only the order is drawn.
+    """
+    rng = random.Random(seed)
+    config = sys.config
+    op = sys.operator
+    basis = enumerate_basis(sys, max_degree - 2)
+    small = [(d, lie_expand(config, t)) for d in sorted(basis) for t in basis[d]]
+    words = enumerate_alsw(config, max_degree)
+    kinds = ["rota-baxter"] * (count * 15 // 100) + ["section"] * (count * 15 // 100)
+    kinds += ["combination"] * (count - len(kinds))
+    rng.shuffle(kinds)
+    out = []
+    for kind in kinds:
+        if kind == "rota-baxter":
+            da, a = rng.choice([e for e in small if e[0] <= max_degree - 3])
+            _, b = rng.choice([e for e in small if e[0] <= max_degree - 2 - da])
+            pa = apply_operator(op, a)
+            pb = apply_operator(op, b)
+            out.append(
+                commutator(pa, pb)
+                - apply_operator(op, commutator(a, pb))
+                - apply_operator(op, commutator(pa, b))
+                - apply_operator(op, commutator(a, b)).scale(config.weight)
+            )
+        elif kind == "section":
+            _, a = rng.choice(small)
+            out.append(apply_D(config, apply_operator(op, a)) - a)
+        else:
+            out.append(random_combination(rng, config, words, 4))
+    return out
 
 
 # ---------------------------------------------------------------------------

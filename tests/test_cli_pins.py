@@ -84,6 +84,16 @@ PINS = [
      " - [D^2(x1) x2] + [D^2(x2) x1] - 2 [D(x1) D(x2)] - [D(x1) x1]\n",
      "step 1: completion(P(x1) * x1, 2); lift 0; context *; coefficient 1\n"
      "step 2: section(x1 * x2); lift 2; context *; coefficient -1\n"),
+    ("nf --mode assoc --lambda 1 --max-deg 7 --trace"
+     " '[D^2(x1) D^2(x2)] + D^3(P([P(x1) x1]))'", 0,
+     "D^3(P(x1 x2)) - D^3(P(x2 x1)) - D^2(x1) * P(x1) - D^2(x1) * D(x1)"
+     " - 2 D^2(x1) * D(x2) + 2 D^2(x2) * D(x1) + P(x1) * D^2(x1)"
+     " + D(x1) * D^2(x1) - 2 D(x1) * D^2(x2) + 2 D(x2) * D^2(x1)"
+     " - 2 D^2(x1) * x1 - D^2(x1) * x2 + D^2(x2) * x1 - 2 D(x1) * D(x2)"
+     " + 2 D(x2) * D(x1) + 2 x1 * D^2(x1) - x1 * D^2(x2) + x2 * D^2(x1)"
+     " - D(x1) * x1 + x1 * D(x1)\n",
+     "step 1: completion(P(x1) * x1, 2); lift 0; context *; coefficient 1\n"
+     "step 2: section(x1 * x2); lift 2; context *; coefficient -1\n"),
     ("nf --lambda 1/2 --max-deg 7 --trace '%s'" % FRACTIONAL, 0,
      "-7/4 [D(x1) D(x2)] - 5/3 [P(x2) x1] - 7/2 [D(x1) x2]"
      " + 7/2 [D(x2) x1]\n",

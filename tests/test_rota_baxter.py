@@ -30,9 +30,11 @@ from shirshov import (
     shirshov_bracket,
 )
 from oracles import (
+    nf_corpus,
     oracle_find_match,
     oracle_rota_baxter_rule,
     oracle_section_rule,
+    random_combination,
     underlying_word,
     verify_axioms,
 )
@@ -538,6 +540,78 @@ def test_fast_path_agrees_with_generic_engine_at_degree_seven():
             p = lie_expand(sys_.config, shirshov_bracket(u, A1))
             fast = drbl_nf(p, sys_).as_poly(sys_.config)
             assert fast == engine.reduce(p, mode="lie")
+
+
+def test_a_finished_completion_leaves_no_stale_match():
+    # system(7) builds h(P(x) x, 2); while its lift is reduced,
+    # D^3(P(P(x) x)) counts as irreducible, which must not outlive the build
+    p = parse_poly("D^3(P([P(x) x]))", A1)
+    shared = make_sys(A1, 1)
+    shared.system(7)
+    want = drbl_nf(p, make_sys(A1, 1))
+    assert len(want.terms) == 4
+    assert drbl_nf(p, shared) == want
+
+
+@pytest.mark.parametrize("weight", [0, 1, Fraction(1, 2)], ids=str)
+def test_a_shared_system_normalises_as_a_fresh_one(weight):
+    config = AlgebraConfig(A2, Fraction(weight))
+    corpus = nf_corpus(DrblSystem(config), 6, 60, seed=7)
+
+    def run(sys_, p):
+        log = []
+        return drbl_nf(p, sys_, log=log), log
+
+    fresh = [run(DrblSystem(config), p) for p in corpus]
+    shared = DrblSystem(config)
+    assert [run(shared, p) for p in corpus] == fresh
+    assert [run(shared, p) for p in reversed(corpus)] == fresh[::-1]
+
+
+CONGRUENCE_CASES = [(A1, weight, 7) for weight in (0, 1, Fraction(1, 2), -1, 2)] + [
+    (A2, weight, 6) for weight in (0, 1)
+]
+
+
+@pytest.mark.parametrize(
+    "alphabet, weight, max_degree",
+    CONGRUENCE_CASES,
+    ids=["%dgen-%s-%d" % (len(a.generators), w, d) for a, w, d in CONGRUENCE_CASES],
+)
+def test_normal_forms_respect_the_operations(alphabet, weight, max_degree):
+    """N(P(N(x))) = N(P(x)), N(D(N(x))) = N(D(x)) and
+    N([N(x), N(y)]) = N([x, N(y)]) for N = ``drbl_nf`` on one shared system:
+    a normal form of the quotient must respect its operations, and the
+    check reads no rule."""
+    sys_ = make_sys(alphabet, weight)
+    # the engine builds completion rules outside drbl_nf; what their builds
+    # matched must not leak into later normal forms
+    sys_.system(max_degree)
+    config = sys_.config
+    rng = random.Random(3)
+    words = enumerate_alsw(config, max_degree)
+
+    def nf(p):
+        return drbl_nf(p, sys_)
+
+    def reduced(p):
+        return nf(p).as_poly(config)
+
+    # D raises a word's degree by at most one per top-level prime
+    under_p = [u for u in words if u.degree < max_degree]
+    under_d = [
+        u for u in words if u.degree + (u.breadth if weight else 1) <= max_degree
+    ]
+    for _ in range(120):
+        x = random_combination(rng, config, under_p)
+        assert nf(apply_operator("P", reduced(x))) == nf(apply_operator("P", x))
+        x = random_combination(rng, config, under_d)
+        assert nf(apply_D(config, reduced(x))) == nf(apply_D(config, x))
+        x = random_combination(rng, config, under_p)
+        room = max_degree - x.max_degree()
+        y = random_combination(rng, config, [u for u in words if u.degree <= room])
+        y = reduced(y)
+        assert nf(commutator(reduced(x), y)) == nf(commutator(x, y))
 
 
 class _UnsharedSystem(DrblSystem):
