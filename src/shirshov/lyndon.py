@@ -245,9 +245,14 @@ def enumerate_alsw_by_degree(
     return alsw_by_deg
 
 
-def enumerate_alsw(config: AlgebraConfig, max_degree: int) -> list[Word]:
-    """All ALSWs of the language up to ``max_degree``, deg-lex sorted."""
-    by_deg = enumerate_alsw_by_degree(config.alphabet, max_degree)
+def enumerate_alsw(
+    config: AlgebraConfig, max_degree: int, letters=None
+) -> list[Word]:
+    """All ALSWs of the language up to ``max_degree``, deg-lex sorted.
+
+    ``letters`` is as for ``enumerate_alsw_by_degree``.
+    """
+    by_deg = enumerate_alsw_by_degree(config.alphabet, max_degree, letters)
     out: list[Word] = []
     for d in range(1, max_degree + 1):
         out.extend(by_deg.get(d, ()))

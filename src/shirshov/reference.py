@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraConfig, _subtract, apply_D, divide, leading
 from .lyndon import (
-    enumerate_alsw_by_degree,
+    enumerate_alsw,
     is_alsw,
     is_alsw_hereditary,
     special_terms_from_lead,
@@ -33,11 +33,6 @@ from .words import Word, context_at, subword_runs
 
 
 _MONOMIAL_CAP = 200_000
-
-
-def _alsws(config: AlgebraConfig, max_degree: int, letters):
-    by_deg = enumerate_alsw_by_degree(config.alphabet, max_degree, letters)
-    return [w for d in range(1, max_degree + 1) for w in by_deg.get(d, ())]
 
 
 def _ideal_rows(config: AlgebraConfig, rules, max_degree: int, alsws):
@@ -110,7 +105,7 @@ def oracle_quotient_dim(config: AlgebraConfig, rules, max_degree: int, letters=N
     of dimensions for degrees 1..max_degree.
     """
     alphabet = config.alphabet
-    alsws = _alsws(config, max_degree, letters)
+    alsws = enumerate_alsw(config, max_degree, letters)
     alsw_count = {d: 0 for d in range(1, max_degree + 1)}
     for w in alsws:
         alsw_count[w.degree] += 1

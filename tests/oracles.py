@@ -67,7 +67,7 @@ from shirshov.lyndon import (
     shirshov_bracket,
     special_expand,
 )
-from shirshov.reference import _alsws, _ideal_rows
+from shirshov.reference import _ideal_rows
 from shirshov.rewriting import Ambiguity, ReductionStep
 from shirshov.rota_baxter import _overtaken, drbl_nf, enumerate_basis
 from shirshov.syntax import TermSyntaxError
@@ -778,7 +778,7 @@ def oracle_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=Non
     order.  ``letters`` is as for
     ``reference.oracle_quotient_dim``.
     """
-    alsws = _alsws(config, max_degree, letters)
+    alsws = enumerate_alsw(config, max_degree, letters)
     return [
         Poly(as_fractions(row))
         for row in _ideal_rows(config, rules, max_degree, alsws)
@@ -792,7 +792,7 @@ def naive_ideal_rows(config: AlgebraConfig, rules, max_degree: int, letters=None
     cross-check of the indexed search.
     """
     alphabet = config.alphabet
-    alsws = _alsws(config, max_degree, letters)
+    alsws = enumerate_alsw(config, max_degree, letters)
     out = []
     for rule in rules:
         poly = getattr(rule, "poly", rule)

@@ -377,7 +377,8 @@ def test_dropped_words_leave_the_intern_tables():
 
 
 def test_a_late_callback_keeps_the_entry_filed_since():
-    primes = (Prime(7, "x"), Prime(0, "y"))
+    # Names no other test uses, so no alphabet's key memo holds the word.
+    primes = (Prime(7, "late1"), Prime(0, "late2"))
     w = Word(primes)
     old_ref = words._WORDS[primes]
     assert old_ref() is w
