@@ -37,7 +37,7 @@ its core once per call and returns ``Fraction``s.
 ``special_expand`` checks that the core leads with ``v``, a hereditarily
 Lyndon-Shirshov word.  The rewriting engine expands many multiples of one
 lifted core, so it certifies each core's leading term once
-(``rewriting.LiftCache.lead``) and calls ``special_terms_from_lead``,
+(``rewriting.Rule.lift_lead``) and calls ``special_terms_from_lead``,
 which skips that check; the filled word is still checked, and each
 multiple still certified, on every call.
 """

@@ -16,11 +16,11 @@ monomial's lift, that monomial's top word would be greater still.  Every
 rule carries the top term of each of its (degree, breadth) groups
 (``Rule.tops``), and ``lift_leadings`` reads only those.  The lifted
 polynomials themselves (cores) are expanded only when a reduction or
-composition uses them, and a rule of a family (as the section and
-Rota-Baxter rules of ``rota_baxter`` are) builds its own polynomial only
-then too, and derives its tops from its origin tag on each read.
-All matching, ambiguity enumeration and reduction work from these true
-lifted leadings.
+composition uses them, and the rule keeps them (``Rule.core``): every
+engine over the rule and ``rota_baxter.drbl_nf`` share one expansion of
+each.  A rule builds its own polynomial only then too, and its family
+gives its tops from its origin tag on each read.  All matching, ambiguity
+enumeration and reduction work from these true lifted leadings.
 
 Ambiguities are the classical two kinds: intersections (proper two-sided
 overlap of two lifted leading words) and inclusions (one lifted leading
@@ -55,10 +55,10 @@ lcm L of its coefficients' denominators, reduces in ``int``s, and divides
 each output and logged coefficient by L.  The normal form is linear and
 the scaled input has the same support, so it takes the same steps and
 the result is exact.  Each rule's polynomial is built and held once,
-``int``s where integral (``Rule.narrowed``), and is its lift 0 in
-``LiftCache``; ``apply_D`` keeps the lifts ``int``s at an integral weight.
+``int``s where integral (``Rule.narrowed``), and is its lift 0
+(``Rule.core``); ``apply_D`` keeps the lifts ``int``s at an integral weight.
 Special multiples come from ``lyndon.special_terms_from_lead`` over those
-cores: ``LiftCache.lead`` certifies each core's leading term once, on
+cores: ``Rule.lift_lead`` certifies each core's leading term once, on
 first use, and every multiple is still certified to lead with its filled
 word.  A division yields a ``Fraction`` only when it is not exact
 (``algebra.divide``, as at weight 1/2), so no coefficient is ever a float.
@@ -82,8 +82,8 @@ rescanning them: building the degree-9 section-rule engine set off about
 600 collections, four of them full, which took over a quarter of the time
 and freed nothing, and a basis and oracle run at degree 6 over two
 generators set off 40.  The pause is safe because the engine's data holds no
-reference cycles (the lift caches reach their rules, and rules their
-families, without a reference back to their owner), so reference
+reference cycles (rules hold their lifts and their families, and no
+family holds a reference back to the rules' owner), so reference
 counting frees all of it; a cycle made elsewhere meanwhile is collected
 once the collector runs again.  When the outermost pause ends, every
 tracked object is promoted to the oldest generation, unscanned
@@ -170,37 +170,43 @@ def collector_paused():
 class Rule:
     """A monic rewriting rule with a provenance tag for its family.
 
-    ``Rule(poly, origin, tops)`` holds its polynomial, ``int``s where
-    integral, and its ``tops`` (as ``make_rule`` makes them).
-    ``Rule(family, origin)`` holds only its family and origin tag:
-    ``family.poly(origin)`` builds the polynomial on first read and
-    ``family.tops(origin)`` gives the tops on each read.  A family must
-    not hold the rule's owner (see the module docstring).  ``narrowed``
-    is the held polynomial; the ``poly`` property is a fresh ``Fraction``
-    copy.  ``tops`` maps the deg-lex greatest word of each (degree,
-    breadth) group to its ``Fraction`` coefficient; a group that another
-    beats on both degree and breadth may be left out, since it never
-    leads a lift.  They are all that ``lift_leadings`` reads, so an engine
-    indexes a rule without building it.  Rules compare, hash and print by
-    (poly, origin).
+    ``Rule(family, origin)`` holds its family and origin tag.  The family
+    gives ``config``, ``poly(origin)``, the polynomial, ``int``s where
+    integral, built on the first read of ``narrowed``, and
+    ``tops(origin)``, given on each read.  A family must not hold the
+    rule's owner (see the module docstring).  ``narrowed`` is the held
+    polynomial; the ``poly`` property is a fresh ``Fraction`` copy.
+    ``tops`` maps the deg-lex greatest word of each (degree, breadth)
+    group to its ``Fraction`` coefficient; a group that another beats on
+    both degree and breadth may be left out, since it never leads a lift.
+    They are all that ``lift_leadings`` reads, so an engine indexes a rule
+    without building it.
+
+    A rule keeps its lifts, so ``rota_baxter.drbl_nf`` and every engine
+    over it share them.  ``core(lift)`` is expanded on first use, one D
+    step from the lift below it; lift 0 is ``narrowed``, so callers must
+    not mutate a core.  ``lift_lead(lift)`` certifies a core's leading
+    term once: it must be the one ``lift_leadings`` gives in closed form,
+    with a hereditarily Lyndon-Shirshov word.  ``special(lift, ctx)`` holds
+    a special multiple as ``lyndon.special_terms_from_lead`` gives it, with
+    its core's leading coefficient.  The store, ``_lifts``, is made on the
+    first lift read, so a rule never reduced with holds none.  Rules
+    compare, hash and print by (poly, origin).
     """
 
-    __slots__ = ("_poly", "_family", "_tops", "origin")
+    __slots__ = ("_family", "origin", "_poly", "_lifts")
 
-    def __init__(self, source, origin: tuple, tops: dict | None = None):
-        if isinstance(source, Poly):
-            if not tops:
-                raise ValueError("rules must be nonzero")
-            self._poly, self._family = source, None
-        else:
-            self._poly, self._family = None, source
-        self._tops = tops
+    def __init__(self, family, origin: tuple):
+        self._family = family
         self.origin = origin
+        self._poly = self._lifts = None
+
+    @property
+    def config(self) -> AlgebraConfig:
+        return self._family.config
 
     @property
     def tops(self) -> dict:
-        if self._family is None:
-            return self._tops
         return self._family.tops(self.origin)
 
     @property
@@ -220,6 +226,46 @@ class Rule:
         """The deg-lex leading word: the top of the greatest group."""
         return max(self.tops, key=lambda w: (w.degree, w.breadth))
 
+    def core(self, lift: int) -> Poly:
+        """``D^lift`` of the rule; lift 0 is ``narrowed``."""
+        if self._lifts is None:
+            # cores by lift, certified leads by lift, multiples by (lift, ctx)
+            self._lifts = [self.narrowed], {}, {}
+        cores = self._lifts[0]
+        while len(cores) <= lift:
+            cores.append(apply_D(self.config, cores[-1]))
+        return cores[lift]
+
+    def lift_lead(self, lift: int) -> tuple[Word, int | Fraction]:
+        """Certified leading word and coefficient of a core."""
+        core = self.core(lift)
+        got = self._lifts[1].get(lift)
+        if got is None:
+            config = self.config
+            v, c = leading(config, core)
+            _, want, want_c = next(lift_leadings(config, self, math.inf, lift))
+            if v != want or c != want_c:
+                raise ValueError(
+                    "core leading term %s %r is not %s %r" % (c, v, want_c, want)
+                )
+            if not is_alsw_hereditary(v, config.alphabet):
+                raise ValueError(
+                    "lifted leading word is not Lyndon-Shirshov: %r" % (v,)
+                )
+            got = self._lifts[1][lift] = v, c
+        return got
+
+    def special(self, lift: int, ctx: Context) -> tuple[dict, int | Fraction]:
+        """(terms of the isolating-bracketed multiple in ``ctx``, leading
+        coeff of core); callers must not mutate the terms."""
+        core = self.core(lift)
+        got = self._lifts[2].get((lift, ctx))
+        if got is None:
+            v, lc = self.lift_lead(lift)
+            got = special_terms_from_lead(self.config, ctx, v, lc, core.terms), lc
+            self._lifts[2][(lift, ctx)] = got
+        return got
+
     def __eq__(self, other):
         if type(other) is not Rule:
             return NotImplemented
@@ -230,6 +276,21 @@ class Rule:
 
     def __repr__(self):
         return "Rule(poly=%r, origin=%r)" % (self.narrowed, self.origin)
+
+
+class _OneRule:
+    """The family of one ``make_rule`` rule: its polynomial and its tops."""
+
+    __slots__ = ("config", "_poly", "_tops")
+
+    def __init__(self, config: AlgebraConfig, poly: Poly, tops: dict):
+        self.config, self._poly, self._tops = config, poly, tops
+
+    def poly(self, origin: tuple) -> Poly:
+        return self._poly
+
+    def tops(self, origin: tuple) -> dict:
+        return self._tops
 
 
 def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> Rule:
@@ -245,7 +306,8 @@ def make_rule(config: AlgebraConfig, poly: Poly, origin: tuple = ("rule",)) -> R
             tops[group] = w
     lc = Fraction(poly.terms[tops[max(tops)]])
     narrowed = Poly({w: narrow(c / lc) for w, c in poly.terms.items()})
-    return Rule(narrowed, origin, {w: poly.terms[w] / lc for w in tops.values()})
+    tops = {w: poly.terms[w] / lc for w in tops.values()}
+    return Rule(_OneRule(config, narrowed, tops), origin)
 
 
 class LiftedRule(NamedTuple):
@@ -377,78 +439,15 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int, lift: int 
         lift += 1
 
 
-class LiftCache:
-    """Lifted rule polynomials (cores) and special multiples by rule key.
-
-    ``rule(key)`` gives the ``Rule`` under ``key``; it must not hold the
-    cache's owner, so that the two make no reference cycle (see the module
-    docstring).  A core is expanded on first use, one D step from the
-    cached lift below it; lift 0 is the rule's own ``Rule.narrowed``, so
-    callers must not mutate a core.  Its leading term is certified once
-    (``lead``): it must be the one ``lift_leadings`` gives in closed form,
-    with a hereditarily Lyndon-Shirshov word.  A special multiple is
-    cached as ``lyndon.special_terms_from_lead`` gives it, with its core's
-    leading coefficient.
-    """
-
-    def __init__(self, config: AlgebraConfig, rule):
-        self.config = config
-        self.rule = rule
-        self._cores: dict[tuple, Poly] = {}
-        self._leads: dict[tuple, tuple[Word, int | Fraction]] = {}
-        self._specials: dict[tuple, tuple[dict, int | Fraction]] = {}
-
-    def core(self, key, lift: int) -> Poly:
-        """``D^lift`` of the rule under ``key``; lift 0 is ``Rule.narrowed``."""
-        got = self._cores.get((key, lift))
-        if got is None:
-            if lift == 0:
-                got = self.rule(key).narrowed
-            else:
-                got = apply_D(self.config, self.core(key, lift - 1))
-            self._cores[(key, lift)] = got
-        return got
-
-    def lead(self, key, lift: int) -> tuple[Word, int | Fraction]:
-        """Certified leading word and coefficient of a core."""
-        got = self._leads.get((key, lift))
-        if got is None:
-            config = self.config
-            v, c = leading(config, self.core(key, lift))
-            leadings = lift_leadings(config, self.rule(key), math.inf, lift)
-            _, want, want_c = next(leadings)
-            if v != want or c != want_c:
-                raise ValueError(
-                    "core leading term %s %r is not %s %r" % (c, v, want_c, want)
-                )
-            if not is_alsw_hereditary(v, config.alphabet):
-                raise ValueError(
-                    "lifted leading word is not Lyndon-Shirshov: %r" % (v,)
-                )
-            got = self._leads[(key, lift)] = v, c
-        return got
-
-    def special(self, key, lift: int, ctx: Context) -> tuple[dict, int | Fraction]:
-        """(terms of the isolating-bracketed multiple in ``ctx``, leading
-        coeff of core); callers must not mutate the terms."""
-        got = self._specials.get((key, lift, ctx))
-        if got is None:
-            v, lc = self.lead(key, lift)
-            terms = special_terms_from_lead(
-                self.config, ctx, v, lc, self.core(key, lift).terms
-            )
-            got = self._specials[(key, lift, ctx)] = terms, lc
-        return got
-
-
-def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombination:
+def lie_reduce(config, p: Poly, match, log=None) -> LieCombination:
     """Bracketed normal form of the Lie element ``p``, steps appended to ``log``.
 
-    ``match(u)`` gives ``(key, lift, context)`` of a lifted rule reducing
-    the word ``u``, or None; ``lifts`` holds the rules by key.  The working
-    terms are ``p`` times the lcm of its denominators, ``int``s while
-    integral (see the module docstring); the output and the logged steps
-    are divided back and carry ``Fraction``s.
+    ``match(u)`` gives ``(key, rule, lift, context)`` of a lifted rule
+    reducing the word ``u``, or None; ``key`` names the rule in the logged
+    steps (``ReductionStep.rule_index``).  The working terms are ``p``
+    times the lcm of its denominators, ``int``s while integral (see the
+    module docstring); the output and the logged steps are divided back
+    and carry ``Fraction``s.
     """
     alphabet = config.alphabet
     scale = lcm(*{c.denominator for c in p.terms.values()})
@@ -466,8 +465,8 @@ def lie_reduce(config, p: Poly, match, lifts: LiftCache, log=None) -> LieCombina
             out.append((Fraction(c, scale), nb))
             _subtract(working, ((w, c * k) for w, k in expansion(alphabet, nb).items()))
             continue
-        key, lift, ctx = m
-        special, lc = lifts.special(key, lift, ctx)
+        key, rule, lift, ctx = m
+        special, lc = rule.special(lift, ctx)
         factor = divide(c, lc)
         multiple = {w: factor * t for w, t in special.items()}
         _subtract(working, multiple.items())
@@ -495,8 +494,11 @@ class RewriteSystem:
     strictly grows with each lift, so the enumeration terminates.  Each
     lift's leading term comes in closed form from the rule's monomials (see
     ``lift_leadings``); the lifted polynomials are expanded on first use by
-    ``core``.  Given ``Rule``s are kept as they are, bare polynomials made
-    monic; every use divides by the lift's own leading coefficient.
+    the rules themselves (``Rule.core``), so engines over one rule share
+    them.  Given ``Rule``s are kept as they are, bare polynomials made
+    monic; every use divides by the lift's own leading coefficient.  A
+    rule's lifts depend on the weight, so a ``Rule`` made under another
+    configuration is refused.
     """
 
     def __init__(self, config: AlgebraConfig, rules, max_degree: int):
@@ -505,8 +507,9 @@ class RewriteSystem:
         self.rules = tuple(
             r if isinstance(r, Rule) else make_rule(config, r) for r in rules
         )
-        # the cache reads the tuple, not self, which it would hold
-        self._lifts = LiftCache(config, self.rules.__getitem__)
+        # once per family: every rule of one reads its configuration
+        if any(f.config != config for f in {r._family for r in self.rules}):
+            raise ValueError("a rule was made under another configuration")
         self.lifted: list[LiftedRule] = []
         # by the primes of the leading word, so a run looks itself up as is
         self.by_leading: dict[tuple, tuple[LiftedRule, ...]] = {}
@@ -524,7 +527,7 @@ class RewriteSystem:
 
     def core(self, rule_index: int, lift: int) -> Poly:
         """``D^lift`` of a rule, as a fresh ``Poly`` of ``Fraction``s."""
-        return Poly(as_fractions(self._lifts.core(rule_index, lift).terms))
+        return Poly(as_fractions(self.rules[rule_index].core(lift).terms))
 
     def match(self, u: Word):
         """First match in a monomial: min (rule index, lift, scan order).
@@ -550,7 +553,7 @@ class RewriteSystem:
 
     def special_multiple(self, rule_index: int, lift: int, ctx: Context) -> Poly:
         """Isolating-bracketed multiple of a lifted rule, leading certified."""
-        return Poly(as_fractions(self._lifts.special(rule_index, lift, ctx)[0]))
+        return Poly(as_fractions(self.rules[rule_index].special(lift, ctx)[0]))
 
     # -- reduction ----------------------------------------------------------
 
@@ -584,7 +587,7 @@ class RewriteSystem:
                 continue
             entry, ctx = m
             c = working[u]
-            multiple = subst_poly(ctx, self._lifts.core(entry.rule_index, entry.lift))
+            multiple = subst_poly(ctx, self.rules[entry.rule_index].core(entry.lift))
             factor = c / entry.leading_coeff
             multiple = multiple.scale(factor)
             if multiple.terms.get(u) != c:
@@ -599,11 +602,11 @@ class RewriteSystem:
     def lie_normal_form(self, p: Poly, log: list | None = None) -> LieCombination:
         """Normal form of a Lie element as bracketed basis words."""
         self._guard_degree(p)
-        return lie_reduce(self.config, p, self._lie_match, self._lifts, log)
+        return lie_reduce(self.config, p, self._lie_match, log)
 
     def _lie_match(self, u: Word):
         m = self.match(u)
-        return None if m is None else (m[0].rule_index, m[0].lift, m[1])
+        return m and (m[0].rule_index, self.rules[m[0].rule_index], m[0].lift, m[1])
 
     # -- compositions --------------------------------------------------------
 
@@ -695,9 +698,9 @@ class RewriteSystem:
         _check_mode(mode)
         config = self.config
         left, right = amb.left, amb.right
-        lifts = self._lifts
-        core_l = lifts.core(left.rule_index, left.lift)
-        core_r = lifts.core(right.rule_index, right.lift)
+        rule_l, rule_r = self.rules[left.rule_index], self.rules[right.rule_index]
+        core_l = rule_l.core(left.lift)
+        core_r = rule_r.core(right.lift)
         if mode == "lie" and not is_alsw_hereditary(amb.word, config.alphabet):
             raise ValueError(
                 "ambiguity word %r is not Lyndon-Shirshov" % (amb.word,)
@@ -711,9 +714,9 @@ class RewriteSystem:
             side_l = subst_poly(ctx_l, core_l).terms
             side_r = subst_poly(ctx_r, core_r).terms
         else:
-            v, lc = lifts.lead(left.rule_index, left.lift)
+            v, lc = rule_l.lift_lead(left.lift)
             side_l = special_terms_from_lead(config, ctx_l, v, lc, core_l.terms)
-            v, lc = lifts.lead(right.rule_index, right.lift)
+            v, lc = rule_r.lift_lead(right.lift)
             side_r = special_terms_from_lead(config, ctx_r, v, lc, core_r.terms)
         # side_l is a fresh dict: scale it only off 1, then subtract in place.
         lc = narrow(left.leading_coeff)

@@ -39,14 +39,16 @@ degree 8 on an interreduced lift can lead with another word (the 2-lift of
 g(P(x)·x·x) leads with D^2(x)·D^2(x)·P(x)); building that h raises, so
 full systems and normal forms that need it are refused, not guessed.
 
-Rules are built lazily per parameter; the same cache backs the fast path
-and the eagerly instantiated systems handed to the generic engine.  The
-fast path ``drbl_nf`` is the engine's Lie loop ``rewriting.lie_reduce``
-with ``_find_match`` as matcher and lifts cached by rule tag; the matcher
-walks the engine's subword runs (``words.subword_runs``) and tests each
-against the patterns above where ``RewriteSystem.match`` looks it up.
-Each system memoises the matcher's answer, (rule tag, lift, context) or
-None, by the word it was asked about, for as long as the system lives;
+Rules are built lazily per parameter; the same rules back the fast path
+and the eagerly instantiated systems handed to the generic engine, and
+each rule keeps its lifts (``rewriting.Rule.core``), so ``drbl_nf`` and
+every engine built over the rule share them.  The fast path ``drbl_nf``
+is the engine's Lie loop ``rewriting.lie_reduce`` with ``_find_match`` as
+matcher; the matcher walks the engine's subword runs
+(``words.subword_runs``) and tests each against the patterns above where
+``RewriteSystem.match`` looks it up.  Each system memoises the matcher's
+answer with the rule it names, (rule tag, rule, lift, context) or None,
+by the word it was asked about, for as long as the system lives;
 ``drbl_nf`` and ``completion_rule``'s own lookups read it, so a word met
 again, in one normal form or the next, is not walked again.  Like the
 intern tables of ``words``, the memo takes no lock.  A completion build
@@ -83,11 +85,11 @@ in [u] and b in [v], and u, which is greater than v, is not a word of
 [v].  That term is the rule's one top: the other terms have breadth 1
 and no greater degree, so its group leads every lift at every weight.
 So f(u,v) too is built on the first read of its polynomial.  Each such
-rule holds only its origin tag and the system's one ``_Families``, which
-builds the polynomial and gives the tops from the tag; it holds the
-alphabet, never the ``DrblSystem``, so no reference cycle forms.
-Completion rules take their tops from ``rewriting.make_rule`` and are
-built eagerly.
+rule holds its origin tag, the system's one ``_Families``, which
+builds the polynomial and gives the tops from the tag, and, once read,
+its lifts; the family holds the configuration, never the ``DrblSystem``,
+so no reference cycle forms.  Completion rules take their polynomial and
+tops from ``rewriting.make_rule`` and are built eagerly.
 
 The linear basis of the quotient is enumerated directly: the letter
 alphabet is D^i(generator) together with P(w) (never D over P) for w a
@@ -97,8 +99,6 @@ excluded.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .algebra import (
     MINUS_ONE,
@@ -118,7 +118,6 @@ from .lyndon import (
 )
 from .rewriting import (
     LieCombination,
-    LiftCache,
     RewriteSystem,
     Rule,
     collector_paused,
@@ -187,22 +186,23 @@ class _Families:
     """The section and Rota-Baxter rules of one ``DrblSystem``, each read
     from its origin tag, ``("section", u)`` or ``("rota-baxter", u, v)``.
 
-    Holds the alphabet, the operator and the narrowed weight, never the
-    system, so no reference cycle forms.
+    Holds the configuration, the operator and the narrowed weight, never
+    the system, so no reference cycle forms.
     """
 
-    __slots__ = ("alphabet", "operator", "weight")
+    __slots__ = ("config", "operator", "weight")
 
     def __init__(self, config: AlgebraConfig, operator: str):
-        self.alphabet = config.alphabet
+        self.config = config
         self.operator = operator
         self.weight = narrow(config.weight)
 
     def poly(self, origin: tuple) -> Poly:
+        alphabet = self.config.alphabet
         if origin[0] == "section":
-            return _section_poly(self.alphabet, self.operator, origin[1])
+            return _section_poly(alphabet, self.operator, origin[1])
         _, u, v = origin
-        return _rota_baxter_poly(self.alphabet, self.operator, self.weight, u, v)
+        return _rota_baxter_poly(alphabet, self.operator, self.weight, u, v)
 
     def tops(self, origin: tuple) -> dict:
         """g(u): D(P(u)) and u; f(u,v): P(u)·P(v), whose breadth-2 group
@@ -219,14 +219,15 @@ class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
     Holds the algebra configuration (one unary operator) plus lazy caches:
-    rules keyed by their Lyndon-Shirshov parameters, a ``LiftCache`` of
-    lifted rules and their bracketed multiples keyed by tag
-    (``("section", u)``, ``("rota-baxter", u, v)``, ``("completion", u, i)``),
-    and the match memo: each word the matcher was asked about, mapped to
-    ``_find_match``'s answer.  The memo lives as long as the system, takes
-    no lock (one thread, like the intern tables), and is cleared whenever a
-    completion build ends, since answers found during one can go stale.
-    Bracket expansions live on the alphabet, not here.
+    rules keyed by their Lyndon-Shirshov parameters, each rule named by
+    its tag (``("section", u)``, ``("rota-baxter", u, v)``,
+    ``("completion", u, i)``) and keeping its own lifts and bracketed
+    multiples, and the match memo: each word the matcher was asked about,
+    mapped to ``_find_match``'s answer with the rule its tag names.  The
+    memo lives as long as the system, takes no lock (one thread, like the
+    intern tables), and is cleared whenever a completion build ends, since
+    answers found during one can go stale.  Bracket expansions live on the
+    alphabet, not here.
     """
 
     def __init__(self, config: AlgebraConfig):
@@ -242,10 +243,6 @@ class DrblSystem:
         self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
         self._completion: dict[tuple[Word, int], Rule | None] = {}
         self._matches: dict[Word, tuple | None] = {}
-        # A weak back-reference, so the cache does not keep its owner in a
-        # reference cycle; the cache is reached only through its owner.
-        owner = weakref.ref(self)
-        self._lifts = LiftCache(config, lambda tag: owner()._rule(tag))
 
     # -- rule families -------------------------------------------------------
 
@@ -306,12 +303,12 @@ class DrblSystem:
             run = Word(tuple(p.shifted(lift) for p in u.primes))
             m = self._match(run)
         # Any match in D^{i+1}(P(u)) other than h itself lies inside u.
-        if m is None or m[:2] == (tag, lift) or self._match(u):
+        if m is None or (m[0] == tag and m[2] == lift) or self._match(u):
             self._completion[key] = None
             return None
         self._completion[key] = None
         try:
-            poly = drbl_nf(self._lifts.core(tag, lift), self).as_poly(self.config)
+            poly = drbl_nf(self.section_rule(u).core(lift), self).as_poly(self.config)
         finally:
             del self._completion[key]
             # matches found while D^{i+1}(P(u)) counted as irreducible
@@ -328,10 +325,14 @@ class DrblSystem:
         return got
 
     def _match(self, u: Word):
-        """``_find_match(self, u)``, memoised by the word ``u``."""
+        """``_find_match(self, u)`` with the rule its tag names, (tag, rule,
+        lift, context) or None, memoised by the word ``u``."""
         got = self._matches.get(u, _UNSEEN)
         if got is _UNSEEN:
-            got = self._matches[u] = _find_match(self, u)
+            got = _find_match(self, u)
+            if got is not None:
+                got = (got[0], self._rule(got[0])) + got[1:]
+            self._matches[u] = got
         return got
 
     def _rule(self, tag: tuple) -> Rule:
@@ -484,7 +485,7 @@ def drbl_nf(
             "degree %d exceeds the requested bound %d"
             % (working.max_degree(), max_degree)
         )
-    return lie_reduce(sys.config, working, sys._match, sys._lifts, log)
+    return lie_reduce(sys.config, working, sys._match, log)
 
 
 # ---------------------------------------------------------------------------

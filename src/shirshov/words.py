@@ -207,11 +207,6 @@ class Word:
     __repr__ = term_repr
 
 
-def concat(*words: Word) -> Word:
-    """Concatenation product of words."""
-    return Word(tuple(p for w in words for p in w.primes))
-
-
 class Alphabet:
     """Ordered generators and operators; earlier in each sequence is greater.
 

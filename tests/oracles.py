@@ -11,10 +11,13 @@ rules by expanding each bracketing afresh, ambiguities by comparing every
 pair of lifted leading words, ``drbl_nf``'s matcher by visiting every
 subword run (``oracle_find_match``), and the ideal rows of
 ``reference.oracle_quotient_dim`` by one ``occurrences`` scan per ALSW word
-and lift (``naive_ideal_rows``).  ``oracle_parse_term`` is the
-parser with a token list of (kind, text, position) triples, a method per
-token test and ``Fraction`` sums, against ``syntax.parse_term``'s string
-tokens and integer sums.  ``oracle_random_reduce`` reduces with a
+and lift (``naive_ideal_rows``).  ``congruence_failures`` counts the
+draws on which ``drbl_nf`` breaks a congruence of the quotient's
+operations, and ``concat``, the concatenation product of words, serves
+the tests alone.  ``oracle_parse_term`` is the parser with a token list
+of (kind, text, position) triples, a method per token test and
+``Fraction`` sums, against ``syntax.parse_term``'s string tokens and
+integer sums.  ``oracle_random_reduce`` reduces with a
 seeded-random order and choice of rule, against the engine's greatest-first
 ``reduce``, and ``verify_axioms`` checks the defining identities on random
 basis elements by ``drbl_nf`` (``AxiomReport`` holds its result).
@@ -82,7 +85,6 @@ from shirshov.words import (
     OpApp,
     Prime,
     Word,
-    concat,
     context_at,
     default_letters,
     lex_cmp,
@@ -90,6 +92,11 @@ from shirshov.words import (
     subword_runs,
     substitute,
 )
+
+
+def concat(*words: Word) -> Word:
+    """Concatenation product of words."""
+    return Word(tuple(p for w in words for p in w.primes))
 
 
 def oracle_lyndon_count(q: int, n: int) -> int:
@@ -722,6 +729,49 @@ def random_combination(rng, config: AlgebraConfig, words, terms: int = 3) -> Pol
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
         out = out + lie_expand(config, shirshov_bracket(u, alphabet)).scale(c)
     return out
+
+
+def congruence_failures(
+    sys, max_degree: int, samples: int = 120, seed: int = 3
+) -> dict:
+    """Failures of N(P(N(x))) = N(P(x)), N(D(N(x))) = N(D(x)) and
+    N([N(x), N(y)]) = N([x, N(y)]) for N = ``drbl_nf`` on the one system
+    ``sys``, each over ``samples`` seeded ``random_combination`` draws of
+    degree at most ``max_degree``: a normal form of the quotient must
+    respect its operations, and the check reads no rule.  Returns the
+    failure counts by operation, keyed "P", "D" and "bracket"."""
+    config = sys.config
+    rng = random.Random(seed)
+    words = enumerate_alsw(config, max_degree)
+
+    def nf(p):
+        return drbl_nf(p, sys)
+
+    def reduced(p):
+        return nf(p).as_poly(config)
+
+    # D raises a word's degree by at most one per top-level prime
+    under_p = [u for u in words if u.degree < max_degree]
+    under_d = [
+        u
+        for u in words
+        if u.degree + (u.breadth if config.weight else 1) <= max_degree
+    ]
+    failures = {"P": 0, "D": 0, "bracket": 0}
+    for _ in range(samples):
+        x = random_combination(rng, config, under_p)
+        if nf(apply_operator("P", reduced(x))) != nf(apply_operator("P", x)):
+            failures["P"] += 1
+        x = random_combination(rng, config, under_d)
+        if nf(apply_D(config, reduced(x))) != nf(apply_D(config, x)):
+            failures["D"] += 1
+        x = random_combination(rng, config, under_p)
+        room = max_degree - x.max_degree()
+        y = random_combination(rng, config, [u for u in words if u.degree <= room])
+        y = reduced(y)
+        if nf(commutator(reduced(x), y)) != nf(commutator(x, y)):
+            failures["bracket"] += 1
+    return failures
 
 
 def nf_corpus(sys, max_degree: int, count: int, seed: int) -> list[Poly]:

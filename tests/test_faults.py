@@ -5,6 +5,11 @@ Every fault is planted with ``monkeypatch`` into a fresh system over two
 generators at λ = 1, checked through degree 6 (24 compositions) in each
 mode.  One generator is not enough: over it, at degree 6 (8 compositions),
 the wrong Rota-Baxter sign and the lost Leibniz λ terms both go unnoticed.
+
+The wrong Rota-Baxter sign is also caught without the check, over one
+generator at λ = 1 and degree 7: ``drbl_nf`` then breaks the congruence
+N(D(N(x))) = N(D(x)) (``oracles.congruence_failures``), which the unfaulted
+system keeps on the same draws.
 """
 
 from fractions import Fraction
@@ -17,6 +22,7 @@ import shirshov.rota_baxter
 from shirshov import AlgebraConfig, DrblSystem
 from shirshov.cli import make_alphabet
 from shirshov.words import Word, substitute
+from oracles import congruence_failures
 
 MODES = ("assoc", "lie")
 
@@ -74,6 +80,12 @@ def test_a_negated_weight_leaves_compositions_uncertified(monkeypatch, mode):
     negated_weight(monkeypatch)
     report = check(mode)
     assert report.summary() == "fail: 2 of 24 compositions not certified (nonzero residue)"
+
+
+def test_a_negated_weight_breaks_the_congruence_of_normal_forms_under_d(monkeypatch):
+    negated_weight(monkeypatch)
+    drbl = DrblSystem(AlgebraConfig(make_alphabet(1), Fraction(1)))
+    assert congruence_failures(drbl, 7)["D"] >= 1
 
 
 def test_dropped_leibniz_terms_break_the_lie_leading_check(monkeypatch):

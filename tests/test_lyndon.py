@@ -36,7 +36,6 @@ from shirshov.words import (
     Hole,
     Prime,
     Word,
-    concat,
     context_at,
     enumerate_words,
     subword_runs,
@@ -44,6 +43,7 @@ from shirshov.words import (
 )
 from oracles import (
     _oracle_is_alsw,
+    concat,
     fill_mark,
     oracle_all_bracketings,
     oracle_enumerate_alsw_by_degree,

@@ -62,6 +62,21 @@ def section_rule(config, w):
     return make_rule(config, poly, ("section", w))
 
 
+def stored_lifts(engine):
+    """The lifts the engine's rules keep: cores and certified leads by
+    (rule index, lift), special multiples by (rule index, lift, context)."""
+    cores, leads, specials = {}, {}, {}
+    for i, rule in enumerate(engine.rules):
+        if rule._lifts is not None:
+            rule_cores, rule_leads, rule_specials = rule._lifts
+            cores.update(((i, lift), core) for lift, core in enumerate(rule_cores))
+            leads.update(((i, lift), lead) for lift, lead in rule_leads.items())
+            specials.update(
+                ((i,) + key, special) for key, special in rule_specials.items()
+            )
+    return cores, leads, specials
+
+
 def test_make_rule_normalizes_to_monic():
     c = cfg()
     r = make_rule(c, parse_poly("2 x y - 4 y", A2))
@@ -353,7 +368,7 @@ def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):
         assert sys_.core(e.rule_index, e.lift) == apply_D(
             c, sys_.rules[e.rule_index].poly, e.lift
         )
-    # drbl_nf shares the cache: D^3(P(x)) reduces by the 2-lift of g(x)
+    # drbl_nf reads lifts kept on the rule: D^3(P(x)) reduces by the 2-lift of g(x)
     steps.clear()
     log = []
     nf = drbl_nf(parse_poly("D^3(P(x))", A1), DrblSystem(cfg(A1, 1)), log=log)
@@ -364,6 +379,31 @@ def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):
     assert steps == [1, 1]
 
 
+@pytest.mark.parametrize("weight", (1, Fraction(1, 2)), ids=str)
+def test_an_engine_and_drbl_nf_expand_each_core_once(monkeypatch, weight):
+    # the completion build reduces section lifts through drbl_nf, and the
+    # check reads many of the same cores and multiples in the engine
+    made = []
+
+    def counting_apply_D(config, p, times=1):
+        assert times == 1
+        got = apply_D(config, p, times)
+        made.append(frozenset(got.terms.items()))
+        return got
+
+    monkeypatch.setattr(shirshov.rewriting, "apply_D", counting_apply_D)
+    drbl = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight)))
+    engine = drbl.system(7)
+    built = len(made)
+    assert built and engine.is_gsb("lie")
+    assert len(made) > built
+    assert len(made) == len(set(made))
+    rules = [*drbl._section.values(), *drbl._rota_baxter.values()]
+    rules += [r for r in drbl._completion.values() if r is not None]
+    cores = sum(len(r._lifts[0]) - 1 for r in rules if r._lifts is not None)
+    assert len(made) == cores
+
+
 @pytest.mark.parametrize("weight", (0, 1, Fraction(1, 2)), ids=str)
 def test_cached_cores_and_multiples_equal_fresh_ones_after_a_check(weight):
     # a reduction or composition that subtracted from a cached dict would
@@ -372,14 +412,14 @@ def test_cached_cores_and_multiples_equal_fresh_ones_after_a_check(weight):
     engine = DrblSystem(config).system(6)
     assert engine.is_gsb("lie")
     fresh = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight))).system(6)
-    lifts = engine._lifts
-    assert len(lifts._cores) >= len(lifts._leads) > 10 and len(lifts._specials) > 10
-    for (i, lift), core in lifts._cores.items():
+    cores, leads, specials = stored_lifts(engine)
+    assert len(cores) >= len(leads) > 10 and len(specials) > 10
+    for (i, lift), core in cores.items():
         want = apply_D(config, fresh.rules[i].poly, lift)
         assert list(core.terms.items()) == list(want.terms.items())
-    for (i, lift), (v, lc) in lifts._leads.items():
-        assert (v, lc) == leading(config, lifts._cores[(i, lift)])
-    for (i, lift, ctx), (terms, lc) in lifts._specials.items():
+    for (i, lift), (v, lc) in leads.items():
+        assert (v, lc) == leading(config, cores[(i, lift)])
+    for (i, lift, ctx), (terms, lc) in specials.items():
         core = apply_D(config, fresh.rules[i].poly, lift)
         want = special_expand(config, ctx, leading(config, core)[0], core)
         assert list(terms.items()) == list(want.terms.items())
@@ -387,7 +427,7 @@ def test_cached_cores_and_multiples_equal_fresh_ones_after_a_check(weight):
 
 @pytest.mark.parametrize("weight", (0, Fraction(1, 2)), ids=str)
 def test_checks_in_both_modes_leave_rules_and_cached_cores_as_built(weight):
-    # lift 0 of the cache is the rule's own polynomial, so a composition or
+    # a rule's lift 0 is its own polynomial, so a composition or
     # reduction in either mode that subtracted from a cached core in place
     # would change the rule too
     config = AlgebraConfig(make_alphabet(2), Fraction(weight))
@@ -397,7 +437,7 @@ def test_checks_in_both_modes_leave_rules_and_cached_cores_as_built(weight):
     fresh = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(weight))).system(6)
     for rule, want in zip(engine.rules, fresh.rules):
         assert list(rule.poly.terms.items()) == list(want.poly.terms.items())
-    cores = engine._lifts._cores
+    cores = stored_lifts(engine)[0]
     assert sum(lift == 0 for _, lift in cores) > 10 and len(cores) > 20
     for (i, lift), core in cores.items():
         if lift == 0:
@@ -408,7 +448,7 @@ def test_checks_in_both_modes_leave_rules_and_cached_cores_as_built(weight):
 
 @pytest.mark.parametrize("weight", (0, 1))
 def test_lifts_above_the_bound_are_certified_by_the_closed_form(weight):
-    # the engine's table ends at the bound; past it the cache asks
+    # the engine's table ends at the bound; past it the rule asks
     # lift_leadings, so one index past a rule's last lift is not the next
     # rule's first
     config = AlgebraConfig(make_alphabet(2), Fraction(weight))
@@ -419,7 +459,7 @@ def test_lifts_above_the_bound_are_certified_by_the_closed_form(weight):
     for i, lift in list(last.items())[:20]:
         for above in (lift + 1, lift + 2):
             core = engine.core(i, above)
-            assert engine._lifts.lead(i, above) == leading(config, core)
+            assert engine.rules[i].lift_lead(above) == leading(config, core)
 
 
 @pytest.mark.parametrize("mode", ("lie", "assoc"))
@@ -441,13 +481,12 @@ def test_composing_an_inclusion_twice_gives_one_answer(mode, weight):
 
 @pytest.mark.parametrize("fault", ("word", "coefficient"))
 def test_a_planted_core_with_a_wrong_leading_term_fails_its_first_use(fault):
-    def plant(lifts, key, lift):
-        config = lifts.config
-        core = lifts.core(key, lift)
+    def plant(rule, lift):
+        core = rule.core(lift)
         if fault == "word":
-            lifts._cores[(key, lift)] = apply_D(config, core)
+            rule._lifts[0][lift] = apply_D(rule.config, core)
         else:
-            lifts._cores[(key, lift)] = core.scale(2)
+            rule._lifts[0][lift] = core.scale(2)
 
     config = AlgebraConfig(make_alphabet(2), Fraction(0))
     amb = next(
@@ -457,17 +496,17 @@ def test_a_planted_core_with_a_wrong_leading_term_fails_its_first_use(fault):
     )
     right = amb.right
     engine = DrblSystem(config).system(6)
-    plant(engine._lifts, right.rule_index, right.lift)
+    plant(engine.rules[right.rule_index], right.lift)
     with pytest.raises(ValueError, match="core leading term"):
         engine.composition(amb, "lie")
     engine = DrblSystem(config).system(6)
-    plant(engine._lifts, right.rule_index, right.lift)
+    plant(engine.rules[right.rule_index], right.lift)
     with pytest.raises(ValueError, match="core leading term"):
         engine.special_multiple(right.rule_index, right.lift, amb.context)
-    # drbl_nf's lifts go through the same cache
+    # drbl_nf reads the same lifts, kept on the rule
     drbl = DrblSystem(config)
     x1 = parse_word("x1", config.alphabet)
-    plant(drbl._lifts, ("section", x1), 1)
+    plant(drbl.section_rule(x1), 1)
     with pytest.raises(ValueError, match="core leading term"):
         drbl_nf(parse_poly("D^2(P(x1))", config.alphabet), drbl)
 
@@ -500,7 +539,7 @@ def test_a_planted_core_whose_multiple_does_not_cancel_fails_assoc_reduction():
     entry, _ = engine.match(next(iter(p.terms)))
     assert entry.lift == 1
     core = engine.core(entry.rule_index, entry.lift)
-    engine._lifts._cores[(entry.rule_index, entry.lift)] = core.scale(2)
+    engine.rules[entry.rule_index]._lifts[0][entry.lift] = core.scale(2)
     with pytest.raises(RuntimeError, match="rule multiple does not cancel"):
         engine.reduce(p, log=BoundedLog())
 
@@ -527,7 +566,7 @@ def test_a_planted_core_that_keeps_the_ambiguity_word_fails_its_composition():
     )
     left = amb.left
     core = engine.core(left.rule_index, left.lift)
-    engine._lifts._cores[(left.rule_index, left.lift)] = core.scale(2)
+    engine.rules[left.rule_index]._lifts[0][left.lift] = core.scale(2)
     with pytest.raises(
         RuntimeError, match="composition leading .* not below ambiguity word"
     ):
@@ -535,14 +574,15 @@ def test_a_planted_core_that_keeps_the_ambiguity_word_fails_its_composition():
 
 
 def test_a_planted_lead_coefficient_fails_the_special_multiple_certificate():
-    # the cache trusts its certified leads; a wrong coefficient there is
+    # a rule trusts its certified leads; a wrong coefficient there is
     # caught by the multiple's own certificate
     config = AlgebraConfig(make_alphabet(2), Fraction(0))
     engine = DrblSystem(config).system(6)
     amb = next(a for a in engine.find_ambiguities() if a.kind == "inclusion")
     right = amb.right
-    v, lc = engine._lifts.lead(right.rule_index, right.lift)
-    engine._lifts._leads[(right.rule_index, right.lift)] = v, 2 * lc
+    rule = engine.rules[right.rule_index]
+    v, lc = rule.lift_lead(right.lift)
+    rule._lifts[1][right.lift] = v, 2 * lc
     with pytest.raises(RuntimeError, match="special multiple certificate failed"):
         engine.special_multiple(right.rule_index, right.lift, amb.context)
 
@@ -1023,6 +1063,7 @@ def test_engine_calls_leave_the_collector_as_they_found_it(
 
 def test_a_dropped_engine_is_freed_without_the_collector(collector_state):
     collector_state(False)
+    gc.collect()
     config = cfg(A1, 1)
     drbl = DrblSystem(config)
     engine = drbl.system(7)
@@ -1030,9 +1071,11 @@ def test_a_dropped_engine_is_freed_without_the_collector(collector_state):
     assert engine.is_gsb("lie")
     expr = parse_poly("D^2(P([P(x) x]))", A1)
     assert drbl_nf(expr, drbl) == drbl_nf(expr, DrblSystem(config))
-    refs = [weakref.ref(o) for o in (drbl, drbl._lifts, engine, engine._lifts)]
+    refs = [weakref.ref(o) for o in (drbl, engine)]
     del drbl, engine
     assert [r() for r in refs] == [None] * len(refs)
+    # the rules and the lifts they keep went with them, by reference counting
+    assert gc.collect() == 0
 
 
 def test_a_pause_leaves_no_young_collection_behind(collector_state):

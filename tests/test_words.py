@@ -21,13 +21,13 @@ from shirshov import (
     Poly,
     Prime,
     RewriteSystem,
-    Rule,
     Word,
     apply_D,
     d_power_leading,
     drbl_nf,
     enumerate_words,
     format_term,
+    make_rule,
     occurrences,
     parse_poly,
     parse_term,
@@ -41,13 +41,12 @@ from shirshov.words import (
     NaLeaf,
     NaOp,
     NaPair,
-    concat,
     context_at,
     lex_cmp,
     subword_runs,
     substitute,
 )
-from oracles import oracle_subword_runs, underlying_word
+from oracles import concat, oracle_subword_runs, underlying_word
 
 
 A1 = Alphabet(("x",), (("P", 1),))
@@ -465,7 +464,20 @@ def _x_word():
             "cannot interpret 'x' as a Lie element",
         ),
         (lambda: format_term(1.5), TypeError, "cannot format 'float'"),
-        (lambda: Rule(Poly.zero(), ("rule",), {}), ValueError, "rules must be nonzero"),
+        (
+            lambda: make_rule(AlgebraConfig(A1), Poly.zero()),
+            ValueError,
+            "rules must be nonzero",
+        ),
+        (
+            lambda: RewriteSystem(
+                AlgebraConfig(A1),
+                [make_rule(AlgebraConfig(A1, 1), parse_poly("x", A1))],
+                3,
+            ),
+            ValueError,
+            "a rule was made under another configuration",
+        ),
         (
             lambda: RewriteSystem(AlgebraConfig(A1), [], 3).reduce(
                 parse_poly("x", A1), mode="lie-ish"
