@@ -96,7 +96,6 @@ def _cmd_nf(args) -> int:
     log = [] if args.trace else None
     if args.mode == "lie":
         nf = drbl_nf(value, sys_, max_degree=args.max_deg, log=log)
-        tag_of = lambda step: step.rule_index
     elif value.max_degree() > args.max_deg:
         raise ValueError(
             "degree %d exceeds --max-deg %d" % (value.max_degree(), args.max_deg)
@@ -105,18 +104,17 @@ def _cmd_nf(args) -> int:
         # deg-lex is degree-compatible: no rule above the input's degree fires
         engine = sys_.system(max(value.max_degree(), 1))
         nf = engine.reduce(value, mode="assoc", log=log)
-        tag_of = lambda step: engine.rules[step.rule_index].origin
-    _print_trace(log, tag_of)
+    _print_trace(log)
     print(format_term(nf, sys_.config))
     return 0
 
 
-def _print_trace(log, tag_of) -> None:
+def _print_trace(log) -> None:
     """One stderr line per reduction step: rule, lift, context, coefficient."""
     if log is None:
         return
     for n, step in enumerate(log, start=1):
-        name, *params = tag_of(step)
+        name, *params = step.rule.origin
         rule = "%s(%s)" % (
             name,
             ", ".join(str(p) if type(p) is int else format_term(p) for p in params),

@@ -62,10 +62,11 @@ cores: ``Rule.lift_lead`` certifies each core's leading term once, on
 first use, and every multiple is still certified to lead with its filled
 word.  A division yields a ``Fraction`` only when it is not exact
 (``algebra.divide``, as at weight 1/2), so no coefficient is ever a float.
-What crosses the public boundary (``Rule.poly``, ``core``,
-``composition``, ``reduce``, ``lie_normal_form``, ``ReductionStep``,
-``special_multiple``) is a fresh copy in ``Fraction``s, with the values
-and the term order the all-``Fraction`` computation gives.
+What crosses the public boundary (``Rule.poly``, ``composition``,
+``reduce``, ``lie_normal_form``, ``ReductionStep``) is a fresh copy in
+``Fraction``s, with the values and the term order the all-``Fraction``
+computation gives; a rule's own views (``Rule.narrowed``, ``core``,
+``lift_lead`` and ``special``) keep ``int``s where integral.
 
 A basis check reduces every composition and reports nonzero residues.
 Reduction to zero certifies triviality; a nonzero residue means the
@@ -342,11 +343,12 @@ class Ambiguity:
 class ReductionStep:
     """One elimination: which lifted rule, where, and the full multiple.
 
-    ``rule_index`` is the engine's rule index, or the ``DrblSystem`` rule
-    tag such as ``("section", u)`` when the step comes from ``drbl_nf``.
+    ``rule`` is the ``Rule`` itself, one of the engine's ``rules`` or of
+    the ``DrblSystem``'s when the step comes from ``drbl_nf``; its
+    ``origin`` names it in a trace.
     """
 
-    rule_index: int | tuple
+    rule: Rule
     lift: int
     context: Context
     coefficient: Fraction
@@ -442,12 +444,11 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int, lift: int 
 def lie_reduce(config, p: Poly, match, log=None) -> LieCombination:
     """Bracketed normal form of the Lie element ``p``, steps appended to ``log``.
 
-    ``match(u)`` gives ``(key, rule, lift, context)`` of a lifted rule
-    reducing the word ``u``, or None; ``key`` names the rule in the logged
-    steps (``ReductionStep.rule_index``).  The working terms are ``p``
-    times the lcm of its denominators, ``int``s while integral (see the
-    module docstring); the output and the logged steps are divided back
-    and carry ``Fraction``s.
+    ``match(u)`` gives ``(rule, lift, context)`` of a lifted rule reducing
+    the word ``u``, or None; each logged step carries that rule.  The
+    working terms are ``p`` times the lcm of its denominators, ``int``s
+    while integral (see the module docstring); the output and the logged
+    steps are divided back and carry ``Fraction``s.
     """
     alphabet = config.alphabet
     scale = lcm(*{c.denominator for c in p.terms.values()})
@@ -465,7 +466,7 @@ def lie_reduce(config, p: Poly, match, log=None) -> LieCombination:
             out.append((Fraction(c, scale), nb))
             _subtract(working, ((w, c * k) for w, k in expansion(alphabet, nb).items()))
             continue
-        key, rule, lift, ctx = m
+        rule, lift, ctx = m
         special, lc = rule.special(lift, ctx)
         factor = divide(c, lc)
         multiple = {w: factor * t for w, t in special.items()}
@@ -476,7 +477,7 @@ def lie_reduce(config, p: Poly, match, log=None) -> LieCombination:
             else:
                 multiple = {w: Fraction(t, scale) for w, t in multiple.items()}
             log.append(
-                ReductionStep(key, lift, ctx, Fraction(factor, scale), Poly(multiple))
+                ReductionStep(rule, lift, ctx, Fraction(factor, scale), Poly(multiple))
             )
     return LieCombination(tuple(out))
 
@@ -525,10 +526,6 @@ class RewriteSystem:
 
     # -- matching ----------------------------------------------------------
 
-    def core(self, rule_index: int, lift: int) -> Poly:
-        """``D^lift`` of a rule, as a fresh ``Poly`` of ``Fraction``s."""
-        return Poly(as_fractions(self.rules[rule_index].core(lift).terms))
-
     def match(self, u: Word):
         """First match in a monomial: min (rule index, lift, scan order).
 
@@ -547,13 +544,6 @@ class RewriteSystem:
         if best is None:
             return None
         return best, context_at(u.primes, best_where)
-
-    def is_reducible(self, u: Word) -> bool:
-        return self.match(u) is not None
-
-    def special_multiple(self, rule_index: int, lift: int, ctx: Context) -> Poly:
-        """Isolating-bracketed multiple of a lifted rule, leading certified."""
-        return Poly(as_fractions(self.rules[rule_index].special(lift, ctx)[0]))
 
     # -- reduction ----------------------------------------------------------
 
@@ -587,16 +577,15 @@ class RewriteSystem:
                 continue
             entry, ctx = m
             c = working[u]
-            multiple = subst_poly(ctx, self.rules[entry.rule_index].core(entry.lift))
+            rule = self.rules[entry.rule_index]
+            multiple = subst_poly(ctx, rule.core(entry.lift))
             factor = c / entry.leading_coeff
             multiple = multiple.scale(factor)
             if multiple.terms.get(u) != c:
                 raise RuntimeError("rule multiple does not cancel %r" % (u,))
             _subtract(working, multiple.terms.items())
             if log is not None:
-                log.append(
-                    ReductionStep(entry.rule_index, entry.lift, ctx, factor, multiple)
-                )
+                log.append(ReductionStep(rule, entry.lift, ctx, factor, multiple))
         return Poly(out)
 
     def lie_normal_form(self, p: Poly, log: list | None = None) -> LieCombination:
@@ -606,7 +595,7 @@ class RewriteSystem:
 
     def _lie_match(self, u: Word):
         m = self.match(u)
-        return m and (m[0].rule_index, self.rules[m[0].rule_index], m[0].lift, m[1])
+        return m and (self.rules[m[0].rule_index], m[0].lift, m[1])
 
     # -- compositions --------------------------------------------------------
 
@@ -763,11 +752,11 @@ class RewriteSystem:
                 w
                 for d in range(1, n + 1)
                 for w in by_deg.get(d, ())
-                if not self.is_reducible(w)
+                if self.match(w) is None
             ]
         _check_mode(mode)
         return [
             shirshov_bracket(w, self.config.alphabet)
             for w in enumerate_alsw(self.config, n)
-            if not self.is_reducible(w)
+            if self.match(w) is None
         ]

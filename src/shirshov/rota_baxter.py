@@ -47,16 +47,16 @@ is the engine's Lie loop ``rewriting.lie_reduce`` with ``_find_match`` as
 matcher; the matcher walks the engine's subword runs
 (``words.subword_runs``) and tests each against the patterns above where
 ``RewriteSystem.match`` looks it up.  Each system memoises the matcher's
-answer with the rule it names, (rule tag, rule, lift, context) or None,
-by the word it was asked about, for as long as the system lives;
-``drbl_nf`` and ``completion_rule``'s own lookups read it, so a word met
-again, in one normal form or the next, is not walked again.  Like the
-intern tables of ``words``, the memo takes no lock.  A completion build
-clears it when it ends: while h(u, i) is being built, D^{i+1}(P(u)) counts
-as irreducible, so an answer found then can be wrong afterwards.  The
-standard bracketing [u] is made of the bracketings of u's sub-parameters
-(its standard factors and the arguments of its P-letters), which are
-interned nodes, so the alphabet's memo of bracket expansions
+answer, (rule, lift, context) or None, by the word it was asked about,
+for as long as the system lives; ``drbl_nf`` and ``completion_rule``'s
+own lookups read it, so a word met again, in one normal form or the
+next, is not walked again.  Like the intern tables of ``words``, the
+memo takes no lock.  A completion build clears it when it ends: while
+h(u, i) is being built, D^{i+1}(P(u)) counts as irreducible, so an
+answer found then can be wrong afterwards.  The standard bracketing
+[u] is made of the bracketings of u's sub-parameters (its standard
+factors and the arguments of its P-letters), which are interned nodes,
+so the alphabet's memo of bracket expansions
 (``algebra.lie_expand``, shared with the parser and with ``drbl_nf``'s
 peel) expands every subtree once, a pair as the commutator of its
 children's expansions and a leaf as P of its argument's expansion
@@ -219,15 +219,14 @@ class DrblSystem:
     """Rule families of a free differential Lie Rota-Baxter algebra.
 
     Holds the algebra configuration (one unary operator) plus lazy caches:
-    rules keyed by their Lyndon-Shirshov parameters, each rule named by
-    its tag (``("section", u)``, ``("rota-baxter", u, v)``,
-    ``("completion", u, i)``) and keeping its own lifts and bracketed
-    multiples, and the match memo: each word the matcher was asked about,
-    mapped to ``_find_match``'s answer with the rule its tag names.  The
-    memo lives as long as the system, takes no lock (one thread, like the
-    intern tables), and is cleared whenever a completion build ends, since
-    answers found during one can go stale.  Bracket expansions live on the
-    alphabet, not here.
+    one table of rules keyed by their origin tags (``("section", u)``,
+    ``("rota-baxter", u, v)``, ``("completion", u, i)``), each rule
+    keeping its own lifts and bracketed multiples, and the match memo:
+    each word the matcher was asked about, mapped to ``_find_match``'s
+    answer, (rule, lift, context) or None.  The memo lives as long as the
+    system, takes no lock (one thread, like the intern tables), and is
+    cleared whenever a completion build ends, since answers found during
+    one can go stale.  Bracket expansions live on the alphabet, not here.
     """
 
     def __init__(self, config: AlgebraConfig):
@@ -239,9 +238,8 @@ class DrblSystem:
         self.config = config
         self.operator = ops[0][0]
         self._families = _Families(config, self.operator)
-        self._section: dict[Word, Rule] = {}
-        self._rota_baxter: dict[tuple[Word, Word], Rule] = {}
-        self._completion: dict[tuple[Word, int], Rule | None] = {}
+        # by origin tag; a completion tag maps to None where h does not exist
+        self._rules: dict[tuple, Rule | None] = {}
         self._matches: dict[Word, tuple | None] = {}
 
     # -- rule families -------------------------------------------------------
@@ -252,10 +250,11 @@ class DrblSystem:
         Its polynomial is built on first read; its lift leadings come
         from its two group tops, D(P(u)) and u.
         """
-        got = self._section.get(u)
+        tag = ("section", u)
+        got = self._rules.get(tag)
         if got is None:
             _check_parameter(u, self.config.alphabet)
-            got = self._section[u] = Rule(self._families, ("section", u))
+            got = self._rules[tag] = Rule(self._families, tag)
         return got
 
     def rota_baxter_rule(self, u: Word, v: Word) -> Rule:
@@ -264,15 +263,15 @@ class DrblSystem:
         Its polynomial is built on first read; its lift leadings come
         from its one top, P(u)·P(v).
         """
-        got = self._rota_baxter.get((u, v))
+        tag = ("rota-baxter", u, v)
+        got = self._rules.get(tag)
         if got is None:
             alphabet = self.config.alphabet
             if alphabet.key(u) <= alphabet.key(v):
                 raise ValueError("parameters must satisfy u > v in deg-lex")
             _check_parameter(u, alphabet)
             _check_parameter(v, alphabet)
-            rule = Rule(self._families, ("rota-baxter", u, v))
-            got = self._rota_baxter[(u, v)] = rule
+            got = self._rules[tag] = Rule(self._families, tag)
         return got
 
     def completion_rule(self, u: Word, lift: int) -> Rule | None:
@@ -294,53 +293,43 @@ class DrblSystem:
             raise ValueError(
                 "the %d-lift of g(%r) keeps its leading word" % (lift, u)
             )
-        key = (u, lift)
-        if key in self._completion:
-            return self._completion[key]
-        tag = ("section", u)
+        tag = ("completion", u, lift)
+        if tag in self._rules:
+            return self._rules[tag]
+        g = self.section_rule(u)
         m = None
         if any(type(p.head) is OpApp for p in u.primes):
             run = Word(tuple(p.shifted(lift) for p in u.primes))
             m = self._match(run)
         # Any match in D^{i+1}(P(u)) other than h itself lies inside u.
-        if m is None or (m[0] == tag and m[2] == lift) or self._match(u):
-            self._completion[key] = None
+        if m is None or (m[0] is g and m[1] == lift) or self._match(u):
+            self._rules[tag] = None
             return None
-        self._completion[key] = None
+        self._rules[tag] = None
         try:
-            poly = drbl_nf(self.section_rule(u).core(lift), self).as_poly(self.config)
+            poly = drbl_nf(g.core(lift), self).as_poly(self.config)
         finally:
-            del self._completion[key]
+            del self._rules[tag]
             # matches found while D^{i+1}(P(u)) counted as irreducible
             self._matches.clear()
         top = Word((Prime(lift + 1, OpApp(self.operator, (u,))),))
-        got = make_rule(self.config, poly, ("completion", u, lift)) if poly else None
+        got = make_rule(self.config, poly, tag) if poly else None
         if got is None or got.lead != top:
             raise RuntimeError(
                 "rule system not completed: the interreduced %d-lift of "
                 "g(%r) leads with %r, not %r"
                 % (lift, u, got and got.lead, top)
             )
-        self._completion[key] = got
+        self._rules[tag] = got
         return got
 
     def _match(self, u: Word):
-        """``_find_match(self, u)`` with the rule its tag names, (tag, rule,
-        lift, context) or None, memoised by the word ``u``."""
+        """``_find_match(self, u)``, (rule, lift, context) or None, memoised
+        by the word ``u``."""
         got = self._matches.get(u, _UNSEEN)
         if got is _UNSEEN:
-            got = _find_match(self, u)
-            if got is not None:
-                got = (got[0], self._rule(got[0])) + got[1:]
-            self._matches[u] = got
+            got = self._matches[u] = _find_match(self, u)
         return got
-
-    def _rule(self, tag: tuple) -> Rule:
-        if tag[0] == "section":
-            return self.section_rule(tag[1])
-        if tag[0] == "completion":
-            return self.completion_rule(tag[1], tag[2])
-        return self.rota_baxter_rule(tag[1], tag[2])
 
     # -- instantiated engines --------------------------------------------------
 
@@ -404,7 +393,7 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
 def _find_match(sys: DrblSystem, u: Word):
     """Locate the first reducible pattern in a monomial.
 
-    Returns (rule tag, lift, context) or None.  One loop over
+    Returns (rule, lift, context) or None.  One loop over
     ``words.subword_runs(u)`` tests each run against the one closed form
     its first prime allows:
 
@@ -416,15 +405,15 @@ def _find_match(sys: DrblSystem, u: Word):
       i, at most every prime's D-power, with i(n−1) ≥ 2 and removing i D's
       from each prime leaving a Lyndon-Shirshov word w (the i-lift of g(w)).
 
-    Else the first pair hit wins, else the first run hit.  The context is
-    built for the returned hit alone.
+    Else the first pair hit wins, else the first run hit.  The rule is
+    fetched and the context built for the returned hit alone.
     """
     config = sys.config
     weighted = config.weight != 0
     alphabet = config.alphabet
     key = alphabet.key
     primes = u.primes
-    pair = stretch = None  # the first hits: (tag, lift, where)
+    pair = stretch = None  # the first hits, by their rule parameters
     for run, where in subword_runs(u):
         p = run[0]
         k = p.d_power
@@ -433,21 +422,27 @@ def _find_match(sys: DrblSystem, u: Word):
             if k and type(p.head) is OpApp:
                 w = p.head.args[0]
                 if not weighted or not _overtaken(k - 1, w.breadth):
-                    return ("section", w), k - 1, context_at(primes, where)
-                if sys.completion_rule(w, k - 1) is not None:
-                    return ("completion", w, k - 1), 0, context_at(primes, where)
+                    return sys.section_rule(w), k - 1, context_at(primes, where)
+                rule = sys.completion_rule(w, k - 1)
+                if rule is not None:
+                    return rule, 0, context_at(primes, where)
         elif not k:
             if pair is None and n == 2 and _descending_pair(p, run[1], key):
-                pair = ("rota-baxter", p.head.args[0], run[1].head.args[0]), 0, where
+                pair = p.head.args[0], run[1].head.args[0], where
         elif weighted and stretch is None:
             for lift in range(1, min(q.d_power for q in run) + 1):
                 if _overtaken(lift, n):
                     w = Word(tuple(q.shifted(-lift) for q in run))
                     if is_alsw_hereditary(w, alphabet):
-                        stretch = ("section", w), lift, where
+                        stretch = w, lift, where
                         break
-    got = pair or stretch
-    return got and (got[0], got[1], context_at(primes, got[2]))
+    if pair is not None:
+        a, b, where = pair
+        return sys.rota_baxter_rule(a, b), 0, context_at(primes, where)
+    if stretch is not None:
+        w, lift, where = stretch
+        return sys.section_rule(w), lift, context_at(primes, where)
+    return None
 
 
 def _as_poly(config: AlgebraConfig, p) -> Poly:
@@ -472,9 +467,11 @@ def drbl_nf(
 
     Accepts a polynomial, a bracketed word, or a prior normal form, and
     reduces it by ``rewriting.lie_reduce`` with the matcher ``_find_match``,
-    read through ``sys``'s match memo: a word any earlier call on ``sys``
-    matched is looked up, not walked, and a finished completion build
-    clears the memo (see ``DrblSystem``).
+    read through ``sys``'s match memo of (rule, lift, context) answers: a
+    word any earlier call on ``sys`` matched is looked up, not walked, and
+    a finished completion build clears the memo (see ``DrblSystem``).
+    Each logged step carries the ``Rule`` that ``sys`` holds under its
+    origin tag.
     At weight 0 the result is the unique basis combination equal to ``p``.
     At weight λ ≠ 0 it is a combination of irreducible words, which can
     include words that are not basis words, such as ``D^4(P([x1 x2]))``.

@@ -535,7 +535,8 @@ def oracle_find_match(sys, u: Word):
     through the run's own builder: the first single-prime section or
     completion hit returns at once, else the first descending P-pair, else
     (nonzero weight) the first run of primes that is the overtaking
-    leading word of a lift of a section rule.
+    leading word of a lift of a section rule.  Returns (rule, lift,
+    context), the rule fetched from ``sys`` for the returned hit alone.
 
     ``_find_match`` now loops over ``words.subword_runs`` too, so this
     oracle's independence rests on its own closure walk
@@ -556,9 +557,10 @@ def oracle_find_match(sys, u: Word):
                 w = p.head.args[0]
                 k = p.d_power
                 if not weighted or not _overtaken(k - 1, w.breadth):
-                    return ("section", w), k - 1, build()
-                if sys.completion_rule(w, k - 1) is not None:
-                    return ("completion", w, k - 1), 0, build()
+                    return sys.section_rule(w), k - 1, build()
+                h = sys.completion_rule(w, k - 1)
+                if h is not None:
+                    return h, 0, build()
         elif pair_hit is None and n == 2:
             p, q = run
             if (
@@ -569,7 +571,7 @@ def oracle_find_match(sys, u: Word):
             ):
                 a, b = p.head.args[0], q.head.args[0]
                 if key(a) > key(b):
-                    pair_hit = (("rota-baxter", a, b), 0, build)
+                    pair_hit = (a, b), 0, build
         if weighted and n >= 2 and run_hit is None:
             bound = min(p.d_power for p in run)
             for i in range(1, bound + 1):
@@ -577,12 +579,12 @@ def oracle_find_match(sys, u: Word):
                     continue
                 w = Word(tuple(p.shifted(-i) for p in run))
                 if is_alsw_hereditary(w, alphabet):
-                    run_hit = (("section", w), i, build)
+                    run_hit = w, i, build
                     break
     if pair_hit is not None:
-        return pair_hit[0], pair_hit[1], pair_hit[2]()
+        return sys.rota_baxter_rule(*pair_hit[0]), pair_hit[1], pair_hit[2]()
     if run_hit is not None:
-        return run_hit[0], run_hit[1], run_hit[2]()
+        return sys.section_rule(run_hit[0]), run_hit[1], run_hit[2]()
     return None
 
 
@@ -607,7 +609,7 @@ def oracle_random_reduce(engine, p: Poly, rng, log=None) -> Poly:
     working = p
     while True:
         reducible = sorted(
-            (w for w in working.terms if engine.is_reducible(w)), key=key
+            (w for w in working.terms if engine.match(w) is not None), key=key
         )
         if not reducible:
             return working
@@ -620,13 +622,15 @@ def oracle_random_reduce(engine, p: Poly, rng, log=None) -> Poly:
             ]
         )
         factor = working.terms[u] / entry.leading_coeff
-        multiple = subst_poly(ctx, engine.core(entry.rule_index, entry.lift))
+        multiple = subst_poly(ctx, engine.rules[entry.rule_index].core(entry.lift))
         multiple = multiple.scale(factor)
         assert multiple.terms[u] == working.terms[u], u
         working = working - multiple
         if log is not None:
             log.append(
-                ReductionStep(entry.rule_index, entry.lift, ctx, factor, multiple)
+                ReductionStep(
+                    engine.rules[entry.rule_index], entry.lift, ctx, factor, multiple
+                )
             )
 
 

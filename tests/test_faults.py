@@ -9,9 +9,15 @@ the wrong Rota-Baxter sign and the lost Leibniz λ terms both go unnoticed.
 The wrong Rota-Baxter sign is also caught without the check, over one
 generator at λ = 1 and degree 7: ``drbl_nf`` then breaks the congruence
 N(D(N(x))) = N(D(x)) (``oracles.congruence_failures``), which the unfaulted
-system keeps on the same draws.
+system keeps on the same draws.  It is caught by reduction order too,
+which ``test_acceptance``'s criterion 8 cannot see on its inputs: each of
+the 23 distinct ambiguity words of the degree-6 system is reduced in
+eight seeded-random orders (``oracles.oracle_random_reduce``, seeds 0-7),
+and every order reaches ``reduce(mode="assoc")``'s normal form on all 23
+words unfaulted, but not on 1 of them with the sign flipped.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,10 +25,10 @@ import pytest
 import shirshov.algebra
 import shirshov.rewriting
 import shirshov.rota_baxter
-from shirshov import AlgebraConfig, DrblSystem
+from shirshov import AlgebraConfig, DrblSystem, Poly
 from shirshov.cli import make_alphabet
 from shirshov.words import Word, substitute
-from oracles import congruence_failures
+from oracles import congruence_failures, oracle_random_reduce
 
 MODES = ("assoc", "lie")
 
@@ -30,6 +36,24 @@ MODES = ("assoc", "lie")
 def check(mode, weight=1):
     config = AlgebraConfig(make_alphabet(2), Fraction(weight))
     return DrblSystem(config).system(6).is_gsb(mode)
+
+
+def random_order_disagreements():
+    """(ambiguity words some seeded-random elimination order leaves with
+    another normal form than ``reduce(mode="assoc")``, number of distinct
+    ambiguity words), over the system ``check`` builds at λ = 1."""
+    engine = DrblSystem(AlgebraConfig(make_alphabet(2), Fraction(1))).system(6)
+    words = list(dict.fromkeys(a.word for a in engine.find_ambiguities()))
+    bad = []
+    for u in words:
+        p = Poly.word(u)
+        want = engine.reduce(p, mode="assoc")
+        if any(
+            oracle_random_reduce(engine, p, random.Random(seed)) != want
+            for seed in range(8)
+        ):
+            bad.append(u)
+    return bad, len(words)
 
 
 def negated_weight(monkeypatch):
@@ -80,6 +104,16 @@ def test_a_negated_weight_leaves_compositions_uncertified(monkeypatch, mode):
     negated_weight(monkeypatch)
     report = check(mode)
     assert report.summary() == "fail: 2 of 24 compositions not certified (nonzero residue)"
+
+
+def test_the_unfaulted_system_reduces_its_ambiguity_words_in_any_order():
+    assert random_order_disagreements() == ([], 23)
+
+
+def test_a_negated_weight_makes_some_elimination_order_disagree(monkeypatch):
+    negated_weight(monkeypatch)
+    bad, total = random_order_disagreements()
+    assert (len(bad), total) == (1, 23)
 
 
 def test_a_negated_weight_breaks_the_congruence_of_normal_forms_under_d(monkeypatch):

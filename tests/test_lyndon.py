@@ -587,7 +587,7 @@ def test_special_expand_matches_fraction_oracle_on_lifted_rules(weight):
     assert len(cases) > 100
     denominators = False
     for entry, u, where in cases:
-        core = engine.core(entry.rule_index, entry.lift)
+        core = engine.rules[entry.rule_index].core(entry.lift)
         denominators |= any(c.denominator != 1 for c in core.terms.values())
         ctx = context_at(u.primes, where)
         got = special_expand(cfg, ctx, entry.leading_word, core)

@@ -324,7 +324,7 @@ def test_engines_hold_no_reference_cycles(weight):
         engine = drbl.system(7, s1_only=s1_only)
         for rule in engine.rules[::3]:
             rule.poly
-        engine.core(0, 1)
+        engine.rules[0].core(1)
     nf = drbl_nf(parse_poly("D^2(P([x1 x2]))", engine.config.alphabet), drbl)
     assert not nf.is_zero()
     probe = weakref.ref(drbl)
@@ -359,20 +359,20 @@ def test_cores_are_expanded_on_first_use_one_lift_at_a_time(monkeypatch):
     assert steps == []
     top = max(sys_.lifted, key=lambda e: e.lift)
     assert top.lift >= 2
-    assert sys_.core(top.rule_index, top.lift) == apply_D(
+    assert sys_.rules[top.rule_index].core(top.lift) == apply_D(
         c, sys_.rules[top.rule_index].poly, top.lift
     )
     # one D step per lift, each from the cached lift below
     assert steps == [1] * top.lift
     for e in sys_.lifted:
-        assert sys_.core(e.rule_index, e.lift) == apply_D(
+        assert sys_.rules[e.rule_index].core(e.lift) == apply_D(
             c, sys_.rules[e.rule_index].poly, e.lift
         )
     # drbl_nf reads lifts kept on the rule: D^3(P(x)) reduces by the 2-lift of g(x)
     steps.clear()
     log = []
     nf = drbl_nf(parse_poly("D^3(P(x))", A1), DrblSystem(cfg(A1, 1)), log=log)
-    assert [(s.rule_index, s.lift) for s in log] == [
+    assert [(s.rule.origin, s.lift) for s in log] == [
         (("section", parse_word("x", A1)), 2)
     ]
     assert repr(nf) == "D^2(x)"
@@ -398,8 +398,7 @@ def test_an_engine_and_drbl_nf_expand_each_core_once(monkeypatch, weight):
     assert built and engine.is_gsb("lie")
     assert len(made) > built
     assert len(made) == len(set(made))
-    rules = [*drbl._section.values(), *drbl._rota_baxter.values()]
-    rules += [r for r in drbl._completion.values() if r is not None]
+    rules = [r for r in drbl._rules.values() if r is not None]
     cores = sum(len(r._lifts[0]) - 1 for r in rules if r._lifts is not None)
     assert len(made) == cores
 
@@ -458,7 +457,7 @@ def test_lifts_above_the_bound_are_certified_by_the_closed_form(weight):
         last[e.rule_index] = e.lift
     for i, lift in list(last.items())[:20]:
         for above in (lift + 1, lift + 2):
-            core = engine.core(i, above)
+            core = engine.rules[i].core(above)
             assert engine.rules[i].lift_lead(above) == leading(config, core)
 
 
@@ -472,7 +471,7 @@ def test_composing_an_inclusion_twice_gives_one_answer(mode, weight):
     inclusions = [a for a in engine.find_ambiguities() if a.kind == "inclusion"]
     assert len(inclusions) > 10
     for amb in inclusions:
-        core = engine.core(amb.left.rule_index, amb.left.lift)
+        core = engine.rules[amb.left.rule_index].core(amb.left.lift)
         before = list(core.terms.items())
         first = engine.composition(amb, mode)
         assert engine.composition(amb, mode) == first
@@ -502,7 +501,7 @@ def test_a_planted_core_with_a_wrong_leading_term_fails_its_first_use(fault):
     engine = DrblSystem(config).system(6)
     plant(engine.rules[right.rule_index], right.lift)
     with pytest.raises(ValueError, match="core leading term"):
-        engine.special_multiple(right.rule_index, right.lift, amb.context)
+        engine.rules[right.rule_index].special(right.lift, amb.context)
     # drbl_nf reads the same lifts, kept on the rule
     drbl = DrblSystem(config)
     x1 = parse_word("x1", config.alphabet)
@@ -538,7 +537,7 @@ def test_a_planted_core_whose_multiple_does_not_cancel_fails_assoc_reduction():
     p = parse_poly("D^2(P(x1)) * x2", config.alphabet)
     entry, _ = engine.match(next(iter(p.terms)))
     assert entry.lift == 1
-    core = engine.core(entry.rule_index, entry.lift)
+    core = engine.rules[entry.rule_index].core(entry.lift)
     engine.rules[entry.rule_index]._lifts[0][entry.lift] = core.scale(2)
     with pytest.raises(RuntimeError, match="rule multiple does not cancel"):
         engine.reduce(p, log=BoundedLog())
@@ -565,7 +564,7 @@ def test_a_planted_core_that_keeps_the_ambiguity_word_fails_its_composition():
         a for a in engine.find_ambiguities() if a.left[:2] != a.right[:2]
     )
     left = amb.left
-    core = engine.core(left.rule_index, left.lift)
+    core = engine.rules[left.rule_index].core(left.lift)
     engine.rules[left.rule_index]._lifts[0][left.lift] = core.scale(2)
     with pytest.raises(
         RuntimeError, match="composition leading .* not below ambiguity word"
@@ -584,7 +583,7 @@ def test_a_planted_lead_coefficient_fails_the_special_multiple_certificate():
     v, lc = rule.lift_lead(right.lift)
     rule._lifts[1][right.lift] = v, 2 * lc
     with pytest.raises(RuntimeError, match="special multiple certificate failed"):
-        engine.special_multiple(right.rule_index, right.lift, amb.context)
+        rule.special(right.lift, amb.context)
 
 
 def test_find_ambiguities_returns_equal_fresh_lists():
@@ -636,8 +635,8 @@ def test_assoc_compositions_match_the_product_formula(weight, total):
     assert any(a.left.lift or a.right.lift for a in ambs)
     for amb in ambs:
         left, right = amb.left, amb.right
-        core_l = sys_.core(left.rule_index, left.lift)
-        core_r = sys_.core(right.rule_index, right.lift)
+        core_l = sys_.rules[left.rule_index].core(left.lift)
+        core_r = sys_.rules[right.rule_index].core(right.lift)
         if amb.kind == "intersection":
             lp = left.leading_word.primes
             a = Word(right.leading_word.primes[amb.overlap :])
@@ -711,10 +710,10 @@ def test_high_derivative_of_operator_word_is_irreducible_when_weighted():
     w = parse_word("D^3(P(x y))", A2)
     c1 = cfg(A2, 1)
     sys1 = RewriteSystem(c1, [section_rule(c1, parse_word("x y", A2))], 8)
-    assert not sys1.is_reducible(w)
+    assert sys1.match(w) is None
     c0 = cfg(A2, 0)
     sys0 = RewriteSystem(c0, [section_rule(c0, parse_word("x y", A2))], 8)
-    assert sys0.is_reducible(w)
+    assert sys0.match(w) is not None
 
 
 def test_match_prefers_smallest_rule_index():
@@ -756,7 +755,7 @@ def test_reduction_trace_accounts_for_the_input():
                 total = total + step.multiple
             assert total == p
             # nothing reducible survives
-            assert all(not sys_.is_reducible(w) for w in got.terms)
+            assert all(sys_.match(w) is None for w in got.terms)
 
 
 @pytest.mark.parametrize("weight", (0, Fraction(1, 2), 1))
@@ -942,6 +941,55 @@ def _logged_fractions(log):
     return len(log)
 
 
+@pytest.mark.parametrize("weight", (0, 1))
+def test_reduction_steps_carry_the_rule_itself(weight):
+    # a drbl_nf step holds the rule its system keeps under the step's
+    # origin tag; an engine step holds one of the engine's rules, which
+    # are the system's own
+    c = cfg(A2, weight)
+    drbl = DrblSystem(c)
+    engine = drbl.system(6)
+    inputs = [(drbl, engine, p) for p in _lie_inputs(c, seed=61)]
+    if weight:
+        # D^3(P([P(x) x])) reduces by the completion rule h(P(x) x, 2)
+        drbl1 = DrblSystem(cfg(A1, weight))
+        inputs.append((drbl1, drbl1.system(7), parse_poly("D^3(P([P(x) x]))", A1)))
+    kinds = Counter()
+    for drbl, engine, p in inputs:
+        log = []
+        drbl_nf(p, drbl, log=log)
+        for step in log:
+            assert step.rule is drbl._rules[step.rule.origin]
+            kinds[step.rule.origin[0]] += 1
+        for mode in ("assoc", "lie"):
+            log = []
+            engine.reduce(p, mode=mode, log=log)
+            for step in log:
+                assert any(step.rule is r for r in engine.rules)
+                assert step.rule is drbl._rules[step.rule.origin]
+                kinds[mode] += 1
+    assert kinds["section"] and kinds["rota-baxter"]
+    assert kinds["assoc"] and kinds["lie"]
+    assert bool(kinds["completion"]) == bool(weight)
+
+
+def test_a_rules_own_views_keep_ints_where_integral():
+    # narrowed, core, lift_lead and special are the rule's int views; poly
+    # is its Fraction copy
+    rule = DrblSystem(cfg(make_alphabet(2), 0)).system(7).rules[0]
+    ctx = Context((), Hole(0), ())
+    special, lc = rule.special(1, ctx)
+    views = [
+        *rule.narrowed.terms.values(),
+        *rule.core(1).terms.values(),
+        rule.lift_lead(1)[1],
+        *special.values(),
+        lc,
+    ]
+    assert {type(c) for c in views} == {int}
+    assert {type(c) for c in rule.poly.terms.values()} == {Fraction}
+
+
 @pytest.mark.parametrize("weight", BOUNDARY_WEIGHTS)
 def test_public_coefficients_are_fractions(weight):
     """Integer arithmetic stays inside: every coefficient the engine,
@@ -954,14 +1002,12 @@ def test_public_coefficients_are_fractions(weight):
         for mode in ("assoc", "lie"):
             terms += _only_fractions(engine.composition(amb, mode).terms.values())
     for entry in engine.lifted[::9]:
-        core = engine.core(entry.rule_index, entry.lift)
-        terms += _only_fractions(core.terms.values())
+        rule = engine.rules[entry.rule_index]
+        terms += _only_fractions(rule.poly.terms.values())
+        core = rule.core(entry.lift)
         ctx = Context((), Hole(0), ())
         terms += _only_fractions(
             special_expand(c, ctx, entry.leading_word, core).terms.values()
-        )
-        terms += _only_fractions(
-            engine.special_multiple(entry.rule_index, entry.lift, ctx).terms.values()
         )
     for p in _lie_inputs(c):
         for mode in ("assoc", "lie"):

@@ -496,3 +496,12 @@ def _x_word():
 def test_bad_inputs_raise_their_named_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_every_public_name_resolves_once_in_sorted_order():
+    import shirshov
+
+    names = shirshov.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        assert getattr(shirshov, name) is not None, name
