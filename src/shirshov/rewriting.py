@@ -345,7 +345,8 @@ class ReductionStep:
 
     ``rule`` is the ``Rule`` itself, one of the engine's ``rules`` or of
     the ``DrblSystem``'s when the step comes from ``drbl_nf``; its
-    ``origin`` names it in a trace.
+    ``origin`` names it in a trace.  Steps compare, hash and print by
+    value, the rule by its origin and polynomial.
     """
 
     rule: Rule

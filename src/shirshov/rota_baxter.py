@@ -296,18 +296,21 @@ class DrblSystem:
         tag = ("completion", u, lift)
         if tag in self._rules:
             return self._rules[tag]
-        g = self.section_rule(u)
         m = None
         if any(type(p.head) is OpApp for p in u.primes):
             run = Word(tuple(p.shifted(lift) for p in u.primes))
             m = self._match(run)
         # Any match in D^{i+1}(P(u)) other than h itself lies inside u.
-        if m is None or (m[0] is g and m[1] == lift) or self._match(u):
+        if (
+            m is None
+            or (m[0].origin == ("section", u) and m[1] == lift)
+            or self._match(u)
+        ):
             self._rules[tag] = None
             return None
         self._rules[tag] = None
         try:
-            poly = drbl_nf(g.core(lift), self).as_poly(self.config)
+            poly = drbl_nf(self.section_rule(u).core(lift), self).as_poly(self.config)
         finally:
             del self._rules[tag]
             # matches found while D^{i+1}(P(u)) counted as irreducible
