@@ -34,7 +34,7 @@ coefficient is weight^((n-1)*i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -61,13 +61,20 @@ as_fraction = lru_cache(maxsize=1024)(Fraction)
 
 @dataclass(frozen=True)
 class AlgebraConfig:
-    """Alphabet plus the weight constant of the differential."""
+    """Alphabet plus the weight constant of the differential, tested once:
+    ``weighted`` is whether it is nonzero, and ``lam`` is the weight narrowed
+    (an ``int`` when integral), which the closed forms of ``D`` read."""
 
     alphabet: Alphabet
     weight: Fraction = ZERO
+    weighted: bool = field(init=False, repr=False, compare=False)
+    lam: int | Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        weight = Fraction(self.weight)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weighted", weight != 0)
+        object.__setattr__(self, "lam", narrow(weight))
 
 
 class Poly:
@@ -155,7 +162,7 @@ def apply_D(config: AlgebraConfig, p: Poly, times: int = 1) -> Poly:
     narrowed, so ``int`` coefficients stay ``int``s at an integral weight."""
     for _ in range(times):
         out: dict[Word, Fraction] = {}
-        _add(out, _d_terms(p.terms, narrow(config.weight)))
+        _add(out, _d_terms(p.terms, config.lam))
         p = Poly(out)
     return p
 
@@ -211,18 +218,19 @@ def leading(config: AlgebraConfig, p: Poly) -> tuple[Word, Fraction]:
     return w, p.terms[w]
 
 
-def d_power_leading(config: AlgebraConfig, u: Word, i: int) -> tuple[Word, Fraction]:
-    """Leading term of ``D^i(u)`` without expanding the polynomial."""
+def d_power_leading(config: AlgebraConfig, u: Word, i: int) -> tuple[Word, int | Fraction]:
+    """Leading term of ``D^i(u)`` without expanding the polynomial; the
+    coefficient is ``ONE`` or a power of ``config.lam``."""
     if i == 0:
         return u, ONE
     primes = u.primes
     n = len(primes)
-    if config.weight == 0:
+    if not config.weighted:
         w = Word((primes[0].shifted(i),) + primes[1:])
         return w, ONE
     w = Word(tuple(p.shifted(i) for p in primes))
     e = (n - 1) * i
-    return w, config.weight**e if e else ONE
+    return w, config.lam**e if e else ONE
 
 
 def lie_expand(config: AlgebraConfig, t) -> Poly:

@@ -14,7 +14,9 @@ word of ``D^i(m)`` is an injective shift of ``m``, so two monomials never
 share it; and if the greatest top word equalled a lower word of another
 monomial's lift, that monomial's top word would be greater still.  Every
 rule carries the top term of each of its (degree, breadth) groups
-(``Rule.tops``), and ``lift_leadings`` reads only those.  The lifted
+(``Rule.tops``), and ``lift_leadings`` reads only those, with the weight
+tested once per configuration (``AlgebraConfig.weighted`` and ``lam``), so
+at an integral weight no lift compares or raises a ``Fraction``.  The lifted
 polynomials themselves (cores) are expanded only when a reduction or
 composition uses them, and the rule keeps them (``Rule.core``): every
 engine over the rule and ``rota_baxter.drbl_nf`` share one expansion of
@@ -418,9 +420,10 @@ def lift_leadings(config: AlgebraConfig, rule: Rule, max_degree: int, lift: int 
     deg-lex greatest monomial of the winning group, which is one of the
     rule's ``tops``; the polynomial itself is not read.  The tops make one
     list of (degree, step, breadth, word, coefficient), step being the
-    degree a lift adds, and a plain loop picks each lift's group from it.
+    degree a lift adds (read from ``config.weighted``), and a plain loop
+    picks each lift's group from it.
     """
-    weighted = config.weight != 0
+    weighted = config.weighted
     groups = []
     for u, c in rule.tops.items():
         b = len(u.primes)

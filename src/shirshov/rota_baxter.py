@@ -186,23 +186,22 @@ class _Families:
     """The section and Rota-Baxter rules of one ``DrblSystem``, each read
     from its origin tag, ``("section", u)`` or ``("rota-baxter", u, v)``.
 
-    Holds the configuration, the operator and the narrowed weight, never
-    the system, so no reference cycle forms.
+    Holds the configuration and the operator, never the system, so no
+    reference cycle forms.
     """
 
-    __slots__ = ("config", "operator", "weight")
+    __slots__ = ("config", "operator")
 
     def __init__(self, config: AlgebraConfig, operator: str):
         self.config = config
         self.operator = operator
-        self.weight = narrow(config.weight)
 
     def poly(self, origin: tuple) -> Poly:
         alphabet = self.config.alphabet
         if origin[0] == "section":
             return _section_poly(alphabet, self.operator, origin[1])
         _, u, v = origin
-        return _rota_baxter_poly(alphabet, self.operator, self.weight, u, v)
+        return _rota_baxter_poly(alphabet, self.operator, self.config.lam, u, v)
 
     def tops(self, origin: tuple) -> dict:
         """g(u): D(P(u)) and u; f(u,v): P(u)·P(v), whose breadth-2 group
@@ -289,7 +288,7 @@ class DrblSystem:
         reduced lift leads with another word: the family does not close
         the system there.
         """
-        if self.config.weight == 0 or not _overtaken(lift, u.breadth):
+        if not self.config.weighted or not _overtaken(lift, u.breadth):
             raise ValueError(
                 "the %d-lift of g(%r) keeps its leading word" % (lift, u)
             )
@@ -376,7 +375,7 @@ def instantiate_rules(sys: DrblSystem, max_degree: int) -> list[Rule]:
     ]
     rota_baxter.sort(key=lambda r: key(r.lead))
     out.extend(rota_baxter)
-    if sys.config.weight != 0:
+    if sys.config.weighted:
         completion = []
         for u in params:
             for i in range(1, max_degree - u.degree - 1):
@@ -412,7 +411,7 @@ def _find_match(sys: DrblSystem, u: Word):
     fetched and the context built for the returned hit alone.
     """
     config = sys.config
-    weighted = config.weight != 0
+    weighted = config.weighted
     alphabet = config.alphabet
     key = alphabet.key
     primes = u.primes

@@ -13,7 +13,9 @@ compare as (symbol, arguments...) tuples with every declared operator
 ranked above ``D`` and with ``D^i(u)`` unwrapping to ``(D, D^(i-1)(u))``
 one level per step.  ``Alphabet.key`` encodes the order as a nested tuple
 so Python's tuple comparison realizes it directly; keys are memoized per
-alphabet, which keeps leading-term extraction and sorting cheap.
+alphabet, one memo for words and one for primes, each a ``dict`` whose
+``__missing__`` computes a key.  ``alphabet.key`` and ``prime_key`` are
+the memos' ``__getitem__``, so a hit runs in C, with no Python frame.
 
 The lex order on words ranks the empty word above every nonempty word, so
 a proper prefix is greater than its extensions; it is the order underlying
@@ -36,17 +38,24 @@ a weak intern table, keyed by its parts, that returns the existing object
 when there is one.  So two equal terms are one object, and equality and
 hashing are identity, done in C.  The tables hold their objects weakly, so
 a term lives only as long as something else refers to it, and nothing
-carries over from one computation to the next.  Identity hashes differ
-from run to run, so no output may depend on hash order: no set of terms
-is ever iterated, and dicts iterate in insertion order.  Copying or
-unpickling an interned object constructs it again, so it yields the same
-object.  The tables take no lock: construct terms from one thread only.
+carries over from one computation to the next.  ``Word``, ``Prime`` and
+``OpApp`` file their entries inline, the rest through ``_file``; a dead
+object's entry goes by ``_weakref._remove_dead_weakref``, which deletes
+only a dead entry.  Identity hashes differ from run to run, so no output
+may depend on hash order: no set of terms is ever iterated, and dicts
+iterate in insertion order.  Copying or unpickling an interned object
+constructs it again, so it yields the same object.  The tables take no
+lock: construct terms from one thread only.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, Union
+from _weakref import _remove_dead_weakref
+from operator import attrgetter
+from typing import Iterator
+
+_degree = attrgetter("degree")
 
 
 class _Ref(weakref.ref):
@@ -56,10 +65,8 @@ class _Ref(weakref.ref):
 
 
 def _forget(ref: _Ref) -> None:
-    """Drop a dead object's entry, unless the key was filed again since."""
-    table = ref.table
-    if table.get(ref.key) is ref:
-        del table[ref.key]
+    """Drop a dead object's entry, if it is still filed and still dead."""
+    _remove_dead_weakref(ref.table, ref.key)
 
 
 def _file(table: dict, key, obj) -> None:
@@ -121,8 +128,9 @@ class OpApp:
         self = object.__new__(cls)
         self.name = name
         self.args = args
-        self.degree = 1 + sum(a.degree for a in args)
-        _file(table, args, self)
+        self.degree = 1 + sum(map(_degree, args))
+        ref = table[args] = _Ref(self, _forget)  # ``_file``, inline
+        ref.table, ref.key = table, args
         return self
 
     def __reduce__(self):
@@ -130,9 +138,6 @@ class OpApp:
 
     def __repr__(self):
         return "OpApp(%r, %r)" % (self.name, list(self.args))
-
-
-Head = Union[str, OpApp]
 
 
 class Prime:
@@ -143,7 +148,7 @@ class Prime:
 
     __slots__ = ("d_power", "head", "degree", "__weakref__")
 
-    def __new__(cls, d_power: int, head: Head):
+    def __new__(cls, d_power: int, head: str | OpApp):
         if d_power < 0:
             raise ValueError("negative D power")
         table = _PRIMES.get(d_power)
@@ -159,7 +164,8 @@ class Prime:
         self.d_power = d_power
         self.head = head
         self.degree = d_power + (1 if type(head) is str else head.degree)
-        _file(table, head, self)
+        ref = table[head] = _Ref(self, _forget)
+        ref.table, ref.key = table, head
         return self
 
     def __reduce__(self):
@@ -193,8 +199,9 @@ class Word:
                 return self
         self = object.__new__(cls)
         self.primes = primes
-        self.degree = sum(p.degree for p in primes)
-        _file(_WORDS, primes, self)
+        self.degree = sum(map(_degree, primes))
+        ref = _WORDS[primes] = _Ref(self, _forget)
+        ref.table, ref.key = _WORDS, primes
         return self
 
     def __reduce__(self):
@@ -205,6 +212,49 @@ class Word:
         return len(self.primes)
 
     __repr__ = term_repr
+
+
+class _WordKeys(dict):
+    """Word -> deg-lex key, filed by ``__missing__`` on a miss."""
+
+    __slots__ = ("prime_key", "__weakref__")
+
+    def __missing__(self, u: Word) -> tuple:
+        k = self[u] = (u.degree, len(u.primes), *map(self.prime_key, u.primes))
+        return k
+
+
+class _PrimeKeys(dict):
+    """Prime -> deg-lex key, like ``_WordKeys``.  It reads the word memo
+    through a weak proxy, so the two memos form no reference cycle."""
+
+    __slots__ = ("word_keys", "gen_rank", "op_rank", "arity")
+
+    def __missing__(self, p: Prime) -> tuple:
+        head = p.head
+        if p.d_power:
+            # D^i(u) compares as (D, D^(i-1)(u)); D ranks below operators.
+            # The one-prime word D^(i-1)(u) keys as (degree, 1, its prime).
+            inner = Prime(p.d_power - 1, head)
+            k = (p.degree, 0, (inner.degree, 1, self[inner]))
+        elif type(head) is str:
+            try:
+                k = (1, self.gen_rank[head])
+            except KeyError:
+                raise ValueError("unknown generator %r" % head) from None
+        else:
+            try:
+                rank = self.op_rank[head.name]
+            except KeyError:
+                raise ValueError("unknown operator %r" % head.name) from None
+            if len(head.args) != self.arity[head.name]:
+                raise ValueError(
+                    "operator %r expects %d argument(s), got %d"
+                    % (head.name, self.arity[head.name], len(head.args))
+                )
+            k = (p.degree, rank, *map(self.word_keys.__getitem__, head.args))
+        self[p] = k
+        return k
 
 
 class Alphabet:
@@ -225,13 +275,16 @@ class Alphabet:
         for n, a in self.operators:
             if a < 1:
                 raise ValueError("operator %r must take at least one argument" % n)
-        ng = len(self.generators)
-        self._gen_rank = {g: ng - i for i, g in enumerate(self.generators)}
-        no = len(self.operators)
-        self._op_rank = {n: no - i for i, (n, _) in enumerate(self.operators)}
-        self._arity = {n: a for n, a in self.operators}
-        self._word_keys: dict[Word, tuple] = {}
-        self._prime_keys: dict[Prime, tuple] = {}
+        ng, no = len(self.generators), len(self.operators)
+        prime_keys = self._prime_keys = _PrimeKeys()
+        prime_keys.gen_rank = {g: ng - i for i, g in enumerate(self.generators)}
+        prime_keys.op_rank = {n: no - i for i, (n, _) in enumerate(self.operators)}
+        prime_keys.arity = dict(self.operators)
+        self._word_keys = _WordKeys()
+        prime_keys.word_keys = weakref.proxy(self._word_keys)
+        # The memo lookups themselves, so a hit runs no Python frame.
+        self.key = self._word_keys.__getitem__
+        self.prime_key = self._word_keys.prime_key = prime_keys.__getitem__
         # Filled by ``lyndon``: ALSW tests (top level, and hereditary),
         # standard split indices and standard bracketings per word.
         self._alsw_cache: dict[Word, bool] = {}
@@ -242,47 +295,18 @@ class Alphabet:
         self._expansions: dict[object, dict] = {}
 
     def arity(self, name: str) -> int:
-        return self._arity[name]
+        return self._prime_keys.arity[name]
 
     def is_generator(self, name: str) -> bool:
-        return name in self._gen_rank
+        return name in self._prime_keys.gen_rank
 
     def key(self, u: Word) -> tuple:
-        """Deg-lex sort key: ``key(u) < key(v)`` iff ``u`` precedes ``v``."""
-        k = self._word_keys.get(u)
-        if k is None:
-            k = (u.degree, len(u.primes), *map(self.prime_key, u.primes))
-            self._word_keys[u] = k
-        return k
+        """Deg-lex sort key: ``key(u) < key(v)`` iff ``u`` precedes ``v``.
 
-    def prime_key(self, p: Prime) -> tuple:
-        k = self._prime_keys.get(p)
-        if k is None:
-            head = p.head
-            if p.d_power == 0:
-                if type(head) is str:
-                    try:
-                        k = (1, self._gen_rank[head])
-                    except KeyError:
-                        raise ValueError("unknown generator %r" % head) from None
-                else:
-                    try:
-                        rank = self._op_rank[head.name]
-                    except KeyError:
-                        raise ValueError("unknown operator %r" % head.name) from None
-                    if len(head.args) != self._arity[head.name]:
-                        raise ValueError(
-                            "operator %r expects %d argument(s), got %d"
-                            % (head.name, self._arity[head.name], len(head.args))
-                        )
-                    k = (p.degree, rank) + tuple(self.key(a) for a in head.args)
-            else:
-                # D^i(u) compares as (D, D^(i-1)(u)); D ranks below operators.
-                # The one-prime word D^(i-1)(u) keys as (degree, 1, its prime).
-                inner = Prime(p.d_power - 1, head)
-                k = (p.degree, 0, (inner.degree, 1, self.prime_key(inner)))
-            self._prime_keys[p] = k
-        return k
+        An alphabet binds ``key`` to its word memo's lookup; this is the
+        same lookup for code that finds ``key`` on the class, such as the
+        benchmark tracer, which wraps it by name."""
+        return self._word_keys[u]
 
 
 def lex_cmp_primes(ps, qs, alphabet: Alphabet) -> int:

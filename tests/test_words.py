@@ -390,6 +390,40 @@ def test_a_late_callback_keeps_the_entry_filed_since():
     assert words._WORDS[primes] is new_ref and new_ref() is w
 
 
+def test_forgetting_a_key_already_gone_is_a_no_op(monkeypatch):
+    # Names no other test uses.  The callback finds its key gone and does
+    # nothing: no error, not even an unraisable one from the callback.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    primes = (Prime(3, "gone1"), Prime(0, "gone2"))
+    w = Word(primes)
+    ref = words._WORDS.pop(primes)
+    del w  # its callback runs now, on a key that is already gone
+    words._forget(ref)  # and once more by hand
+    assert ref() is None and primes not in words._WORDS and unraisable == []
+
+
+def test_a_key_lookup_that_raises_files_no_key():
+    # The error rows of ``test_bad_inputs_raise_their_named_errors``, each
+    # under D too, on an alphabet of its own: no memo keeps a partial entry,
+    # so a word sharing their parts then keys as on a fresh alphabet.
+    alphabet = make_alphabet(2)
+    x = Word((Prime(0, "x1"),))
+    bad = [
+        Prime(d, head)
+        for head in ("y", OpApp("Q", (x,)), OpApp("P", (x, x)))
+        for d in (0, 2)
+    ]
+    for p in bad:
+        with pytest.raises(ValueError, match="unknown|expects 1 argument"):
+            alphabet.key(Word((p,)))
+        with pytest.raises(ValueError, match="unknown|expects 1 argument"):
+            alphabet.prime_key(p)
+    assert alphabet._word_keys == {} and alphabet._prime_keys == {}
+    w = parse_word("D^2(P(x1 P(x1))) x1", alphabet)
+    assert alphabet.key(w) == make_alphabet(2).key(w)
+
+
 def test_word_is_not_equal_to_its_primes():
     w = parse_word("x y", A2)
     assert w != w.primes and w.primes != w
